@@ -20,7 +20,7 @@
 //   HBMVOLT_SOAK_VERIFY=1    re-run serially and require an identical
 //                            fingerprint (byte-reproducibility check)
 //   HBMVOLT_SOAK_ENGINE=S    bulk-operation engine: "range" (default,
-//                            the bit-sliced bulk path) or "perbeat"
+//                            the table-driven bulk path) or "perbeat"
 //                            (the one-beat-at-a-time reference); the
 //                            two produce identical fingerprints
 //   HBMVOLT_SOAK_SCHEME=S    mitigation scheme: "secded" (default),

@@ -75,11 +75,12 @@ DecodeResult corrected(std::uint64_t data, unsigned p1, bool has_p2,
 }  // namespace
 
 DecodeResult dected_decode(std::uint64_t data, std::uint16_t check) noexcept {
-  const std::uint16_t syndrome = static_cast<std::uint16_t>(
-      dected_data_syndrome(data) ^ (check & kCheckMask));
-  const bool odd_parity =
-      ((std::popcount(data) ^ std::popcount<unsigned>(check & 0x7FFFu)) &
-       1) != 0;
+  // Linearity: the stored check bits differ from the recomputed ones in
+  // the syndrome bits, and in overall parity exactly when an odd number
+  // of live positions flipped.
+  const unsigned e = dected_encode(data) ^ (check & 0x7FFFu);
+  const std::uint16_t syndrome = static_cast<std::uint16_t>(e & kCheckMask);
+  const bool odd_parity = (std::popcount(e) & 1) != 0;
 
   if (syndrome == 0) {
     if (!odd_parity) return {data, DecodeStatus::kClean};
@@ -126,7 +127,7 @@ std::uint16_t dected_encode_reference(std::uint64_t data) noexcept {
 
 DecodeResult dected_decode_reference(std::uint64_t data,
                                      std::uint16_t check) noexcept {
-  // Syndrome by per-set-bit accumulation instead of bit-sliced popcounts.
+  // Syndrome by per-set-bit accumulation instead of the encode tables.
   std::uint16_t syndrome = static_cast<std::uint16_t>(check & kCheckMask);
   for (unsigned i = 0; i < kDataBits; ++i) {
     if ((data >> i) & 1u) syndrome ^= kRemainders[i];

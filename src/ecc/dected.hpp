@@ -20,10 +20,13 @@
 // remainder, bit 14 the overall parity, bit 15 a pad that is always
 // written zero and ignored on decode.
 //
-// Syndrome computation is bit-sliced exactly like secded.hpp: the 14-bit
-// remainder contribution of the data word is 14 masked popcounts against
-// constexpr column masks (column j collects the data bits whose
-// x^{14+i} mod g(x) has coefficient j set).  Correction uses a lazily
+// The code is linear over GF(2), so encoding is table-driven exactly like
+// secded.hpp: the 15 live check bits of a data word are the XOR of eight
+// per-byte entries from a constexpr 8 x 256 table (4 KB, built from the
+// x^{14+i} mod g(x) remainders).  On decode, e = encode(data) ^ (check &
+// 0x7FFF) gives the 14-bit syndrome as e & kCheckMask and the overall
+// parity mismatch as popcount(e) & 1; a word is clean exactly when
+// encode(data) == (check & 0x7FFF).  Correction uses a lazily
 // built 2^14-entry syndrome table enumerating every 1- and 2-position
 // error pattern -- BCH distance >= 5 guarantees the patterns collide
 // nowhere, which the table build asserts.  dected.cpp keeps the original
@@ -106,21 +109,30 @@ constexpr std::array<std::uint16_t, 64> make_remainders() {
   return r;
 }
 
-/// Bit-sliced transpose of the remainder table: column j has data bit i
-/// set iff x^{14+i} mod g has coefficient j.
-constexpr std::array<std::uint64_t, 14> make_columns() {
-  const auto remainders = make_remainders();
-  std::array<std::uint64_t, 14> columns{};
-  for (unsigned d = 0; d < 64; ++d) {
-    for (unsigned j = 0; j < 14; ++j) {
-      if ((remainders[d] >> j) & 1u) columns[j] |= 1ull << d;
+inline constexpr auto kRemainders = make_remainders();
+
+/// Byte-sliced encode table: kEncodeTable[lane][v] holds the stored check
+/// bits (BCH remainder in bits [0,14), overall parity at bit 14, pad bit
+/// 15 zero) of the data word whose only nonzero byte is v in byte lane
+/// `lane`.  Built by linearity: an entry is the codeword of its lowest set
+/// bit XOR the entry without that bit.
+constexpr std::array<std::array<std::uint16_t, 256>, 8> make_encode_table() {
+  std::array<std::array<std::uint16_t, 256>, 8> table{};
+  for (unsigned lane = 0; lane < 8; ++lane) {
+    for (unsigned v = 1; v < 256; ++v) {
+      const unsigned rem =
+          kRemainders[lane * 8 + static_cast<unsigned>(std::countr_zero(v))];
+      // The data bit itself plus its remainder bits, made even by the
+      // overall parity bit.
+      const unsigned overall = (std::popcount(rem) & 1) != 0 ? 0 : 0x4000;
+      table[lane][v] = static_cast<std::uint16_t>(table[lane][v & (v - 1)] ^
+                                                  rem ^ overall);
     }
   }
-  return columns;
+  return table;
 }
 
-inline constexpr auto kRemainders = make_remainders();
-inline constexpr auto kColumns = make_columns();
+inline constexpr auto kEncodeTable = make_encode_table();
 
 /// Syndrome column of codeword position p (0..77; the parity bit has no
 /// BCH column).  Check positions are unit vectors (x^p mod g = x^p).
@@ -139,24 +151,15 @@ inline constexpr std::uint32_t kPatternKindMask = 3u << 30;
 
 }  // namespace dected_detail
 
-/// 14-bit BCH remainder contribution of the data word (bit-sliced, no
-/// per-bit walk) -- the dected sibling of data_syndrome().
-[[nodiscard]] inline std::uint16_t dected_data_syndrome(
-    std::uint64_t data) noexcept {
-  unsigned syndrome = 0;
-  for (unsigned j = 0; j < 14; ++j) {
-    syndrome |=
-        (std::popcount(data & dected_detail::kColumns[j]) & 1u) << j;
-  }
-  return static_cast<std::uint16_t>(syndrome);
-}
-
-/// Computes the 16 stored check bits for a 64-bit data word.
+/// Computes the 16 stored check bits for a 64-bit data word: the XOR of
+/// the word's eight byte-lane table entries.
 [[nodiscard]] inline std::uint16_t dected_encode(std::uint64_t data) noexcept {
-  const std::uint16_t rem = dected_data_syndrome(data);
-  const bool overall =
-      ((std::popcount(data) ^ std::popcount<unsigned>(rem)) & 1) != 0;
-  return static_cast<std::uint16_t>(rem | (overall ? 0x4000 : 0x0000));
+  const auto& t = dected_detail::kEncodeTable;
+  return static_cast<std::uint16_t>(
+      t[0][data & 0xFF] ^ t[1][(data >> 8) & 0xFF] ^
+      t[2][(data >> 16) & 0xFF] ^ t[3][(data >> 24) & 0xFF] ^
+      t[4][(data >> 32) & 0xFF] ^ t[5][(data >> 40) & 0xFF] ^
+      t[6][(data >> 48) & 0xFF] ^ t[7][data >> 56]);
 }
 
 /// Decodes a (data, check) pair, correcting up to two bit errors anywhere
@@ -166,16 +169,11 @@ inline constexpr std::uint32_t kPatternKindMask = 3u << 30;
                                          std::uint16_t check) noexcept;
 
 /// True when the received word has zero BCH syndrome and intact overall
-/// parity -- the bulk-decode all-clean fast test.
+/// parity, i.e. its recomputed check bits equal the stored ones with the
+/// pad bit ignored.
 [[nodiscard]] inline bool dected_clean(std::uint64_t data,
                                        std::uint16_t check) noexcept {
-  const std::uint16_t syndrome = static_cast<std::uint16_t>(
-      dected_data_syndrome(data) ^ (check & dected_detail::kCheckMask));
-  const bool parity_mismatch =
-      ((std::popcount(data) ^
-        std::popcount<unsigned>(check & 0x7FFFu)) &
-       1) != 0;
-  return syndrome == 0 && !parity_mismatch;
+  return dected_encode(data) == (check & 0x7FFFu);
 }
 
 /// Reference codec: long-division encoder and linear-scan decoder (no

@@ -1,8 +1,80 @@
 #include "ecc/ecc_channel.hpp"
 
+#include <bit>
 #include <cstring>
 
 namespace hbmvolt::ecc {
+
+namespace {
+
+// The packed clean tests load a beat's check bytes as one integer, word
+// 0's bytes lowest, matching how parity beats are read as 64-bit words.
+static_assert(std::endian::native == std::endian::little,
+              "packed check-byte layout assumes a little-endian host");
+
+/// One beat's clean test under SECDED: the four recomputed check bytes
+/// against the four stored ones in a single 32-bit compare.
+struct SecdedBeat {
+  static constexpr unsigned kCheckBytes = 4;
+  static bool clean(const std::uint64_t* words, const std::uint8_t* checks) {
+    std::uint32_t stored;
+    std::memcpy(&stored, checks, sizeof stored);
+    const std::uint32_t expected =
+        secded_encode(words[0]) |
+        static_cast<std::uint32_t>(secded_encode(words[1])) << 8 |
+        static_cast<std::uint32_t>(secded_encode(words[2])) << 16 |
+        static_cast<std::uint32_t>(secded_encode(words[3])) << 24;
+    return expected == stored;
+  }
+};
+
+/// One beat's clean test under DECTED: four 16-bit check fields in a
+/// single 64-bit compare, with each field's pad bit 15 masked off because
+/// decode ignores it.
+struct DectedBeat {
+  static constexpr unsigned kCheckBytes = 8;
+  static bool clean(const std::uint64_t* words, const std::uint8_t* checks) {
+    std::uint64_t stored;
+    std::memcpy(&stored, checks, sizeof stored);
+    const std::uint64_t expected =
+        dected_encode(words[0]) |
+        static_cast<std::uint64_t>(dected_encode(words[1])) << 16 |
+        static_cast<std::uint64_t>(dected_encode(words[2])) << 32 |
+        static_cast<std::uint64_t>(dected_encode(words[3])) << 48;
+    return expected == (stored & 0x7FFF7FFF7FFF7FFFull);
+  }
+};
+
+/// Calls on_dirty(i, checks) for each beat i of `count` packed beats at
+/// `words` that fails its clean test, in ascending order, stopping at the
+/// first error it returns.  A parity beat holds exactly one group's check
+/// bytes (beats_per_parity x kCheckBytes = 32), so consecutive data beats'
+/// check bytes are contiguous across group boundaries and the loop only
+/// strides a pointer: no per-beat division, no per-word codec branch.
+template <class Codec, class OnDirty>
+Status for_each_dirty_beat(const std::uint64_t* words,
+                           const std::uint8_t* checks, std::uint64_t count,
+                           OnDirty&& on_dirty) {
+  for (std::uint64_t i = 0; i < count;
+       ++i, words += 4, checks += Codec::kCheckBytes) {
+    if (Codec::clean(words, checks)) continue;
+    HBMVOLT_RETURN_IF_ERROR(on_dirty(i, checks));
+  }
+  return Status::ok();
+}
+
+/// for_each_dirty_beat with the codec chosen once, outside the loop.
+template <class OnDirty>
+Status for_each_dirty_beat(WordCodec codec, const std::uint64_t* words,
+                           const std::uint8_t* checks, std::uint64_t count,
+                           OnDirty&& on_dirty) {
+  if (codec == WordCodec::kSecded) {
+    return for_each_dirty_beat<SecdedBeat>(words, checks, count, on_dirty);
+  }
+  return for_each_dirty_beat<DectedBeat>(words, checks, count, on_dirty);
+}
+
+}  // namespace
 
 const char* to_string(WordCodec codec) noexcept {
   switch (codec) {
@@ -34,20 +106,6 @@ DecodeResult EccChannel::decode_word(std::uint64_t word,
                                      const std::uint8_t* checks) const {
   if (codec_ == WordCodec::kSecded) return secded_decode(word, checks[0]);
   return dected_decode(
-      word, static_cast<std::uint16_t>(checks[0] |
-                                       (static_cast<unsigned>(checks[1]) << 8)));
-}
-
-bool EccChannel::word_clean(std::uint64_t word,
-                            const std::uint8_t* checks) const {
-  if (codec_ == WordCodec::kSecded) {
-    const std::uint8_t syndrome =
-        static_cast<std::uint8_t>((data_syndrome(word) ^ checks[0]) & 0x7F);
-    const bool parity_mismatch =
-        ((std::popcount(word) ^ std::popcount<unsigned>(checks[0])) & 1) != 0;
-    return syndrome == 0 && !parity_mismatch;
-  }
-  return dected_clean(
       word, static_cast<std::uint16_t>(checks[0] |
                                        (static_cast<unsigned>(checks[1]) << 8)));
 }
@@ -235,60 +293,49 @@ Status EccChannel::decode_range(std::uint64_t start, std::uint64_t count,
   HBMVOLT_RETURN_IF_ERROR(
       stack_.read_range_words(pc_local_, data_beats_padded_ + g0, g1 - g0 + 1,
                               scratch_parity_.data()));
-  const auto* parity_bytes =
-      reinterpret_cast<const std::uint8_t*>(scratch_parity_.data());
-
+  // Check bytes of beat `start`: its slot within the first parity beat.
   const unsigned cbw = check_bytes_per_word_;
-  std::uint64_t clean_words = 0;
+  const auto* checks =
+      reinterpret_cast<const std::uint8_t*>(scratch_parity_.data()) +
+      (start - g0 * beats_per_parity_) * 4 * cbw;
+
   std::uint64_t corrected_data = 0;
   std::uint64_t corrected_check = 0;
   std::uint64_t uncorrectable = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t beat = start + i;
-    const std::uint64_t slot = beat % beats_per_parity_;
-    const std::uint8_t* checks =
-        parity_bytes + (beat / beats_per_parity_ - g0) * 32 + slot * 4 * cbw;
-    hbm::Beat& words = out[i];
-    // Fast all-clean exit: zero syndrome and intact parity on all four
-    // words covers the overwhelming majority of beats.
-    bool clean = true;
-    for (unsigned w = 0; w < 4; ++w) {
-      if (!word_clean(words[w], checks + w * cbw)) {
-        clean = false;
-        break;
-      }
-    }
-    if (clean) {
-      clean_words += 4;
-      continue;
-    }
-    RangeBeatEvent event;
-    event.beat = beat;
-    for (unsigned w = 0; w < 4; ++w) {
-      const DecodeResult decoded = decode_word(words[w], checks + w * cbw);
-      words[w] = decoded.data;
-      switch (decoded.status) {
-        case DecodeStatus::kClean:
-          ++clean_words;
-          break;
-        case DecodeStatus::kCorrectedData:
-          ++corrected_data;
-          ++event.corrected;
-          break;
-        case DecodeStatus::kCorrectedCheck:
-          ++corrected_check;
-          ++event.corrected_check;
-          break;
-        case DecodeStatus::kUncorrectable:
-          ++uncorrectable;
-          ++event.uncorrectable;
-          break;
-      }
-    }
-    events.push_back(event);
-  }
+  HBMVOLT_RETURN_IF_ERROR(for_each_dirty_beat(
+      codec_, reinterpret_cast<const std::uint64_t*>(out), checks, count,
+      [&](std::uint64_t i, const std::uint8_t* beat_checks) {
+        hbm::Beat& words = out[i];
+        RangeBeatEvent event;
+        event.beat = start + i;
+        for (unsigned w = 0; w < 4; ++w) {
+          const DecodeResult decoded =
+              decode_word(words[w], beat_checks + w * cbw);
+          words[w] = decoded.data;
+          switch (decoded.status) {
+            case DecodeStatus::kClean:
+              break;
+            case DecodeStatus::kCorrectedData:
+              ++corrected_data;
+              ++event.corrected;
+              break;
+            case DecodeStatus::kCorrectedCheck:
+              ++corrected_check;
+              ++event.corrected_check;
+              break;
+            case DecodeStatus::kUncorrectable:
+              ++uncorrectable;
+              ++event.uncorrectable;
+              break;
+          }
+        }
+        events.push_back(event);
+        return Status::ok();
+      }));
+  // Every word not counted above decoded clean.
   stats_.words_read += count * 4;
-  stats_.words_clean += clean_words;
+  stats_.words_clean +=
+      count * 4 - corrected_data - corrected_check - uncorrectable;
   stats_.corrected_data += corrected_data;
   stats_.corrected_check += corrected_check;
   stats_.uncorrectable += uncorrectable;
@@ -314,66 +361,59 @@ Status EccChannel::scrub_range(std::uint64_t start, std::uint64_t count,
       reinterpret_cast<std::uint8_t*>(scratch_parity_.data());
 
   const unsigned cbw = check_bytes_per_word_;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t beat = start + i;
-    const std::uint64_t group = beat / beats_per_parity_;
-    const std::uint64_t slot = beat % beats_per_parity_;
-    const std::uint8_t* checks =
-        parity_bytes + (group - g0) * 32 + slot * 4 * cbw;
-    const std::uint64_t* words = scratch_data_.data() + i * 4;
-    bool clean = true;
-    for (unsigned w = 0; w < 4; ++w) {
-      if (!word_clean(words[w], checks + w * cbw)) {
-        clean = false;
-        break;
-      }
-    }
-    if (clean) continue;
-
-    RangeBeatEvent event;
-    event.beat = beat;
-    hbm::Beat repaired{words[0], words[1], words[2], words[3]};
-    bool data_dirty = false;
-    bool parity_dirty = false;
-    for (unsigned w = 0; w < 4; ++w) {
-      const DecodeResult decoded = decode_word(words[w], checks + w * cbw);
-      switch (decoded.status) {
-        case DecodeStatus::kClean:
-          break;
-        case DecodeStatus::kCorrectedData:
-          ++event.corrected;
-          repaired[w] = decoded.data;
-          data_dirty = true;
-          break;
-        case DecodeStatus::kCorrectedCheck:
-          ++event.corrected_check;
-          parity_dirty = true;
-          break;
-        case DecodeStatus::kUncorrectable:
-          ++event.uncorrectable;
-          break;
-      }
-    }
-    if (data_dirty) {
-      HBMVOLT_RETURN_IF_ERROR(stack_.write_beat(pc_local_, beat, repaired));
-    }
-    if (parity_dirty) {
-      // Refresh the whole parity beat from the shadow, then re-read it
-      // through the stack so later siblings in this group decode against
-      // the refreshed-and-overlaid bytes, exactly like the per-beat path.
-      hbm::Beat fresh{};
-      std::memcpy(fresh.data(), shadow_checks_.data() + group * 32, 32);
-      HBMVOLT_RETURN_IF_ERROR(
-          stack_.write_beat(pc_local_, parity_beat_of(beat), fresh));
-      auto reread = stack_.read_beat(pc_local_, parity_beat_of(beat));
-      if (!reread.is_ok()) return reread.status();
-      std::memcpy(parity_bytes + (group - g0) * 32, reread.value().data(),
-                  32);
-    }
-    event.wrote_back = data_dirty || parity_dirty;
-    events.push_back(event);
-  }
-  return Status::ok();
+  return for_each_dirty_beat(
+      codec_, scratch_data_.data(),
+      parity_bytes + (start - g0 * beats_per_parity_) * 4 * cbw, count,
+      [&](std::uint64_t i, const std::uint8_t* checks) -> Status {
+        const std::uint64_t beat = start + i;
+        const std::uint64_t* words = scratch_data_.data() + i * 4;
+        RangeBeatEvent event;
+        event.beat = beat;
+        hbm::Beat repaired{words[0], words[1], words[2], words[3]};
+        bool data_dirty = false;
+        bool parity_dirty = false;
+        for (unsigned w = 0; w < 4; ++w) {
+          const DecodeResult decoded = decode_word(words[w], checks + w * cbw);
+          switch (decoded.status) {
+            case DecodeStatus::kClean:
+              break;
+            case DecodeStatus::kCorrectedData:
+              ++event.corrected;
+              repaired[w] = decoded.data;
+              data_dirty = true;
+              break;
+            case DecodeStatus::kCorrectedCheck:
+              ++event.corrected_check;
+              parity_dirty = true;
+              break;
+            case DecodeStatus::kUncorrectable:
+              ++event.uncorrectable;
+              break;
+          }
+        }
+        if (data_dirty) {
+          HBMVOLT_RETURN_IF_ERROR(
+              stack_.write_beat(pc_local_, beat, repaired));
+        }
+        if (parity_dirty) {
+          // Refresh the whole parity beat from the shadow, then re-read it
+          // through the stack so later siblings in this group decode
+          // against the refreshed-and-overlaid bytes, exactly like the
+          // per-beat path.
+          const std::uint64_t group = beat / beats_per_parity_;
+          hbm::Beat fresh{};
+          std::memcpy(fresh.data(), shadow_checks_.data() + group * 32, 32);
+          HBMVOLT_RETURN_IF_ERROR(
+              stack_.write_beat(pc_local_, parity_beat_of(beat), fresh));
+          auto reread = stack_.read_beat(pc_local_, parity_beat_of(beat));
+          if (!reread.is_ok()) return reread.status();
+          std::memcpy(parity_bytes + (group - g0) * 32, reread.value().data(),
+                      32);
+        }
+        event.wrote_back = data_dirty || parity_dirty;
+        events.push_back(event);
+        return Status::ok();
+      });
 }
 
 void EccChannel::restore_state(const std::vector<std::uint8_t>& shadow,

@@ -122,8 +122,8 @@ class EccChannel {
 
   // ---- Batched range engine ----
   // Bulk siblings of write_beat/read_beat/scrub_beat over contiguous beat
-  // ranges, built on HbmStack's raw word-range ops and the bit-sliced
-  // SECDED codec (secded.hpp).  Results and final memory state are
+  // ranges, built on HbmStack's raw word-range ops and the table-driven
+  // codecs (secded.hpp, dected.hpp).  Results and final memory state are
   // byte-identical to the equivalent per-beat call sequence in ascending
   // beat order; non-clean beats are reported as sparse events so callers
   // pay O(faults), not O(beats), for the exception bookkeeping.
@@ -145,9 +145,10 @@ class EccChannel {
                       const hbm::Beat* data);
 
   /// Bulk decode of [start, start+count) into `out` (count beats).  A beat
-  /// whose four words all have zero syndrome and intact parity is passed
-  /// through untouched (the common case costs 7 masked popcounts per word
-  /// and no branch misses); everything else appends a RangeBeatEvent.
+  /// whose four recomputed check fields equal its stored check bytes is
+  /// passed through untouched (the common case costs four table encodes
+  /// and one packed compare, no branch misses); everything else appends a
+  /// RangeBeatEvent.
   Status decode_range(std::uint64_t start, std::uint64_t count,
                       hbm::Beat* out, std::vector<RangeBeatEvent>& events);
 
@@ -182,12 +183,10 @@ class EccChannel {
   }
 
  private:
-  /// Decode/encode/clean-test one 64-bit word against its stored check
-  /// bytes (`checks` points at check_bytes_per_word_ little-endian bytes).
+  /// Decode/encode one 64-bit word against its stored check bytes
+  /// (`checks` points at check_bytes_per_word_ little-endian bytes).
   [[nodiscard]] DecodeResult decode_word(std::uint64_t word,
                                          const std::uint8_t* checks) const;
-  [[nodiscard]] bool word_clean(std::uint64_t word,
-                                const std::uint8_t* checks) const;
   void encode_word(std::uint64_t word, std::uint8_t* checks) const;
 
   hbm::HbmStack& stack_;

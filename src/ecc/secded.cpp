@@ -1,8 +1,8 @@
 // Reference SECDED codec: the per-set-bit position-XOR walk the fast
-// bit-sliced header implementation replaced.  Kept verbatim so tests can
-// prove the closed-form column masks compute identical syndromes (and
-// therefore identical encodes/decodes) over the whole input space they
-// sample.
+// table-driven header implementation replaced.  Kept verbatim so tests
+// can prove the byte-sliced encode tables compute identical syndromes
+// (and therefore identical encodes/decodes) over the whole input space
+// they sample.
 
 #include "ecc/secded.hpp"
 

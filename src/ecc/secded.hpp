@@ -13,14 +13,15 @@
 // with odd overall parity (correctable); any double-bit error yields a
 // nonzero syndrome with even overall parity (detected, uncorrectable).
 //
-// Syndrome computation is bit-sliced: check bit i of the syndrome is the
-// parity of (data & column_mask[i]), where column_mask[i] collects every
-// data bit whose code position has bit i set.  Seven masked popcounts
-// replace the per-set-bit position-XOR walk (~32 table lookups per word),
-// the same closed-form trick hbm/word_pattern.hpp uses for pattern words.
-// The codec is header-inline so bulk decode loops (ecc_channel
-// decode_range/scrub_range) vectorize it; secded.cpp keeps the original
-// per-set-bit walk as the reference implementation for equivalence tests.
+// The code is linear over GF(2): encode(a ^ b) == encode(a) ^ encode(b).
+// So encode(data) is the XOR of eight per-byte entries from a constexpr
+// 8 x 256 table (2 KB, built from the column masks below), and decoding
+// needs one more XOR: e = encode(data) ^ check carries the 7-bit syndrome
+// in its low bits and the overall parity mismatch as popcount(e) & 1.  A
+// word is clean exactly when encode(data) == check, which lets the bulk
+// decode loops (ecc_channel decode_range/scrub_range) test a whole beat
+// with one packed compare.  secded.cpp keeps the original per-set-bit
+// walk as the reference implementation for equivalence tests.
 
 #pragma once
 
@@ -70,7 +71,7 @@ constexpr std::array<std::uint8_t, 72> make_inverse() {
   return inverse;
 }
 
-/// Column masks for the bit-sliced syndrome: kColumns[i] has bit d set iff
+/// Column masks of the check matrix: kColumns[i] has bit d set iff
 /// check bit i covers data bit d (code position of d has bit i set).
 constexpr std::array<std::uint64_t, 7> make_columns() {
   std::array<std::uint64_t, 7> columns{};
@@ -87,30 +88,42 @@ constexpr auto kPositions = make_positions();
 constexpr auto kInverse = make_inverse();
 constexpr auto kColumns = make_columns();
 
-}  // namespace detail
-
-/// XOR of the code positions of all set data bits -- the 7-bit Hamming
-/// syndrome contribution of the data word, computed transpose-free as
-/// seven masked parities (closed form; no per-bit walk).
-[[nodiscard]] inline std::uint8_t data_syndrome(std::uint64_t data) noexcept {
-  unsigned syndrome = 0;
-  syndrome |= (std::popcount(data & detail::kColumns[0]) & 1) << 0;
-  syndrome |= (std::popcount(data & detail::kColumns[1]) & 1) << 1;
-  syndrome |= (std::popcount(data & detail::kColumns[2]) & 1) << 2;
-  syndrome |= (std::popcount(data & detail::kColumns[3]) & 1) << 3;
-  syndrome |= (std::popcount(data & detail::kColumns[4]) & 1) << 4;
-  syndrome |= (std::popcount(data & detail::kColumns[5]) & 1) << 5;
-  syndrome |= (std::popcount(data & detail::kColumns[6]) & 1) << 6;
-  return static_cast<std::uint8_t>(syndrome);
+/// Byte-sliced encode table: kEncodeTable[lane][v] is the full 8-bit
+/// check byte of the data word whose only nonzero byte is v in byte lane
+/// `lane`.  Built from the column masks by linearity: an entry is the
+/// codeword of its lowest set bit XOR the entry without that bit.
+constexpr std::array<std::array<std::uint8_t, 256>, 8> make_encode_table() {
+  std::array<std::array<std::uint8_t, 256>, 8> table{};
+  for (unsigned lane = 0; lane < 8; ++lane) {
+    for (unsigned v = 1; v < 256; ++v) {
+      const unsigned d = lane * 8 + static_cast<unsigned>(std::countr_zero(v));
+      unsigned hamming = 0;
+      for (unsigned i = 0; i < 7; ++i) {
+        hamming |= static_cast<unsigned>((kColumns[i] >> d) & 1u) << i;
+      }
+      // The data bit itself plus its hamming bits, made even by the
+      // overall parity bit.
+      const unsigned overall = (std::popcount(hamming) & 1) != 0 ? 0x00 : 0x80;
+      table[lane][v] = static_cast<std::uint8_t>(table[lane][v & (v - 1)] ^
+                                                 hamming ^ overall);
+    }
+  }
+  return table;
 }
 
-/// Computes the 8 check bits for a 64-bit data word.
+inline constexpr auto kEncodeTable = make_encode_table();
+
+}  // namespace detail
+
+/// Computes the 8 check bits for a 64-bit data word: the XOR of the
+/// word's eight byte-lane table entries.
 [[nodiscard]] inline std::uint8_t secded_encode(std::uint64_t data) noexcept {
-  const std::uint8_t hamming = data_syndrome(data) & 0x7F;
-  // Overall parity bit makes the whole 72-bit codeword even-parity.
-  const bool overall =
-      ((std::popcount(data) ^ std::popcount<unsigned>(hamming)) & 1) != 0;
-  return static_cast<std::uint8_t>(hamming | (overall ? 0x80 : 0x00));
+  const auto& t = detail::kEncodeTable;
+  return static_cast<std::uint8_t>(
+      t[0][data & 0xFF] ^ t[1][(data >> 8) & 0xFF] ^
+      t[2][(data >> 16) & 0xFF] ^ t[3][(data >> 24) & 0xFF] ^
+      t[4][(data >> 32) & 0xFF] ^ t[5][(data >> 40) & 0xFF] ^
+      t[6][(data >> 48) & 0xFF] ^ t[7][data >> 56]);
 }
 
 /// Decodes a (data, check) pair, correcting a single-bit error anywhere
@@ -120,10 +133,12 @@ constexpr auto kColumns = make_columns();
   DecodeResult result;
   result.data = data;
 
-  const std::uint8_t syndrome =
-      static_cast<std::uint8_t>((data_syndrome(data) ^ check) & 0x7F);
-  const bool parity_mismatch =
-      ((std::popcount(data) ^ std::popcount<unsigned>(check)) & 1) != 0;
+  // Linearity: the stored check differs from the recomputed one in the
+  // syndrome bits, and in overall parity exactly when an odd number of
+  // codeword bits flipped.
+  const unsigned e = secded_encode(data) ^ check;
+  const std::uint8_t syndrome = static_cast<std::uint8_t>(e & 0x7F);
+  const bool parity_mismatch = (std::popcount(e) & 1) != 0;
 
   if (syndrome == 0 && !parity_mismatch) {
     result.status = DecodeStatus::kClean;
@@ -155,7 +170,7 @@ constexpr auto kColumns = make_columns();
 }
 
 /// Reference codec (the original per-set-bit position walk), kept for
-/// equivalence tests against the bit-sliced fast path above.
+/// equivalence tests against the table-driven fast path above.
 [[nodiscard]] std::uint8_t secded_encode_reference(
     std::uint64_t data) noexcept;
 [[nodiscard]] DecodeResult secded_decode_reference(std::uint64_t data,

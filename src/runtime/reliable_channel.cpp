@@ -1156,6 +1156,8 @@ Status ReliableChannel::apply_ladder_serial() {
     case LadderRung::kPowerCycle:
       // The cycle restores nominal voltage; bring the data back.
       return cycle_and_restore();
+    case LadderRung::kStripeRebuild:
+      return internal_error("escalate() never yields kStripeRebuild");
   }
   return Status::ok();
 }

@@ -47,7 +47,8 @@ std::vector<TenantSpec> make_tenant_set(unsigned count,
   tenants.reserve(count);
   for (unsigned t = 0; t < count; ++t) {
     TenantSpec spec;
-    spec.name = "t" + std::to_string(t);
+    spec.name = "t";
+    spec.name += std::to_string(t);
     // Even slots guaranteed, odd best-effort: every mix appears in both
     // classes once count covers two cycles.
     spec.qos = (t % 2 == 0) ? QosClass::kGuaranteed : QosClass::kBestEffort;

@@ -1,5 +1,6 @@
-// Range-path equivalence suite: the bit-sliced SECDED codec, EccChannel's
-// bulk encode/decode/scrub, and ReliableChannel's range engine.
+// Range-path equivalence suite: the table-driven SECDED/DECTED codecs,
+// EccChannel's bulk encode/decode/scrub, and ReliableChannel's range
+// engine.
 //
 // The discipline is the repo's usual twin-universe one: the fast path
 // (ChannelEngine::kRange -- bulk decodes, flat exception sets, clean-block
@@ -10,12 +11,14 @@
 // fast path gets to skip, it must account exactly as if it had not.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "board/vcu128.hpp"
 #include "common/rng.hpp"
+#include "ecc/dected.hpp"
 #include "ecc/ecc_channel.hpp"
 #include "ecc/secded.hpp"
 #include "faults/fault_overlay.hpp"
@@ -30,6 +33,7 @@ namespace {
 
 using ecc::DecodeStatus;
 using ecc::EccChannel;
+using ecc::WordCodec;
 using runtime::ChannelEngine;
 using runtime::ChannelStats;
 using runtime::FleetConfig;
@@ -47,10 +51,39 @@ board::BoardConfig tiny_board() {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-sliced SECDED vs the per-set-bit reference codec
+// Table-driven codecs vs the per-set-bit reference codecs
 // ---------------------------------------------------------------------------
 
-TEST(SecdedBitSlicedTest, EncodeMatchesReference) {
+// Every entry of both byte-sliced encode tables: each single-byte word in
+// each of the 8 byte lanes encodes exactly like the reference walk.  By
+// linearity this pins every table the fast encoders read.
+TEST(CodecTableTest, EveryByteLaneEntryMatchesReference) {
+  for (unsigned lane = 0; lane < 8; ++lane) {
+    for (std::uint64_t v = 0; v < 256; ++v) {
+      const std::uint64_t data = v << (8 * lane);
+      ASSERT_EQ(ecc::secded_encode(data), ecc::secded_encode_reference(data))
+          << "lane " << lane << " byte " << v;
+      ASSERT_EQ(ecc::dected_encode(data), ecc::dected_encode_reference(data))
+          << "lane " << lane << " byte " << v;
+    }
+  }
+}
+
+TEST(CodecTableTest, EncodeIsLinear) {
+  Xoshiro256 rng(0x11AEA2);
+  for (int trial = 0; trial < 4096; ++trial) {
+    const std::uint64_t a = rng();
+    const std::uint64_t b = rng();
+    ASSERT_EQ(ecc::secded_encode(a ^ b),
+              ecc::secded_encode(a) ^ ecc::secded_encode(b))
+        << std::hex << a << " " << b;
+    ASSERT_EQ(ecc::dected_encode(a ^ b),
+              ecc::dected_encode(a) ^ ecc::dected_encode(b))
+        << std::hex << a << " " << b;
+  }
+}
+
+TEST(SecdedTableTest, EncodeMatchesReference) {
   Xoshiro256 rng(0xEC0DE);
   for (int trial = 0; trial < 4096; ++trial) {
     const std::uint64_t data = rng();
@@ -62,7 +95,7 @@ TEST(SecdedBitSlicedTest, EncodeMatchesReference) {
   }
 }
 
-TEST(SecdedBitSlicedTest, DecodeMatchesReferenceOnEveryInjectedPattern) {
+TEST(SecdedTableTest, DecodeMatchesReferenceOnEveryInjectedPattern) {
   Xoshiro256 rng(0xDEC0DE);
   for (int trial = 0; trial < 256; ++trial) {
     const std::uint64_t data = rng();
@@ -145,7 +178,9 @@ TEST(FlatIndexTest, BitVecRunScans) {
 // EccChannel bulk ops vs per-beat calls
 // ---------------------------------------------------------------------------
 
-class EccRangeTest : public ::testing::Test {
+// Parameterized over the word codec: both codecs' range loops are checked
+// against their own per-beat path.
+class EccRangeTest : public ::testing::TestWithParam<WordCodec> {
  protected:
   EccRangeTest()
       : geometry_(hbm::HbmGeometry::test_tiny()),
@@ -174,12 +209,12 @@ class EccRangeTest : public ::testing::Test {
   hbm::HbmStack stack_b_;
 };
 
-TEST_F(EccRangeTest, EncodeDecodeRangeMatchPerBeatTwin) {
+TEST_P(EccRangeTest, EncodeDecodeRangeMatchPerBeatTwin) {
   std::uint64_t events_seen = 0;
   for (const int mv : {1200, 950, 930, 910}) {
     set_voltage(Millivolts{mv});
-    EccChannel a(stack_a_, kWeakPc);  // per-beat universe
-    EccChannel b(stack_b_, kWeakPc);  // range universe
+    EccChannel a(stack_a_, kWeakPc, GetParam());  // per-beat universe
+    EccChannel b(stack_b_, kWeakPc, GetParam());  // range universe
     const std::uint64_t beats = a.data_beats();
     ASSERT_EQ(beats, b.data_beats());
 
@@ -229,12 +264,12 @@ TEST_F(EccRangeTest, EncodeDecodeRangeMatchPerBeatTwin) {
   EXPECT_GT(events_seen, 0u);
 }
 
-TEST_F(EccRangeTest, ScrubRangeMatchesPerBeatTwin) {
+TEST_P(EccRangeTest, ScrubRangeMatchesPerBeatTwin) {
   std::uint64_t writebacks_seen = 0;
   for (const int mv : {950, 930}) {
     set_voltage(Millivolts{mv});
-    EccChannel a(stack_a_, kWeakPc);
-    EccChannel b(stack_b_, kWeakPc);
+    EccChannel a(stack_a_, kWeakPc, GetParam());
+    EccChannel b(stack_b_, kWeakPc, GetParam());
     const std::uint64_t beats = a.data_beats();
     for (std::uint64_t i = 0; i < beats; ++i) {
       ASSERT_TRUE(a.write_beat(i, payload(i)).is_ok());
@@ -287,6 +322,75 @@ TEST_F(EccRangeTest, ScrubRangeMatchesPerBeatTwin) {
     }
   }
   EXPECT_GT(writebacks_seen, 0u);  // the rot must have been repaired
+}
+
+INSTANTIATE_TEST_SUITE_P(Codecs, EccRangeTest,
+                         ::testing::Values(WordCodec::kSecded,
+                                           WordCodec::kDected),
+                         [](const auto& info) {
+                           return std::string(ecc::to_string(info.param));
+                         });
+
+// DECTED stores each word's check bits in a 16-bit field whose bit 15 is
+// a pad that decode ignores; the packed per-beat compare must ignore it
+// too.  Setting every pad of a parity beat leaves its beats clean, while
+// flipping a live check bit (the overall parity, bit 14) does not.
+TEST(EccRangePadTest, DectedPadBitsDecodeCleanOnPackedPath) {
+  const hbm::HbmGeometry geometry = hbm::HbmGeometry::test_tiny();
+  faults::FaultInjector injector(
+      faults::FaultModel(geometry, faults::FaultModelConfig{}));
+  hbm::HbmStack stack(geometry, 0, injector, 11);
+  injector.set_voltage(Millivolts{1200});
+  EccChannel channel(stack, kWeakPc, WordCodec::kDected);
+  constexpr std::uint64_t kBeats = 16;  // four whole parity groups
+  std::vector<hbm::Beat> data(kBeats);
+  for (std::uint64_t i = 0; i < kBeats; ++i) {
+    for (unsigned w = 0; w < 4; ++w) data[i][w] = splitmix64(i * 4 + w);
+  }
+  ASSERT_TRUE(channel.encode_range(0, kBeats, data.data()).is_ok());
+
+  // Premise: the untouched range decodes clean at nominal voltage.
+  std::vector<hbm::Beat> out(kBeats);
+  std::vector<EccChannel::RangeBeatEvent> events;
+  ASSERT_TRUE(channel.decode_range(0, kBeats, out.data(), events).is_ok());
+  ASSERT_TRUE(events.empty());
+
+  // XOR `masks` into the parity beat holding beats 4..7's check bytes:
+  // masks[k] lands on beat 4 + k's four 16-bit check fields.
+  const std::uint64_t parity_beat = channel.parity_beat_of(4);
+  auto smear_parity = [&](const hbm::Beat& masks) {
+    auto got = stack.read_beat(kWeakPc, parity_beat);
+    ASSERT_TRUE(got.is_ok());
+    hbm::Beat parity = got.value();
+    for (unsigned k = 0; k < 4; ++k) parity[k] ^= masks[k];
+    ASSERT_TRUE(stack.write_beat(kWeakPc, parity_beat, parity).is_ok());
+  };
+
+  constexpr std::uint64_t kPads = 0x8000800080008000ull;
+  smear_parity({kPads, kPads, kPads, kPads});  // every pad bit set
+  events.clear();
+  channel.reset_stats();
+  ASSERT_TRUE(channel.decode_range(0, kBeats, out.data(), events).is_ok());
+  EXPECT_TRUE(events.empty());
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(channel.stats().words_clean, kBeats * 4);
+  ASSERT_TRUE(channel.scrub_range(0, kBeats, events).is_ok());
+  EXPECT_TRUE(events.empty());
+  for (std::uint64_t i = 4; i < 8; ++i) {
+    auto got = channel.read_beat(i);
+    ASSERT_TRUE(got.is_ok());
+    EXPECT_EQ(got.value().data, data[i]);
+    EXPECT_EQ(got.value().corrected_check, 0u);
+  }
+
+  // Beat 7's word-3 overall parity bit: one live check-bit error.
+  smear_parity({0, 0, 0, 0x4000000000000000ull});
+  events.clear();
+  ASSERT_TRUE(channel.decode_range(0, kBeats, out.data(), events).is_ok());
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].beat, 7u);
+  EXPECT_EQ(events[0].corrected_check, 1u);
+  EXPECT_EQ(out, data);
 }
 
 // ---------------------------------------------------------------------------

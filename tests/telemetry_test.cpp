@@ -255,9 +255,15 @@ TEST(SpanTest, SpansUnwindOnException) {
   for (const std::string& line : lines_of(telemetry.to_jsonl())) {
     const auto fields = parse_flat_json(line);
     if (fields.at("type") != "span") continue;
-    if (fields.at("name") == "inner") EXPECT_EQ(fields.at("depth"), "1");
-    if (fields.at("name") == "outer") EXPECT_EQ(fields.at("depth"), "0");
-    if (fields.at("name") == "after") EXPECT_EQ(fields.at("depth"), "0");
+    if (fields.at("name") == "inner") {
+      EXPECT_EQ(fields.at("depth"), "1");
+    }
+    if (fields.at("name") == "outer") {
+      EXPECT_EQ(fields.at("depth"), "0");
+    }
+    if (fields.at("name") == "after") {
+      EXPECT_EQ(fields.at("depth"), "0");
+    }
   }
   ASSERT_EQ(telemetry.span_stats().size(), 3u);
 }

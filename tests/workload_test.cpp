@@ -187,7 +187,9 @@ TEST(TraceTest, ZipfianSkewsTrafficAndWritesFirstTouch) {
     ++hits[record.beat];
     // First touch of every beat must write (reads of unwritten beats
     // would be undefined data downstream).
-    if (!seen[record.beat]) EXPECT_TRUE(record.write);
+    if (!seen[record.beat]) {
+      EXPECT_TRUE(record.write);
+    }
     seen[record.beat] = true;
   }
   // Zipf theta ~1 over 128 ranks puts roughly half the traffic on the
