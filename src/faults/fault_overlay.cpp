@@ -20,10 +20,8 @@ FaultOverlay FaultOverlay::build(const WeakCellOrder& order,
                                  std::uint64_t count_sa0,
                                  std::uint64_t count_sa1) {
   FaultOverlay overlay;
-  const auto& sa0 = order.order(StuckPolarity::kStuckAt0);
-  const auto& sa1 = order.order(StuckPolarity::kStuckAt1);
-  count_sa0 = std::min<std::uint64_t>(count_sa0, sa0.size());
-  count_sa1 = std::min<std::uint64_t>(count_sa1, sa1.size());
+  count_sa0 = std::min(count_sa0, order.size(StuckPolarity::kStuckAt0));
+  count_sa1 = std::min(count_sa1, order.size(StuckPolarity::kStuckAt1));
   overlay.count_sa0_ = count_sa0;
   overlay.count_sa1_ = count_sa1;
   if (count_sa0 + count_sa1 == 0) return overlay;
@@ -31,19 +29,23 @@ FaultOverlay FaultOverlay::build(const WeakCellOrder& order,
   if (should_use_dense(count_sa0 + count_sa1, order.bits())) {
     overlay.mask_.assign(order.bits() / 64, 0);
     overlay.value_.assign(order.bits() / 64, 0);
-    for (std::uint64_t i = 0; i < count_sa0; ++i) {
-      const std::uint32_t cell = sa0[i];
-      overlay.mask_[cell / 64] |= 1ull << (cell % 64);
-      // value bit stays 0: stuck-at-0
-    }
-    for (std::uint64_t i = 0; i < count_sa1; ++i) {
-      const std::uint32_t cell = sa1[i];
-      overlay.mask_[cell / 64] |= 1ull << (cell % 64);
-      overlay.value_[cell / 64] |= 1ull << (cell % 64);
+    std::vector<std::uint32_t> cells;
+    cells.reserve(static_cast<std::size_t>(std::max(count_sa0, count_sa1)));
+    for (const auto polarity :
+         {StuckPolarity::kStuckAt0, StuckPolarity::kStuckAt1}) {
+      cells.clear();
+      order.weakest(polarity, overlay.count(polarity), cells);
+      for (const std::uint32_t cell : cells) {
+        const std::uint64_t bit = 1ull << (cell % 64);
+        overlay.mask_[cell / 64] |= bit;
+        if (polarity == StuckPolarity::kStuckAt1) {
+          overlay.value_[cell / 64] |= bit;
+        }
+      }
     }
   } else {
-    overlay.sparse_sa0_.assign(sa0.begin(), sa0.begin() + count_sa0);
-    overlay.sparse_sa1_.assign(sa1.begin(), sa1.begin() + count_sa1);
+    order.weakest(StuckPolarity::kStuckAt0, count_sa0, overlay.sparse_sa0_);
+    order.weakest(StuckPolarity::kStuckAt1, count_sa1, overlay.sparse_sa1_);
     std::sort(overlay.sparse_sa0_.begin(), overlay.sparse_sa0_.end());
     std::sort(overlay.sparse_sa1_.begin(), overlay.sparse_sa1_.end());
   }

@@ -30,7 +30,8 @@ class FaultOverlay {
   FaultOverlay() = default;
 
   /// Materializes the first `count_sa0`/`count_sa1` cells of each polarity
-  /// order (counts are clamped to the order sizes).
+  /// order, selected with WeakCellOrder::weakest (counts are clamped to the
+  /// order sizes).
   static FaultOverlay build(const WeakCellOrder& order,
                             std::uint64_t count_sa0, std::uint64_t count_sa1);
 

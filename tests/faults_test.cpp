@@ -1,6 +1,7 @@
 // Unit tests for src/faults: the calibrated fault model, weak-cell
 // ordering, overlays, the injector, and the fault map.
 
+#include <algorithm>
 #include <bit>
 #include <set>
 #include <span>
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "faults/fault_map.hpp"
 #include "faults/fault_model.hpp"
 #include "faults/fault_overlay.hpp"
@@ -255,14 +257,27 @@ TEST(FaultModelTest, NonStandardGeometryStillWorks) {
 
 // --------------------------------------------------------- WeakCellOrder
 
+/// Sorted set of the `k` weakest cells of one polarity.
+std::vector<std::uint32_t> weakest_set(const WeakCellOrder& order,
+                                       StuckPolarity polarity,
+                                       std::uint64_t k) {
+  std::vector<std::uint32_t> cells;
+  order.weakest(polarity, k, cells);
+  std::sort(cells.begin(), cells.end());
+  return cells;
+}
+
 TEST(WeakCellOrderTest, OrdersPartitionAllCells) {
   const auto g = HbmGeometry::test_tiny();
   const WeakCellOrder order(g, 42, WeakCellConfig{});
-  const auto& sa0 = order.order(StuckPolarity::kStuckAt0);
-  const auto& sa1 = order.order(StuckPolarity::kStuckAt1);
-  EXPECT_EQ(sa0.size() + sa1.size(), g.bits_per_pc);
-  std::set<std::uint32_t> seen(sa0.begin(), sa0.end());
-  seen.insert(sa1.begin(), sa1.end());
+  const auto sa0 = order.size(StuckPolarity::kStuckAt0);
+  const auto sa1 = order.size(StuckPolarity::kStuckAt1);
+  EXPECT_EQ(sa0 + sa1, g.bits_per_pc);
+  std::vector<std::uint32_t> cells;
+  order.weakest(StuckPolarity::kStuckAt0, sa0, cells);
+  order.weakest(StuckPolarity::kStuckAt1, sa1, cells);
+  EXPECT_EQ(cells.size(), g.bits_per_pc);
+  const std::set<std::uint32_t> seen(cells.begin(), cells.end());
   EXPECT_EQ(seen.size(), g.bits_per_pc);  // no duplicates, full coverage
 }
 
@@ -272,7 +287,7 @@ TEST(WeakCellOrderTest, PolaritySharesMatchConfig) {
   config.stuck_at_one_share = 0.5475;
   const WeakCellOrder order(g, 42, config);
   const double share1 =
-      static_cast<double>(order.order(StuckPolarity::kStuckAt1).size()) /
+      static_cast<double>(order.size(StuckPolarity::kStuckAt1)) /
       static_cast<double>(g.bits_per_pc);
   EXPECT_NEAR(share1, 0.5475, 0.02);
 }
@@ -284,9 +299,11 @@ TEST(WeakCellOrderTest, EarlyRanksAreClustered) {
   unsigned in_cluster = 0;
   for (const auto polarity :
        {StuckPolarity::kStuckAt0, StuckPolarity::kStuckAt1}) {
-    const auto& cells = order.order(polarity);
-    for (std::size_t i = 0; i < 100 && i < cells.size(); ++i) {
-      in_cluster += order.in_cluster(cells[i]) ? 1 : 0;
+    std::vector<std::uint32_t> cells;
+    order.weakest(polarity, 100, cells);
+    ASSERT_EQ(cells.size(), 100u);
+    for (const std::uint32_t cell : cells) {
+      in_cluster += order.in_cluster(cell) ? 1 : 0;
     }
   }
   EXPECT_GT(in_cluster, 120u);  // >60% of 200
@@ -314,10 +331,141 @@ TEST(WeakCellOrderTest, DeterministicPerSeed) {
   const WeakCellOrder a(g, 42, WeakCellConfig{});
   const WeakCellOrder b(g, 42, WeakCellConfig{});
   const WeakCellOrder c(g, 43, WeakCellConfig{});
-  EXPECT_EQ(a.order(StuckPolarity::kStuckAt0),
-            b.order(StuckPolarity::kStuckAt0));
-  EXPECT_NE(a.order(StuckPolarity::kStuckAt0),
-            c.order(StuckPolarity::kStuckAt0));
+  const auto polarity = StuckPolarity::kStuckAt0;
+  for (const std::uint64_t k :
+       {std::uint64_t{1}, std::uint64_t{10}, std::uint64_t{100},
+        std::uint64_t{1000}, a.size(polarity)}) {
+    EXPECT_EQ(weakest_set(a, polarity, k), weakest_set(b, polarity, k))
+        << "k " << k;
+    EXPECT_NE(weakest_set(a, polarity, k), weakest_set(c, polarity, k))
+        << "k " << k;
+  }
+}
+
+/// The weak-cell order written out in full, independently of the bucketed
+/// implementation: hash every cell, shift the keys of cells inside a
+/// cluster window, split by polarity, and sort each side by (key, cell).
+/// `rank[cell]` is the cell's position in its polarity's order.
+struct ReferenceOrder {
+  std::vector<std::uint32_t> order[2];  // [stuck-at-0, stuck-at-1]
+  std::vector<std::uint64_t> keys[2];   // keys, in order
+  std::vector<std::uint64_t> rank;
+  std::vector<std::uint8_t> stuck1;
+
+  ReferenceOrder(const HbmGeometry& g, std::uint64_t pc_seed,
+                 const WeakCellConfig& config,
+                 const std::vector<faults::ClusterWindow>& clusters) {
+    const std::uint64_t key_seed = mix_seed(pc_seed, 0x57E26);
+    const std::uint64_t polarity_seed = mix_seed(pc_seed, 0x9012A);
+    const auto threshold = static_cast<std::uint64_t>(
+        config.stuck_at_one_share * 18446744073709551615.0);
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed[2];
+    stuck1.resize(g.bits_per_pc);
+    for (std::uint64_t cell = 0; cell < g.bits_per_pc; ++cell) {
+      std::uint64_t key = splitmix64(key_seed ^ cell);
+      const auto loc = hbm::decompose_beat(g, cell / g.bits_per_beat);
+      for (const auto& window : clusters) {
+        if (loc.bank == window.bank && loc.row >= window.row_lo &&
+            loc.row < window.row_lo + window.row_count) {
+          key >>= config.cluster_key_shift;
+          break;
+        }
+      }
+      stuck1[cell] = splitmix64(polarity_seed ^ cell) < threshold ? 1 : 0;
+      keyed[stuck1[cell]].emplace_back(key, static_cast<std::uint32_t>(cell));
+    }
+    rank.resize(g.bits_per_pc);
+    for (int p = 0; p < 2; ++p) {
+      std::sort(keyed[p].begin(), keyed[p].end());
+      for (const auto& [key, cell] : keyed[p]) {
+        rank[cell] = order[p].size();
+        order[p].push_back(cell);
+        keys[p].push_back(key);
+      }
+    }
+  }
+
+  /// Whether `cells` is exactly the set of the first min(k, size) cells
+  /// of polarity `p`.
+  [[nodiscard]] bool is_prefix_set(
+      int p, std::uint64_t k, const std::vector<std::uint32_t>& cells) const {
+    k = std::min<std::uint64_t>(k, order[p].size());
+    if (cells.size() != k) return false;
+    std::vector<std::uint8_t> seen(rank.size(), 0);
+    for (const std::uint32_t cell : cells) {
+      if (cell >= rank.size() || stuck1[cell] != p || rank[cell] >= k ||
+          seen[cell]) {
+        return false;
+      }
+      seen[cell] = 1;
+    }
+    return true;
+  }
+};
+
+TEST(WeakCellOrderTest, WeakestMatchesSortedReference) {
+  HbmGeometry mid = HbmGeometry::test_tiny();
+  mid.bits_per_pc = 1ull << 17;
+  Xoshiro256 rng(7);
+  for (const HbmGeometry& g : {HbmGeometry::test_tiny(), mid}) {
+    for (const unsigned clusters : {6u, 0u}) {
+      // Shift 40 drives every cluster cell into the first bucket, so the
+      // straddled bucket is large.
+      for (const unsigned shift : {5u, 40u}) {
+        for (const double share : {0.5475, 0.02}) {
+          WeakCellConfig config;
+          config.cluster_count = clusters;
+          config.cluster_key_shift = shift;
+          config.stuck_at_one_share = share;
+          const WeakCellOrder order(g, 42, config);
+          const ReferenceOrder ref(g, 42, config, order.clusters());
+          for (int p = 0; p < 2; ++p) {
+            const auto polarity =
+                p == 1 ? StuckPolarity::kStuckAt1 : StuckPolarity::kStuckAt0;
+            const std::uint64_t size = ref.order[p].size();
+            ASSERT_EQ(order.size(polarity), size);
+            std::vector<std::uint64_t> ks = {0, 1, size, size + 7};
+            // Ranks where the bucket changes, +-1, for the first buckets.
+            unsigned boundaries = 0;
+            for (std::uint64_t i = 1; i < size && boundaries < 24; ++i) {
+              const unsigned bits = 64 - WeakCellOrder::kBucketBits;
+              if (ref.keys[p][i] >> bits != ref.keys[p][i - 1] >> bits) {
+                ks.insert(ks.end(), {i - 1, i, i + 1});
+                ++boundaries;
+              }
+            }
+            for (int r = 0; r < 32; ++r) ks.push_back(rng.bounded(size + 1));
+            for (const std::uint64_t k : ks) {
+              std::vector<std::uint32_t> cells;
+              order.weakest(polarity, k, cells);
+              ASSERT_TRUE(ref.is_prefix_set(p, k, cells))
+                  << "bits " << g.bits_per_pc << " clusters " << clusters
+                  << " shift " << shift << " share " << share
+                  << " polarity " << p << " k " << k;
+            }
+          }
+
+          // Overlays on both sides of the sparse/dense switch (a stuck
+          // set larger than 1/64 of the cells goes dense).
+          const std::uint64_t switch_at = g.bits_per_pc / 64;
+          for (const std::uint64_t total : {switch_at, switch_at + 1}) {
+            const std::uint64_t k1 =
+                std::min<std::uint64_t>(total / 3, ref.order[1].size());
+            const std::uint64_t k0 = total - k1;
+            const auto overlay = FaultOverlay::build(order, k0, k1);
+            ASSERT_EQ(overlay.dense(), total > switch_at);
+            std::vector<std::uint32_t> seen[2];
+            overlay.for_each([&](std::uint64_t bit, StuckPolarity polarity) {
+              seen[polarity == StuckPolarity::kStuckAt1 ? 1 : 0].push_back(
+                  static_cast<std::uint32_t>(bit));
+            });
+            EXPECT_TRUE(ref.is_prefix_set(0, k0, seen[0])) << "total " << total;
+            EXPECT_TRUE(ref.is_prefix_set(1, k1, seen[1])) << "total " << total;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- FaultOverlay
@@ -562,9 +710,7 @@ TEST(FaultInjectorTest, OverlayMatchesModelCounts) {
       EXPECT_EQ(overlay.count(StuckPolarity::kStuckAt0),
                 std::min(injector.model().stuck_count(
                              pc, StuckPolarity::kStuckAt0, Millivolts{mv}),
-                         injector.order(pc)
-                             .order(StuckPolarity::kStuckAt0)
-                             .size()))
+                         injector.order(pc).size(StuckPolarity::kStuckAt0)))
           << "pc " << pc << " at " << mv;
     }
   }
