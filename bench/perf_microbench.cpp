@@ -12,6 +12,8 @@
 #include "bench_common.hpp"
 #include "common/prp.hpp"
 #include "core/parallel.hpp"
+#include "ecc/ecc_channel.hpp"
+#include "ecc/secded_gfni.hpp"
 #include "faults/fault_overlay.hpp"
 #include "hbm/stack.hpp"
 #include "runtime/fleet.hpp"
@@ -93,6 +95,53 @@ void BM_ReadBeat(benchmark::State& state) {
 }
 // Nominal (no overlay), tail faults (sparse), bulk faults (dense).
 BENCHMARK(BM_ReadBeat)->Arg(1200)->Arg(920)->Arg(855);
+
+// The bulk SECDED codec on its own (docs/performance.md "SECDED on
+// GFNI"): decode_range then scrub_range over one 950 mV PC in 512-beat
+// runs, the shape the range engine hands the codec when it serves a
+// streaming pass and patrols behind it.  The PC is encoded and its lazy
+// overlay built before the timed loop; items are beats, each decoded and
+// scrubbed once.  The label names the kernel this process selected.
+void BM_EccRange(benchmark::State& state) {
+  constexpr std::uint64_t kRun = 512;
+  const auto geometry = bench_geometry();
+  faults::FaultInjector injector(
+      faults::FaultModel(geometry, faults::FaultModelConfig{}));
+  hbm::HbmStack stack(geometry, 0, injector, 1);
+  injector.set_voltage(Millivolts{950});
+  stack.on_voltage_change(Millivolts{950});
+  ecc::EccChannel channel(stack, 4, ecc::WordCodec::kSecded);
+  const std::uint64_t runs = channel.data_beats() / kRun;
+  std::vector<hbm::Beat> data(kRun);
+  for (std::uint64_t run = 0; run < runs; ++run) {
+    for (std::uint64_t i = 0; i < kRun; ++i) {
+      data[i] = runtime::make_payload(1, 4, run * kRun + i);
+    }
+    if (!channel.encode_range(run * kRun, kRun, data.data()).is_ok()) {
+      state.SkipWithError("encode_range failed");
+      return;
+    }
+  }
+  std::vector<ecc::EccChannel::RangeBeatEvent> events;
+  std::uint64_t run = 0;
+  for (auto _ : state) {
+    const std::uint64_t start = run * kRun;
+    run = run + 1 == runs ? 0 : run + 1;
+    events.clear();
+    const bool ok =
+        channel.decode_range(start, kRun, data.data(), events).is_ok() &&
+        channel.scrub_range(start, kRun, events).is_ok();
+    if (!ok) {
+      state.SkipWithError("range op failed");
+      break;
+    }
+    benchmark::DoNotOptimize(data.data());
+  }
+  state.SetLabel(ecc::to_string(ecc::secded_kernel()));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kRun));
+}
+BENCHMARK(BM_EccRange);
 
 void BM_FullPcPatternTest(benchmark::State& state) {
   const auto geometry = bench_geometry();
@@ -474,6 +523,11 @@ int main(int argc, char** argv) {
 #else
   benchmark::AddCustomContext("hbmvolt_build_type", "debug");
 #endif
+  // Which bulk SECDED kernel this host runs (BM_EccRange and every
+  // serving bench on top of the range engine depend on it).
+  benchmark::AddCustomContext("hbmvolt_ecc_kernel",
+                              hbmvolt::ecc::to_string(
+                                  hbmvolt::ecc::secded_kernel()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstring>
 
+#include "ecc/secded_gfni.hpp"
+
 namespace hbmvolt::ecc {
 
 namespace {
@@ -63,15 +65,83 @@ Status for_each_dirty_beat(const std::uint64_t* words,
   return Status::ok();
 }
 
-/// for_each_dirty_beat with the codec chosen once, outside the loop.
+#if HBMVOLT_SECDED_GFNI
+/// The SECDED for_each_dirty_beat on the GFNI kernel: one affine transform
+/// and one 64-bit compare per beat pair, an odd tail through the tables.
+/// on_dirty(i) may refresh the parity group holding beat i + 1's check
+/// bytes (scrub_range does), so the second beat of a pair is compared
+/// against its stored bytes as they are after that call; its computed
+/// bytes stay valid because on_dirty(i) touches only beat i's words.
+template <class OnDirty>
+HBMVOLT_TARGET_GFNI Status for_each_dirty_secded_gfni(
+    const std::uint64_t* words, const std::uint8_t* checks,
+    std::uint64_t count, OnDirty&& on_dirty) {
+  std::uint64_t i = 0;
+  for (; i + 2 <= count; i += 2) {
+    const std::uint64_t expected = secded_encode_pair_gfni(words + i * 4);
+    std::uint64_t stored;
+    std::memcpy(&stored, checks + i * 4, sizeof stored);
+    if (expected == stored) [[likely]] continue;
+    if (static_cast<std::uint32_t>(expected ^ stored) != 0) {
+      HBMVOLT_RETURN_IF_ERROR(on_dirty(i, checks + i * 4));
+      std::memcpy(&stored, checks + i * 4, sizeof stored);
+    }
+    if ((expected ^ stored) >> 32 != 0) {
+      HBMVOLT_RETURN_IF_ERROR(on_dirty(i + 1, checks + (i + 1) * 4));
+    }
+  }
+  if (i < count && !SecdedBeat::clean(words + i * 4, checks + i * 4)) {
+    return on_dirty(i, checks + i * 4);
+  }
+  return Status::ok();
+}
+
+/// SECDED check bytes of `count` packed beats into `checks`, two beats per
+/// GFNI kernel call and an odd tail through the tables.
+HBMVOLT_TARGET_GFNI void encode_secded_gfni(const std::uint64_t* words,
+                                            std::uint64_t count,
+                                            std::uint8_t* checks) {
+  std::uint64_t i = 0;
+  for (; i + 2 <= count; i += 2) {
+    const std::uint64_t pair = secded_encode_pair_gfni(words + i * 4);
+    std::memcpy(checks + i * 4, &pair, sizeof pair);
+  }
+  for (std::uint64_t w = i * 4; w < count * 4; ++w) {
+    checks[w] = secded_encode(words[w]);
+  }
+}
+#endif
+
+/// for_each_dirty_beat with the codec, and for SECDED the kernel, chosen
+/// once, outside the loop.
 template <class OnDirty>
 Status for_each_dirty_beat(WordCodec codec, const std::uint64_t* words,
                            const std::uint8_t* checks, std::uint64_t count,
                            OnDirty&& on_dirty) {
-  if (codec == WordCodec::kSecded) {
-    return for_each_dirty_beat<SecdedBeat>(words, checks, count, on_dirty);
+  if (codec == WordCodec::kDected) {
+    return for_each_dirty_beat<DectedBeat>(words, checks, count, on_dirty);
   }
-  return for_each_dirty_beat<DectedBeat>(words, checks, count, on_dirty);
+#if HBMVOLT_SECDED_GFNI
+  if (secded_kernel() == SecdedKernel::kGfni) {
+    return for_each_dirty_secded_gfni(words, checks, count, on_dirty);
+  }
+#endif
+  return for_each_dirty_beat<SecdedBeat>(words, checks, count, on_dirty);
+}
+
+/// SECDED check bytes of `count` packed beats into `checks` (4 per beat,
+/// word 0's first) on this process's kernel.
+void encode_secded(const std::uint64_t* words, std::uint64_t count,
+                   std::uint8_t* checks) {
+#if HBMVOLT_SECDED_GFNI
+  if (secded_kernel() == SecdedKernel::kGfni) {
+    encode_secded_gfni(words, count, checks);
+    return;
+  }
+#endif
+  for (std::uint64_t w = 0; w < count * 4; ++w) {
+    checks[w] = secded_encode(words[w]);
+  }
 }
 
 }  // namespace
@@ -259,11 +329,16 @@ Status EccChannel::encode_range(std::uint64_t start, std::uint64_t count,
   HBMVOLT_RETURN_IF_ERROR(stack_.write_range_words(
       pc_local_, start, count,
       reinterpret_cast<const std::uint64_t*>(data)));
-  const unsigned cbw = check_bytes_per_word_;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t beat = start + i;
-    for (unsigned w = 0; w < 4; ++w) {
-      encode_word(data[i][w], shadow_checks_.data() + (beat * 4 + w) * cbw);
+  if (codec_ == WordCodec::kSecded) {
+    encode_secded(reinterpret_cast<const std::uint64_t*>(data), count,
+                  shadow_checks_.data() + start * 4);
+  } else {
+    const unsigned cbw = check_bytes_per_word_;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t beat = start + i;
+      for (unsigned w = 0; w < 4; ++w) {
+        encode_word(data[i][w], shadow_checks_.data() + (beat * 4 + w) * cbw);
+      }
     }
   }
   // Each touched parity beat once, from the updated shadow -- the same

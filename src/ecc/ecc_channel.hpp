@@ -147,8 +147,9 @@ class EccChannel {
   /// Bulk decode of [start, start+count) into `out` (count beats).  A beat
   /// whose four recomputed check fields equal its stored check bytes is
   /// passed through untouched (the common case costs four table encodes
-  /// and one packed compare, no branch misses); everything else appends a
-  /// RangeBeatEvent.
+  /// and one packed compare, or under SECDED on a GFNI host one affine
+  /// transform and one compare per beat pair, secded_gfni.hpp); everything
+  /// else appends a RangeBeatEvent.
   Status decode_range(std::uint64_t start, std::uint64_t count,
                       hbm::Beat* out, std::vector<RangeBeatEvent>& events);
 

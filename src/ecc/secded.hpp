@@ -20,8 +20,9 @@
 // in its low bits and the overall parity mismatch as popcount(e) & 1.  A
 // word is clean exactly when encode(data) == check, which lets the bulk
 // decode loops (ecc_channel decode_range/scrub_range) test a whole beat
-// with one packed compare.  secded.cpp keeps the original per-set-bit
-// walk as the reference implementation for equivalence tests.
+// with one packed compare; on GFNI hosts they evaluate the same tables two
+// beats at a time (secded_gfni.hpp).  secded.cpp keeps the original
+// per-set-bit walk as the reference implementation for equivalence tests.
 
 #pragma once
 

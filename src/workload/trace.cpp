@@ -96,6 +96,7 @@ Result<AccessTrace> AccessTrace::from_text(std::string_view text) {
 
 AccessTrace make_streaming(std::uint64_t beats, unsigned passes) {
   AccessTrace trace;
+  trace.reserve(beats * passes);
   for (unsigned pass = 0; pass < passes; ++pass) {
     for (std::uint64_t beat = 0; beat < beats; ++beat) {
       trace.append(pass == 0, beat);  // first pass writes, rest read

@@ -30,6 +30,9 @@ struct TraceRecord {
 class AccessTrace {
  public:
   void append(bool write, std::uint64_t beat);
+  /// Capacity for `records` records, so a generator that knows its length
+  /// appends without regrowing.
+  void reserve(std::size_t records) { records_.reserve(records); }
 
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
   [[nodiscard]] bool empty() const noexcept { return records_.empty(); }
@@ -61,7 +64,8 @@ class AccessTrace {
 
 // ---- Synthetic workload generators (deterministic per seed) ----
 
-/// Sequential scan: `passes` read sweeps over [0, beats).
+/// Sequential scan: `passes` sweeps over [0, beats), the first writing
+/// every beat and the rest reading them back.
 [[nodiscard]] AccessTrace make_streaming(std::uint64_t beats,
                                          unsigned passes = 1);
 

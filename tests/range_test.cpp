@@ -21,6 +21,7 @@
 #include "ecc/dected.hpp"
 #include "ecc/ecc_channel.hpp"
 #include "ecc/secded.hpp"
+#include "ecc/secded_gfni.hpp"
 #include "faults/fault_overlay.hpp"
 #include "hbm/stack.hpp"
 #include "runtime/flat_index.hpp"
@@ -133,6 +134,81 @@ TEST(SecdedTableTest, DecodeMatchesReferenceOnEveryInjectedPattern) {
     ASSERT_EQ(fast.data, ref.data);
   }
 }
+
+// ---------------------------------------------------------------------------
+// GFNI pair kernel vs the encode tables
+// ---------------------------------------------------------------------------
+
+// The host features the GFNI kernel needs, probed here rather than through
+// the library so the dispatcher test does not grade itself.
+const char* host_missing_gfni_feature() {
+#if HBMVOLT_SECDED_GFNI
+  __builtin_cpu_init();
+  if (!__builtin_cpu_supports("avx512f")) return "avx512f";
+  if (!__builtin_cpu_supports("avx512bw")) return "avx512bw";
+  if (!__builtin_cpu_supports("avx512vbmi")) return "avx512vbmi";
+  if (!__builtin_cpu_supports("gfni")) return "gfni";
+  return nullptr;
+#else
+  return "x86-64";
+#endif
+}
+
+TEST(SecdedGfniTest, DispatcherSelectsGfniWhenAllFeaturesPresent) {
+  if (const char* missing = host_missing_gfni_feature()) {
+    EXPECT_EQ(ecc::secded_kernel(), ecc::SecdedKernel::kTable);
+    GTEST_SKIP() << "host lacks " << missing << "; table kernel in use";
+  }
+  EXPECT_EQ(ecc::secded_gfni_missing_feature(), nullptr);
+  EXPECT_EQ(ecc::secded_kernel(), ecc::SecdedKernel::kGfni);
+}
+
+#if HBMVOLT_SECDED_GFNI
+// Check bytes of a beat pair: byte k of the kernel's result against
+// secded_encode(words[k]).
+void expect_pair_matches_table(const std::uint64_t (&words)[8]) {
+  const std::uint64_t pair = ecc::secded_encode_pair_gfni(words);
+  for (unsigned k = 0; k < 8; ++k) {
+    ASSERT_EQ(static_cast<std::uint8_t>(pair >> (8 * k)),
+              ecc::secded_encode(words[k]))
+        << "word slot " << k << " data " << std::hex << words[k];
+  }
+}
+
+// Every lane-basis word (8 byte lanes x 256 values) in each of the 8 word
+// slots of a pair, the other slots random: pins every matrix row and the
+// transpose by linearity.
+TEST(SecdedGfniTest, PairKernelMatchesTableOnEveryLaneBasisWord) {
+  if (const char* missing = host_missing_gfni_feature()) {
+    GTEST_SKIP() << "host lacks " << missing;
+  }
+  Xoshiro256 rng(0x6F41);
+  for (unsigned slot = 0; slot < 8; ++slot) {
+    for (unsigned lane = 0; lane < 8; ++lane) {
+      for (std::uint64_t v = 0; v < 256; ++v) {
+        std::uint64_t words[8];
+        for (auto& word : words) word = rng();
+        words[slot] = v << (8 * lane);
+        expect_pair_matches_table(words);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(SecdedGfniTest, PairKernelMatchesTableOnRandomPairs) {
+  if (const char* missing = host_missing_gfni_feature()) {
+    GTEST_SKIP() << "host lacks " << missing;
+  }
+  Xoshiro256 rng(0x6F42);
+  for (int trial = 0; trial < (1 << 20); ++trial) {
+    std::uint64_t words[8];
+    for (auto& word : words) word = rng();
+    expect_pair_matches_table(words);
+    if (HasFatalFailure()) return;
+  }
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Flat index structures
@@ -322,6 +398,147 @@ TEST_P(EccRangeTest, ScrubRangeMatchesPerBeatTwin) {
     }
   }
   EXPECT_GT(writebacks_seen, 0u);  // the rot must have been repaired
+}
+
+// Dirty beats where a two-beat clean scan can go wrong: (a) the odd tail
+// of an odd-length range, (b) both beats of one pair, and (c) the first
+// beat of a range that starts at an odd index.  Each scenario rots stored
+// bits at nominal voltage (no stuck cells), then runs the per-beat calls
+// in universe A against one bulk call in universe B, for decode_range and
+// scrub_range.  Check-byte rot on both beats of a pair pins the scrub's
+// parity-group refresh: the per-beat scrub repairs the second beat's check
+// bytes while scrubbing the first, so the second must not report.
+TEST_P(EccRangeTest, DirtyBeatsAtPairEdgesMatchPerBeatTwin) {
+  struct Rot {
+    std::uint64_t beat;
+    unsigned word;
+    unsigned bit;     // data bit, or check bit when `check` is set
+    bool check;
+  };
+  struct Scenario {
+    const char* name;
+    std::uint64_t start;
+    std::uint64_t count;
+    std::vector<Rot> rots;
+  };
+  const std::vector<Scenario> scenarios = {
+      {"odd tail", 8, 7, {{14, 2, 5, false}, {15, 0, 0, false}}},
+      {"odd tail, uncorrectable", 8, 7, {{14, 1, 2, false}, {14, 1, 9, false}}},
+      {"pair data", 16, 8, {{18, 1, 9, false}, {19, 3, 60, false}}},
+      {"pair checks", 16, 8, {{18, 0, 3, true}, {19, 2, 1, true}}},
+      {"odd start", 33, 6, {{33, 0, 40, false}, {33, 3, 7, true}}},
+      {"odd start, refresh", 41, 5, {{41, 3, 0, true}, {42, 0, 0, true}}},
+  };
+  set_voltage(Millivolts{1200});
+  std::uint64_t events_seen = 0;
+  for (const Scenario& scenario : scenarios) {
+    SCOPED_TRACE(scenario.name);
+    EccChannel a(stack_a_, kWeakPc, GetParam());
+    EccChannel b(stack_b_, kWeakPc, GetParam());
+    const std::uint64_t beats = a.data_beats();
+    ASSERT_LT(scenario.start + scenario.count, beats);
+    for (std::uint64_t i = 0; i < beats; ++i) {
+      ASSERT_TRUE(a.write_beat(i, payload(i)).is_ok());
+      ASSERT_TRUE(b.write_beat(i, payload(i)).is_ok());
+    }
+    for (const Rot& rot : scenario.rots) {
+      for (hbm::HbmStack* stack : {&stack_a_, &stack_b_}) {
+        std::uint64_t target = rot.beat;
+        unsigned word = rot.word;
+        unsigned bit = rot.bit;
+        if (rot.check) {
+          // The rotted word's first check byte inside its parity beat.
+          const unsigned cbw = a.check_bytes_per_word();
+          const std::uint64_t byte =
+              (rot.beat % a.beats_per_parity_beat()) * 4 * cbw +
+              rot.word * cbw;
+          target = a.parity_beat_of(rot.beat);
+          word = static_cast<unsigned>(byte / 8);
+          bit = static_cast<unsigned>(byte % 8) * 8 + rot.bit;
+        }
+        auto got = stack->read_beat(kWeakPc, target);
+        ASSERT_TRUE(got.is_ok());
+        hbm::Beat rotted = got.value();
+        rotted[word] ^= 1ull << bit;
+        ASSERT_TRUE(stack->write_beat(kWeakPc, target, rotted).is_ok());
+      }
+    }
+
+    // Decode twin: per-beat reads vs one decode_range.
+    std::vector<hbm::Beat> bulk(scenario.count);
+    std::vector<EccChannel::RangeBeatEvent> events;
+    ASSERT_TRUE(
+        b.decode_range(scenario.start, scenario.count, bulk.data(), events)
+            .is_ok());
+    std::size_t next_event = 0;
+    for (std::uint64_t i = 0; i < scenario.count; ++i) {
+      const std::uint64_t beat = scenario.start + i;
+      auto got = a.read_beat(beat);
+      ASSERT_TRUE(got.is_ok());
+      EccChannel::RangeBeatEvent expected;
+      expected.beat = beat;
+      expected.corrected = static_cast<std::uint8_t>(got.value().corrected);
+      expected.corrected_check =
+          static_cast<std::uint8_t>(got.value().corrected_check);
+      expected.uncorrectable =
+          static_cast<std::uint8_t>(got.value().uncorrectable);
+      EXPECT_EQ(bulk[i], got.value().data) << "beat " << beat;
+      if (expected.corrected + expected.corrected_check +
+              expected.uncorrectable ==
+          0) {
+        continue;
+      }
+      ASSERT_LT(next_event, events.size()) << "beat " << beat;
+      const auto& event = events[next_event++];
+      EXPECT_EQ(event.beat, beat);
+      EXPECT_EQ(event.corrected, expected.corrected) << "beat " << beat;
+      EXPECT_EQ(event.corrected_check, expected.corrected_check)
+          << "beat " << beat;
+      EXPECT_EQ(event.uncorrectable, expected.uncorrectable)
+          << "beat " << beat;
+      ++events_seen;
+    }
+    EXPECT_EQ(next_event, events.size());
+
+    // Scrub twin: per-beat scrubs vs one scrub_range.
+    events.clear();
+    ASSERT_TRUE(b.scrub_range(scenario.start, scenario.count, events).is_ok());
+    next_event = 0;
+    for (std::uint64_t i = 0; i < scenario.count; ++i) {
+      const std::uint64_t beat = scenario.start + i;
+      auto got = a.scrub_beat(beat);
+      ASSERT_TRUE(got.is_ok());
+      const ecc::ScrubOutcome& out = got.value();
+      if (out.corrected_data + out.corrected_check + out.uncorrectable == 0) {
+        continue;
+      }
+      ASSERT_LT(next_event, events.size()) << "beat " << beat;
+      const auto& event = events[next_event++];
+      EXPECT_EQ(event.beat, beat);
+      EXPECT_EQ(event.corrected, out.corrected_data) << "beat " << beat;
+      EXPECT_EQ(event.corrected_check, out.corrected_check)
+          << "beat " << beat;
+      EXPECT_EQ(event.uncorrectable, out.uncorrectable) << "beat " << beat;
+      EXPECT_EQ(event.wrote_back, out.wrote_back) << "beat " << beat;
+    }
+    EXPECT_EQ(next_event, events.size());
+
+    // Post-scrub state identical around the range.
+    for (std::uint64_t beat = scenario.start - 1;
+         beat <= scenario.start + scenario.count; ++beat) {
+      auto ra = a.read_beat(beat);
+      auto rb = b.read_beat(beat);
+      ASSERT_TRUE(ra.is_ok());
+      ASSERT_TRUE(rb.is_ok());
+      EXPECT_EQ(ra.value().data, rb.value().data) << "beat " << beat;
+      EXPECT_EQ(ra.value().corrected, rb.value().corrected) << "beat " << beat;
+      EXPECT_EQ(ra.value().corrected_check, rb.value().corrected_check)
+          << "beat " << beat;
+      EXPECT_EQ(ra.value().uncorrectable, rb.value().uncorrectable)
+          << "beat " << beat;
+    }
+  }
+  EXPECT_GT(events_seen, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Codecs, EccRangeTest,
