@@ -11,6 +11,11 @@
 // The campaign runs on the serial reference path (threads = 1);
 // tests/parallel_test.cpp separately proves every thread count matches
 // that path, so together the suites pin the parallel engine's output.
+//
+// fleet_fingerprints.txt pins the serving stack the same way: one row per
+// (scheme, source, chaos, threads) cell of a small ServingFleet matrix,
+// plus one halt -> checkpoint -> restore row per scheme, each carrying the
+// fleet, data and tenant fingerprints and the served op counts.
 
 #include <cstdio>
 #include <cstdlib>
@@ -20,8 +25,11 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/chaos.hpp"
 #include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "runtime/fleet.hpp"
+#include "serve/plane.hpp"
 
 #ifndef HBMVOLT_GOLDEN_DIR
 #error "HBMVOLT_GOLDEN_DIR must point at tests/golden (set by CMake)"
@@ -85,6 +93,27 @@ std::string headline_text(const core::HeadlineNumbers& h) {
   return out.str();
 }
 
+/// Compares `actual` against the golden file, or rewrites the golden
+/// when HBMVOLT_REGEN_GOLDEN is set in the environment.
+void check_golden(const std::string& name, const std::string& actual) {
+  const std::string path = std::string(HBMVOLT_GOLDEN_DIR) + "/" + name;
+  if (std::getenv("HBMVOLT_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << actual;
+    ASSERT_TRUE(out.good()) << "write failed: " << path;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden " << path
+                         << " -- run with HBMVOLT_REGEN_GOLDEN=1 to create it";
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  // EXPECT_EQ on the whole string: a failure prints the first diverging
+  // bytes, and the regen command above produces the reviewable diff.
+  EXPECT_EQ(actual, expected.str()) << "golden mismatch: " << name;
+}
+
 class GoldenTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -100,26 +129,8 @@ class GoldenTest : public ::testing::Test {
     result_ = nullptr;
   }
 
-  /// Compares `actual` against the golden file, or rewrites the golden
-  /// when HBMVOLT_REGEN_GOLDEN is set in the environment.
   static void check(const std::string& name, const std::string& actual) {
-    const std::string path = std::string(HBMVOLT_GOLDEN_DIR) + "/" + name;
-    if (std::getenv("HBMVOLT_REGEN_GOLDEN") != nullptr) {
-      std::ofstream out(path, std::ios::binary);
-      ASSERT_TRUE(out.good()) << "cannot write " << path;
-      out << actual;
-      ASSERT_TRUE(out.good()) << "write failed: " << path;
-      GTEST_SKIP() << "regenerated " << path;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good())
-        << "missing golden " << path
-        << " -- run with HBMVOLT_REGEN_GOLDEN=1 to create it";
-    std::ostringstream expected;
-    expected << in.rdbuf();
-    // EXPECT_EQ on the whole string: a failure prints the first diverging
-    // bytes, and the regen command above produces the reviewable diff.
-    EXPECT_EQ(actual, expected.str()) << "golden mismatch: " << name;
+    check_golden(name, actual);
   }
 
   static core::CampaignResult* result_;
@@ -141,6 +152,185 @@ TEST_F(GoldenTest, Fig5PerPcCsvMatches) {
 
 TEST_F(GoldenTest, HeadlineNumbersMatch) {
   check("headline.txt", headline_text(result_->headline));
+}
+
+// ---------------------------------------------------------------------------
+// Serving fleet fingerprint matrix
+// ---------------------------------------------------------------------------
+
+enum class Source { kUniform, kStreaming, kPlane };
+
+const char* source_name(Source source) {
+  switch (source) {
+    case Source::kUniform:
+      return "uniform";
+    case Source::kStreaming:
+      return "streaming";
+    case Source::kPlane:
+      return "plane";
+  }
+  return "?";
+}
+
+struct FleetCell {
+  mitigate::MitigationKind scheme = mitigate::MitigationKind::kSecded;
+  Source source = Source::kUniform;
+  bool chaos = false;
+  unsigned threads = 1;
+};
+
+struct FleetRun {
+  runtime::FleetReport report;
+  std::uint64_t rot = 0;
+  std::uint64_t bursts = 0;
+  std::uint64_t kills = 0;
+};
+
+/// One cell on a fresh test_tiny board at 950 mV.  Chaos adds bit rot,
+/// weak-cell bursts and whole-PC kills through ChaosInjector::storm_tick.
+/// `halt_after` > 0 stops the fleet at that barrier, checkpoints it, and
+/// finishes the run on a second fresh board and fleet from the checkpoint.
+FleetRun run_cell(const FleetCell& cell, std::uint64_t halt_after = 0) {
+  chaos::ChaosConfig chaos_config;
+  chaos_config.seed = 11;
+  if (cell.chaos) {
+    chaos_config.bit_rot_rate = 1e-3;
+    chaos_config.weak_burst_rate = 2e-4;
+    chaos_config.pc_kill_rate = 6e-4;
+    chaos_config.burst_cells = 4;
+  }
+  serve::PlaneConfig plane_config;
+  plane_config.tenants = serve::make_tenant_set(
+      4,
+      {serve::WorkloadMix::kZipfian, serve::WorkloadMix::kStreaming,
+       serve::WorkloadMix::kPointerChase, serve::WorkloadMix::kUniform},
+      /*ops=*/1500, /*footprint_beats=*/256, /*quota_per_epoch=*/128);
+  plane_config.seed = 21;
+  plane_config.chunk_beats = 16;
+  serve::RequestPlane plane(plane_config);
+
+  const auto make_config = [&](chaos::ChaosInjector& injector) {
+    runtime::FleetConfig config;
+    config.scheme = cell.scheme;
+    config.stripe_width = 4;
+    config.rebuild_beats_per_epoch = 8;
+    config.ops_per_pc = 512;
+    config.ops_per_epoch = 64;
+    config.seed = 21;
+    config.threads = cell.threads;
+    config.channel.spare_fraction = 0.25;
+    if (cell.source == Source::kStreaming) config.streaming_passes = 4;
+    if (cell.source == Source::kPlane) config.source = &plane;
+    if (cell.chaos) {
+      config.storm_hook = [&injector](unsigned pc, std::uint64_t tick) {
+        return injector.storm_tick(pc, tick);
+      };
+    }
+    return config;
+  };
+
+  FleetRun out;
+  board::Vcu128Board board(tiny_board());
+  EXPECT_TRUE(board.set_hbm_voltage(Millivolts{950}).is_ok());
+  chaos::ChaosInjector injector(board, chaos_config);
+  runtime::FleetConfig config = make_config(injector);
+  config.halt_after_epochs = halt_after;
+  runtime::ServingFleet fleet(board, config);
+  auto result = fleet.run();
+  EXPECT_TRUE(result.is_ok()) << result.status().to_string();
+  if (!result.is_ok()) return out;
+  out.report = result.value();
+  const auto note_chaos = [&out](const chaos::ChaosInjector& inj) {
+    out.rot += inj.injected(chaos::FaultKind::kBitRot);
+    out.bursts += inj.injected(chaos::FaultKind::kWeakCellBurst);
+    out.kills += inj.injected(chaos::FaultKind::kPcKill);
+  };
+  note_chaos(injector);
+  if (halt_after == 0) return out;
+
+  EXPECT_TRUE(out.report.halted) << "run finished before the halt barrier";
+  const runtime::FleetCheckpoint ck = fleet.checkpoint();
+  board::Vcu128Board fresh(tiny_board());
+  chaos::ChaosInjector resumed_injector(fresh, chaos_config);
+  runtime::ServingFleet resumed(fresh, make_config(resumed_injector));
+  EXPECT_TRUE(resumed.restore(ck).is_ok());
+  auto rest = resumed.run();
+  EXPECT_TRUE(rest.is_ok()) << rest.status().to_string();
+  if (!rest.is_ok()) return out;
+  out.report = rest.value();
+  note_chaos(resumed_injector);
+  return out;
+}
+
+std::string fleet_row(const FleetCell& cell, const std::string& tag,
+                      const FleetRun& run) {
+  const runtime::FleetReport& r = run.report;
+  char buffer[320];
+  std::snprintf(
+      buffer, sizeof(buffer),
+      "%s %s chaos=%d %s fleet=%016llx data=%016llx tenant=%016llx "
+      "ops=%llu reads=%llu writes=%llu injected=%llu/%llu/%llu\n",
+      mitigate::to_string(cell.scheme), source_name(cell.source),
+      cell.chaos ? 1 : 0, tag.c_str(),
+      static_cast<unsigned long long>(r.fingerprint),
+      static_cast<unsigned long long>(r.data_fingerprint),
+      static_cast<unsigned long long>(r.tenant_fingerprint),
+      static_cast<unsigned long long>(r.ops),
+      static_cast<unsigned long long>(r.reads),
+      static_cast<unsigned long long>(r.writes),
+      static_cast<unsigned long long>(run.rot),
+      static_cast<unsigned long long>(run.bursts),
+      static_cast<unsigned long long>(run.kills));
+  return buffer;
+}
+
+TEST(FleetGoldenTest, FingerprintMatrixMatches) {
+  std::string rows;
+  for (const auto scheme : {mitigate::MitigationKind::kSecded,
+                            mitigate::MitigationKind::kDected,
+                            mitigate::MitigationKind::kStripe}) {
+    for (const Source source :
+         {Source::kUniform, Source::kStreaming, Source::kPlane}) {
+      for (const bool chaos : {false, true}) {
+        FleetCell cell{scheme, source, chaos, 1};
+        const FleetRun serial = run_cell(cell);
+        rows += fleet_row(cell, "threads=1", serial);
+        cell.threads = 4;
+        const FleetRun parallel = run_cell(cell);
+        rows += fleet_row(cell, "threads=4", parallel);
+
+        const std::string where = fleet_row(cell, "", serial);
+        EXPECT_EQ(serial.report.corrupt_reads, 0u) << where;
+        if (chaos) {
+          EXPECT_GT(serial.rot, 0u) << where;
+          EXPECT_GT(serial.bursts, 0u) << where;
+          EXPECT_GT(serial.kills, 0u) << where;
+        }
+        EXPECT_EQ(parallel.report.corrupt_reads, 0u) << where;
+        EXPECT_EQ(serial.report.fingerprint, parallel.report.fingerprint)
+            << where;
+        EXPECT_EQ(serial.report.data_fingerprint,
+                  parallel.report.data_fingerprint)
+            << where;
+        EXPECT_EQ(serial.report.tenant_fingerprint,
+                  parallel.report.tenant_fingerprint)
+            << where;
+      }
+    }
+    // Kill + resume: a halt mid-run, a checkpoint, and a restore onto a
+    // fresh board must finish byte-identical to the uninterrupted run.
+    const FleetCell cell{scheme, Source::kUniform, true, 1};
+    const FleetRun whole = run_cell(cell);
+    const FleetRun resumed = run_cell(cell, /*halt_after=*/3);
+    rows += fleet_row(cell, "resume", resumed);
+    EXPECT_EQ(resumed.report.corrupt_reads, 0u);
+    EXPECT_EQ(resumed.report.fingerprint, whole.report.fingerprint)
+        << mitigate::to_string(scheme);
+    EXPECT_EQ(resumed.report.data_fingerprint, whole.report.data_fingerprint)
+        << mitigate::to_string(scheme);
+    EXPECT_EQ(resumed.report.ops, whole.report.ops);
+  }
+  check_golden("fleet_fingerprints.txt", rows);
 }
 
 }  // namespace
