@@ -150,6 +150,23 @@ class BitVec {
   [[nodiscard]] std::uint64_t next_clear(std::uint64_t from) const noexcept {
     return scan(from, true);
   }
+  /// Length of the run of bits equal to `value` from `from`, at most
+  /// `limit` (from + limit <= size()); reads only the words it covers.
+  [[nodiscard]] std::uint64_t run(std::uint64_t from, bool value,
+                                  std::uint64_t limit) const noexcept {
+    std::uint64_t n = 0;
+    while (n < limit) {
+      const std::uint64_t i = from + n;
+      const std::uint64_t differs =
+          (value ? ~words_[i / 64] : words_[i / 64]) >> (i % 64);
+      if (differs != 0) {
+        return std::min<std::uint64_t>(
+            limit, n + static_cast<unsigned>(__builtin_ctzll(differs)));
+      }
+      n += 64 - i % 64;
+    }
+    return limit;
+  }
 
  private:
   [[nodiscard]] std::uint64_t scan(std::uint64_t from,

@@ -1,6 +1,7 @@
 #include "runtime/fleet.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -39,7 +40,90 @@ void xor_into(hbm::Beat& acc, const hbm::Beat& b) noexcept {
   for (unsigned w = 0; w < 4; ++w) acc[w] ^= b[w];
 }
 
+/// Failed reads of one beat before the run fails outright.
+constexpr unsigned kMaxBeatAttempts = 64;
+
 }  // namespace
+
+/// The built-in per-PC streams as a RequestSource over the fleet's stored
+/// traces.  A request is a maximal run of consecutive-beat records in one
+/// effective direction (a read of a never-written beat is a write),
+/// capped at the slot's remaining epoch budget -- or a single record when
+/// a storm hook is set, so storms tick per op.  The payload identity is
+/// the record index.  Built-in requests never hedge or shed.
+class ServingFleet::StreamSource final : public RequestSource {
+ public:
+  struct Stream {
+    std::uint64_t next = 0;  // first record not yet completed
+    PlacedRequest pending;   // request in flight (count 0: none)
+  };
+
+  explicit StreamSource(ServingFleet& fleet)
+      : streams(fleet.channels_.size()), fleet_(fleet) {
+    for (Stream& stream : streams) stream.pending.count = 0;
+  }
+
+  void begin_epoch(const ServingFleet&, std::uint64_t) override {}
+
+  const PlacedRequest* front(std::size_t slot) override {
+    Stream& stream = streams[slot];
+    if (stream.pending.count > 0) return &stream.pending;
+    const workload::AccessTrace& trace = fleet_.traces_[slot];
+    if (stream.next >= trace.size()) return nullptr;
+    const ReliableChannel& channel = *fleet_.channels_[slot];
+    const std::uint64_t cap = channel.capacity();
+    PlacedRequest& r = stream.pending;
+    r.logical = trace[stream.next].beat % cap;
+    r.write = trace[stream.next].write || !channel.journal_live(r.logical);
+    r.payload = stream.next;
+    r.deadline_attempts = std::numeric_limits<unsigned>::max();
+    const std::uint64_t budget =
+        fleet_.config_.storm_hook
+            ? 1
+            : std::min<std::uint64_t>(
+                  trace.size() - stream.next,
+                  fleet_.config_.ops_per_epoch - fleet_.states_[slot].served);
+    r.count = 1;
+    while (r.count < budget) {
+      const workload::TraceRecord& record = trace[stream.next + r.count];
+      const std::uint64_t logical = record.beat % cap;
+      if (logical != r.logical + r.count) break;
+      if ((record.write || !channel.journal_live(logical)) != r.write) break;
+      ++r.count;
+    }
+    return &r;
+  }
+
+  void complete(std::size_t slot, const PlacedRequest& request, ServeOutcome,
+                unsigned, std::uint64_t) override {
+    streams[slot].next += request.count;
+    streams[slot].pending.count = 0;
+  }
+  bool spend_retry(std::size_t, std::uint32_t) override { return true; }
+  void end_epoch(telemetry::EpochSample*) override {}
+
+  [[nodiscard]] bool exhausted() const override {
+    for (std::size_t i = 0; i < fleet_.traces_.size(); ++i) {
+      if (streams[i].next < fleet_.traces_[i].size()) return false;
+    }
+    return true;
+  }
+  [[nodiscard]] std::uint64_t epochs_remaining_bound() const override {
+    std::uint64_t longest = 0;
+    for (const auto& trace : fleet_.traces_) {
+      longest = std::max<std::uint64_t>(longest, trace.size());
+    }
+    const std::uint64_t epoch = fleet_.config_.ops_per_epoch;
+    return (longest + epoch - 1) / epoch;
+  }
+  void fill_health(HealthRegistry*) const override {}
+  [[nodiscard]] std::uint64_t fingerprint() const override { return 0; }
+
+  std::vector<Stream> streams;
+
+ private:
+  ServingFleet& fleet_;
+};
 
 ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
     : board_(board),
@@ -75,16 +159,12 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
     parity_prev_.resize(group_count);
   }
   channels_.reserve(config_.pcs.size());
-  traces_.reserve(config_.pcs.size());
   for (const unsigned pc : config_.pcs) {
     channels_.push_back(
         std::make_unique<ReliableChannel>(board_, pc, config_.channel));
-    if (config_.source != nullptr) {
-      // Request-plane mode: the source's slot queues replace the
-      // built-in op streams entirely.
-      traces_.emplace_back();
-      continue;
-    }
+    // Request-plane mode: the source's slot queues replace the built-in
+    // streams entirely.
+    if (config_.source != nullptr) continue;
     traces_.push_back(
         config_.streaming_passes > 0
             ? workload::make_streaming(channels_.back()->capacity(),
@@ -93,15 +173,6 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
                   channels_.back()->capacity(), config_.ops_per_pc,
                   config_.write_fraction,
                   stream_seed(config_.seed, 0xF1EE7, pc, 0)));
-  }
-  if (config_.source == nullptr && config_.streaming_passes > 0) {
-    // Keep the epoch bound in run() honest: the streaming trace length
-    // is capacity * passes, not the (ignored) ops_per_pc.
-    std::uint64_t longest = 0;
-    for (const auto& trace : traces_) {
-      longest = std::max<std::uint64_t>(longest, trace.size());
-    }
-    config_.ops_per_pc = longest;
   }
   if (striped()) {
     // Stripe XOR needs every member and parity channel address-congruent.
@@ -117,7 +188,11 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
   states_.resize(config_.pcs.size());
   epoch_prev_.resize(config_.pcs.size());
   health_.reset(config_.pcs.size());
+  streams_ = std::make_unique<StreamSource>(*this);
+  source_ = config_.source != nullptr ? config_.source : streams_.get();
 }
+
+ServingFleet::~ServingFleet() = default;
 
 // ---- Scheme-dispatching op wrappers ----
 
@@ -149,24 +224,15 @@ hbm::Beat ServingFleet::parity_value(std::size_t g,
   return acc;
 }
 
-Status ServingFleet::settle_parity(std::size_t g, PcState& st) {
-  ReliableChannel& parity = *parity_channels_[g];
-  if (!parity.budget().burned() && !parity.escalation_pending()) {
-    return Status::ok();
-  }
-  auto rung = parity.escalate();
-  if (!rung.is_ok()) return rung.status();
-  if (rung.value() != LadderRung::kCorrect) {
-    st.wants_global = true;
-    st.wanted = rung.value();
-  }
-  return Status::ok();
-}
-
 Status ServingFleet::do_write(std::size_t i, std::uint64_t logical,
-                              const hbm::Beat& data) {
+                              std::uint64_t count, const hbm::Beat* data) {
+  // One beat takes the channel's per-op path, a longer run its range engine.
+  const auto write = [&](ReliableChannel& ch, const hbm::Beat* beats) {
+    return count == 1 ? ch.write(logical, beats[0])
+                      : ch.write_range(logical, count, beats);
+  };
   ReliableChannel& member = *channels_[i];
-  Status wrote = member.write(logical, data);
+  Status wrote = write(member, data);
   if (!wrote.is_ok() || !striped()) return wrote;
 
   // Maintain the stripe invariant: parity journal/device hold the XOR of
@@ -175,58 +241,27 @@ Status ServingFleet::do_write(std::size_t i, std::uint64_t logical,
   // only advances on success, and this XOR is a pure function of it.
   const std::size_t g = group_of(i);
   ReliableChannel& parity = *parity_channels_[g];
-  const hbm::Beat pv = parity_value(g, logical);
-  Status ps = parity.write(logical, pv);
-  if (ps.code() == StatusCode::kUnavailable && absorb_device_loss(parity)) {
-    ps = parity.write(logical, pv);  // journal-only now
-  }
-  if (!ps.is_ok()) return ps;
-
-  // Writes landing behind the rebuild cursor must refresh the adopted
-  // silicon too, or the rebuilt device copy goes stale vs the journal.
-  StripeGroup& grp = groups_[g];
-  if (member.device_lost() && grp.rebuilding == i &&
-      logical < grp.rebuild_cursor) {
-    HBMVOLT_RETURN_IF_ERROR(member.rebuild_device_range(logical, 1));
-  }
-  if (parity.device_lost() && grp.rebuilding_parity &&
-      logical < grp.rebuild_cursor) {
-    HBMVOLT_RETURN_IF_ERROR(parity.rebuild_device_range(logical, 1));
-  }
-  return Status::ok();
-}
-
-Status ServingFleet::do_write_range(std::size_t i, std::uint64_t logical,
-                                    std::uint64_t count,
-                                    const hbm::Beat* data) {
-  ReliableChannel& member = *channels_[i];
-  Status wrote = member.write_range(logical, count, data);
-  if (!wrote.is_ok() || !striped()) return wrote;
-
-  const std::size_t g = group_of(i);
-  ReliableChannel& parity = *parity_channels_[g];
   std::vector<hbm::Beat>& pbuf = states_[i].pbuf;
   pbuf.resize(count);
   for (std::uint64_t k = 0; k < count; ++k) {
     pbuf[k] = parity_value(g, logical + k);
   }
-  Status ps = parity.write_range(logical, count, pbuf.data());
+  Status ps = write(parity, pbuf.data());
   if (ps.code() == StatusCode::kUnavailable && absorb_device_loss(parity)) {
-    ps = parity.write_range(logical, count, pbuf.data());
+    ps = write(parity, pbuf.data());  // journal-only now
   }
   if (!ps.is_ok()) return ps;
 
-  StripeGroup& grp = groups_[g];
-  if (member.device_lost() && grp.rebuilding == i &&
-      logical < grp.rebuild_cursor) {
-    const std::uint64_t overlap =
-        std::min(grp.rebuild_cursor, logical + count) - logical;
+  // Writes landing behind the rebuild cursor must refresh the adopted
+  // silicon too, or the rebuilt device copy goes stale vs the journal.
+  const StripeGroup& grp = groups_[g];
+  if (logical >= grp.rebuild_cursor) return Status::ok();
+  const std::uint64_t overlap =
+      std::min(grp.rebuild_cursor, logical + count) - logical;
+  if (member.device_lost() && grp.rebuilding == i) {
     HBMVOLT_RETURN_IF_ERROR(member.rebuild_device_range(logical, overlap));
   }
-  if (parity.device_lost() && grp.rebuilding_parity &&
-      logical < grp.rebuild_cursor) {
-    const std::uint64_t overlap =
-        std::min(grp.rebuild_cursor, logical + count) - logical;
+  if (parity.device_lost() && grp.rebuilding_parity) {
     HBMVOLT_RETURN_IF_ERROR(parity.rebuild_device_range(logical, overlap));
   }
   return Status::ok();
@@ -249,8 +284,7 @@ Result<hbm::Beat> ServingFleet::stripe_fetch(ReliableChannel& ch,
     if (rung.value() != LadderRung::kCorrect) {
       // Park the contributor's global need on the member being served;
       // the op retries after the barrier applies it.
-      st.wants_global = true;
-      st.wanted = rung.value();
+      st.park(rung.value());
       return data_loss("stripe contributor needs a global ladder rung");
     }
   }
@@ -302,231 +336,46 @@ bool ServingFleet::storm_tick_slot(std::size_t i) {
   // Environmental alarm: flush soft state and expose any word the storm
   // armed before SECDED can miscorrect it (see refresh_from_journal).
   const Status refreshed = channel.refresh_from_journal();
-  if (!refreshed.is_ok()) {
-    if (refreshed.code() == StatusCode::kUnavailable) {
-      if (!absorb_device_loss(channel)) {
-        st.wants_global = true;
-        st.wanted = LadderRung::kPowerCycle;
-        return false;
-      }
-      // Whole-PC death: nothing left to refresh; keep serving through
-      // the journal / stripe reconstruction.
-    } else {
-      st.status = refreshed;
-      return false;
-    }
+  if (refreshed.code() == StatusCode::kUnavailable) {
+    // Whole-PC death leaves nothing to refresh: keep serving through the
+    // journal / stripe reconstruction.  A crashed stack needs rung 3.
+    if (!absorb_device_loss(channel)) return st.park(LadderRung::kPowerCycle);
+  } else if (!refreshed.is_ok()) {
+    return st.fail(refreshed);
   }
-  if (channel.escalation_pending()) {
-    auto rung = channel.escalate();
-    if (!rung.is_ok()) {
-      st.status = rung.status();
-      return false;
-    }
-    if (rung.value() != LadderRung::kCorrect) {
-      st.wants_global = true;
-      st.wanted = rung.value();
-      return false;
-    }
-  }
-  return true;
+  return !channel.escalation_pending() || st.take(channel.escalate());
 }
 
-void ServingFleet::serve_pc_epoch(std::size_t i) {
+bool ServingFleet::serve_slot_epoch(std::size_t i) {
   ReliableChannel& channel = *channels_[i];
-  const workload::AccessTrace& trace = traces_[i];
+  RequestSource& source = *source_;
   const unsigned pc = config_.pcs[i];
   PcState& st = states_[i];
+  PcState::Flight& f = st.flight;
   st.wants_global = false;
-  st.wanted = LadderRung::kCorrect;
-  const std::uint64_t data_seed = mix_seed(config_.seed, 0xDA7A);
-
-  std::uint64_t served = 0;
-  while (st.cursor < trace.size() && served < config_.ops_per_epoch) {
-    if (!storm_tick_slot(i)) return;
-    const workload::TraceRecord& record = trace[st.cursor];
-    const std::uint64_t logical = record.beat % channel.capacity();
-    const bool write_op = record.write || !channel.journal_live(logical);
-
-    // Coalesce a maximal run of consecutive-beat, same-direction records
-    // into one bulk call -- the range fast path.  A storm hook pins the
-    // loop to per-op granularity (the hook must fire before every op),
-    // and a bulk call that hits the ladder falls back to the per-op
-    // machinery below without consuming the cursor.
-    if (!config_.storm_hook) {
-      const std::uint64_t run_budget =
-          std::min<std::uint64_t>(trace.size() - st.cursor,
-                                  config_.ops_per_epoch - served);
-      std::uint64_t n = 1;
-      while (n < run_budget) {
-        const workload::TraceRecord& r2 = trace[st.cursor + n];
-        const std::uint64_t l2 = r2.beat % channel.capacity();
-        if (l2 != logical + n) break;
-        const bool w2 = r2.write || !channel.journal_live(l2);
-        if (w2 != write_op) break;
-        ++n;
-      }
-      if (n >= 2) {
-        Status st_bulk = Status::ok();
-        if (write_op) {
-          st.beats.resize(n);
-          for (std::uint64_t k = 0; k < n; ++k) {
-            st.beats[k] = make_payload(data_seed, pc, st.cursor + k);
-          }
-          st_bulk = do_write_range(i, logical, n, st.beats.data());
-          if (st_bulk.is_ok()) st.report.writes += n;
-        } else {
-          st.beats.resize(n);
-          st_bulk = channel.read_range(logical, n, st.beats.data());
-          if (st_bulk.is_ok()) {
-            for (std::uint64_t k = 0; k < n; ++k) {
-              if (st.beats[k] != channel.journal_beat(logical + k)) {
-                ++st.report.corrupt_reads;
-              }
-            }
-            st.report.reads += n;
-          }
-        }
-        if (st_bulk.is_ok()) {
-          st.report.ops += n;
-          st.cursor += n;
-          served += n;
-          st.attempts = 0;
-          if (channel.budget().burned() || channel.escalation_pending()) {
-            auto rung = channel.escalate();
-            if (!rung.is_ok()) {
-              st.status = rung.status();
-              return;
-            }
-            if (rung.value() != LadderRung::kCorrect) {
-              st.wants_global = true;
-              st.wanted = rung.value();
-              return;
-            }
-          }
-          if (striped()) {
-            const Status settled = settle_parity(group_of(i), st);
-            if (!settled.is_ok()) {
-              st.status = settled;
-              return;
-            }
-            if (st.wants_global) return;
-          }
-          continue;
-        }
-        if (st_bulk.code() != StatusCode::kDataLoss &&
-            st_bulk.code() != StatusCode::kUnavailable) {
-          st.status = st_bulk;
-          return;
-        }
-        // Fall through: the per-op path re-serves the run from its start
-        // and applies the usual escalate-and-retry handling.
-      }
-    }
-
-    if (write_op) {
-      const Status wrote =
-          do_write(i, logical, make_payload(data_seed, pc, st.cursor));
-      if (!wrote.is_ok()) {
-        if (st.wants_global) return;  // parked by a stripe contributor
-        if (wrote.code() == StatusCode::kUnavailable) {
-          // Whole-PC death is absorbed locally (journal/stripe serving);
-          // a crashed stack requests rung 3 and ends the epoch -- the op
-          // is retried after the barrier's power-cycle + restore.
-          if (absorb_device_loss(channel)) continue;
-          ++st.attempts;
-          st.wants_global = true;
-          st.wanted = LadderRung::kPowerCycle;
-          return;
-        }
-        st.status = wrote;
-        return;
-      }
-      ++st.report.writes;
-    } else {
-      auto got = do_read(i, logical);
-      if (!got.is_ok()) {
-        if (++st.attempts > 64) {
-          st.status = got.status();
-          return;
-        }
-        if (st.wants_global) return;  // parked by a stripe contributor
-        if (got.status().code() == StatusCode::kUnavailable) {
-          if (absorb_device_loss(channel)) continue;
-          st.wants_global = true;
-          st.wanted = LadderRung::kPowerCycle;
-          return;
-        }
-        if (got.status().code() != StatusCode::kDataLoss) {
-          st.status = got.status();
-          return;
-        }
-        auto rung = channel.escalate();
-        if (!rung.is_ok()) {
-          st.status = rung.status();
-          return;
-        }
-        if (rung.value() == LadderRung::kCorrect) continue;  // retry now
-        st.wants_global = true;
-        st.wanted = rung.value();
-        return;  // retried after the barrier applies the global rung
-      }
-      if (got.value() != channel.journal_beat(logical)) {
-        ++st.report.corrupt_reads;
-      }
-      ++st.report.reads;
-      if (st.attempts > 0) ++st.report.escalated_reads;
-    }
-    ++st.report.ops;
-    ++st.cursor;
-    ++served;
-    st.attempts = 0;
-
-    // Consume a burned budget between ops, before a read trips on it.
-    if (channel.budget().burned() || channel.escalation_pending()) {
-      auto rung = channel.escalate();
-      if (!rung.is_ok()) {
-        st.status = rung.status();
-        return;
-      }
-      if (rung.value() != LadderRung::kCorrect) {
-        st.wants_global = true;
-        st.wanted = rung.value();
-        return;
-      }
-    }
-    if (striped() && write_op) {
-      const Status settled = settle_parity(group_of(i), st);
-      if (!settled.is_ok()) {
-        st.status = settled;
-        return;
-      }
-      if (st.wants_global) return;
-    }
-  }
-}
-
-void ServingFleet::serve_pc_source_epoch(std::size_t i) {
-  ReliableChannel& channel = *channels_[i];
-  RequestSource& source = *config_.source;
-  const unsigned pc = config_.pcs[i];
-  PcState& st = states_[i];
-  st.wants_global = false;
-  st.wanted = LadderRung::kCorrect;
+  st.served = 0;
   const std::uint64_t data_seed = mix_seed(config_.seed, 0xDA7A);
   const std::uint64_t reconstruct_ns =
       kModelDeviceReadNs * (striped() ? config_.stripe_width + 1 : 1);
+  // Consume a burned budget after every run and op, before a read trips
+  // on it; striped writes (and bulk runs) also settle the parity channel.
+  const auto settle = [&](bool parity_touched) {
+    return st.settle(channel) &&
+           (!parity_touched || st.settle(*parity_channels_[group_of(i)]));
+  };
 
-  std::uint64_t served = 0;
-  while (served < config_.ops_per_epoch) {
+  while (st.served < config_.ops_per_epoch) {
     const PlacedRequest* queued = source.front(i);
-    if (queued == nullptr) return;  // slot drained for this epoch
-    // The storm hook ticks once per *request* here (st.cursor is the
-    // request tick); a parked request re-serves at the same tick, so the
-    // storm_next guard keeps the schedule identical across retries.
-    if (!storm_tick_slot(i)) return;
+    if (queued == nullptr) return true;  // slot drained for this epoch
+    // One storm tick per request (st.cursor is the request tick); a
+    // parked request resumes at the same tick, so the storm_next guard
+    // keeps the schedule identical across retries.
+    if (!storm_tick_slot(i)) return false;
     const PlacedRequest r = *queued;
-    HBMVOLT_REQUIRE(r.count > 0 && r.logical + r.count <= channel.capacity(),
-                    "placed request outside slot capacity");
+    const std::uint64_t cap = channel.capacity();
+    HBMVOLT_REQUIRE(
+        r.count > 0 && r.count <= cap && r.logical <= cap - r.count,
+        "placed request outside slot capacity");
 
     // Model-latency bookkeeping: read paths are classified after the
     // fact from the channel's own stat deltas (journal-served vs stripe-
@@ -534,209 +383,155 @@ void ServingFleet::serve_pc_source_epoch(std::size_t i) {
     // channel's routing.
     std::uint64_t js_prev = channel.stats().journal_served_reads;
     std::uint64_t rc_prev = channel.stats().reconstructed_reads;
-    std::uint64_t model_ns = 0;
-    ServeOutcome outcome = ServeOutcome::kServed;
-    bool deadline_hedge = false;  // blown deadline: rest served from journal
-    bool dropped = false;
-    bool wrote_any = false;
-
-    std::uint64_t k = 0;
-    while (k < r.count) {
-      const std::uint64_t logical = r.logical + k;
+    bool shed = false;
+    bool parity_touched = false;
+    while (f.done < r.count) {
+      const std::uint64_t logical = r.logical + f.done;
       const bool write_op = r.write || !channel.journal_live(logical);
-      if (write_op) {
-        // Coalesce the maximal write run; payloads are pure in
-        // (tenant, beat) so a re-served request rewrites identical data.
-        std::uint64_t n = 1;
-        while (k + n < r.count &&
-               (r.write || !channel.journal_live(r.logical + k + n))) {
-          ++n;
-        }
-        st.beats.resize(n);
-        for (std::uint64_t j = 0; j < n; ++j) {
-          st.beats[j] = make_payload(
-              data_seed, pc,
-              (static_cast<std::uint64_t>(r.tenant) << 40) ^ (logical + j));
-        }
-        const Status wrote =
-            n >= 2 ? do_write_range(i, logical, n, st.beats.data())
-                   : do_write(i, logical, st.beats[0]);
-        if (!wrote.is_ok()) {
-          if (st.wants_global) return;  // parked by a stripe contributor
-          if (wrote.code() == StatusCode::kUnavailable) {
-            if (absorb_device_loss(channel)) continue;  // journal-only now
-            st.wants_global = true;
-            st.wanted = LadderRung::kPowerCycle;
-            return;
-          }
-          st.status = wrote;
-          return;
-        }
-        st.report.writes += n;
-        wrote_any = true;
-        model_ns += n * (channel.device_lost() ? kModelJournalNs
-                                               : kModelDeviceWriteNs);
-        k += n;
-        continue;
-      }
-
-      // QoS shortcut: when the device copy is gone (or the deadline is
-      // already blown for a hedging tenant), answer from the journal copy
-      // -- it is the reference every read is verified against, so this
-      // trades device fidelity, not correctness, for bounded latency.
-      const bool shortcut =
-          (r.stale_ok && channel.device_lost()) ||
-          (r.hedge && (channel.device_lost() || deadline_hedge));
-      if (shortcut) {
-        std::uint64_t n = 1;
-        while (k + n < r.count && channel.journal_live(r.logical + k + n)) {
-          ++n;
-        }
+      // The maximal same-direction run from here: the range fast path.
+      const std::uint64_t left = r.count - f.done;
+      std::uint64_t n = r.write || left == 1
+                            ? left
+                            : channel.live_run(logical, !write_op, left);
+      const bool lost = channel.device_lost();
+      bool ran = false;  // the whole run [logical, logical + n) served
+      if (!write_op &&
+          ((r.stale_ok && lost) || (r.hedge && (lost || f.hedging)))) {
+        // QoS shortcut: when the device copy is gone (or the deadline is
+        // already blown for a hedging tenant), answer from the journal
+        // copy -- it is the reference every read is verified against, so
+        // this trades device fidelity, not correctness, for latency.
         st.report.reads += n;
-        model_ns += n * kModelJournalNs;
-        if (outcome == ServeOutcome::kServed) {
-          outcome = (r.hedge && (deadline_hedge || !r.stale_ok))
-                        ? ServeOutcome::kHedged
-                        : ServeOutcome::kStale;
+        f.model_ns += n * kModelJournalNs;
+        if (f.outcome == ServeOutcome::kServed) {
+          f.outcome = (r.hedge && (f.hedging || !r.stale_ok))
+                          ? ServeOutcome::kHedged
+                          : ServeOutcome::kStale;
         }
-        k += n;
-        continue;
-      }
-
-      // Bulk read fast path, same guards as trace mode (per-op machinery
-      // below re-serves the run on any ladder interaction).
-      if (!config_.storm_hook && !channel.device_lost() && k + 1 < r.count) {
-        std::uint64_t n = 1;
-        while (k + n < r.count && channel.journal_live(r.logical + k + n)) {
-          ++n;
+        ran = true;
+      } else if (n >= 2 &&
+                 (write_op || (!config_.storm_hook && !lost))) {
+        st.beats.resize(n);
+        Status bulk = Status::ok();
+        if (write_op) {
+          // Payloads are pure in the request's payload identity, so a
+          // re-served run rewrites identical data.
+          for (std::uint64_t k = 0; k < n; ++k) {
+            st.beats[k] = make_payload(data_seed, pc, r.payload + f.done + k);
+          }
+          bulk = do_write(i, logical, n, st.beats.data());
+        } else {
+          bulk = channel.read_range(logical, n, st.beats.data());
         }
-        if (n >= 2) {
-          st.beats.resize(n);
-          const Status bulk = channel.read_range(logical, n, st.beats.data());
-          if (bulk.is_ok()) {
-            for (std::uint64_t j = 0; j < n; ++j) {
-              if (st.beats[j] != channel.journal_beat(logical + j)) {
+        if (bulk.is_ok()) {
+          if (write_op) {
+            st.report.writes += n;
+            f.model_ns += n * (channel.device_lost() ? kModelJournalNs
+                                                     : kModelDeviceWriteNs);
+          } else {
+            for (std::uint64_t k = 0; k < n; ++k) {
+              if (st.beats[k] != channel.journal_beat(logical + k)) {
                 ++st.report.corrupt_reads;
               }
             }
             st.report.reads += n;
-            model_ns += n * kModelDeviceReadNs;
-            js_prev = channel.stats().journal_served_reads;
-            rc_prev = channel.stats().reconstructed_reads;
-            k += n;
-            continue;
+            f.model_ns += n * kModelDeviceReadNs;
           }
-          if (bulk.code() != StatusCode::kDataLoss &&
-              bulk.code() != StatusCode::kUnavailable) {
-            st.status = bulk;
-            return;
+          ran = true;
+        } else if (bulk.code() != StatusCode::kDataLoss &&
+                   bulk.code() != StatusCode::kUnavailable) {
+          return st.fail(bulk);
+        }
+        // Otherwise the per-op path below re-serves the run's first beat
+        // with the usual escalate-and-retry handling.
+      }
+      if (!ran) {
+        n = 1;
+        if (write_op) {
+          const hbm::Beat payload =
+              make_payload(data_seed, pc, r.payload + f.done);
+          const Status wrote = do_write(i, logical, 1, &payload);
+          if (!wrote.is_ok()) {
+            if (st.wants_global) return false;  // parked by a stripe fetch
+            if (wrote.code() != StatusCode::kUnavailable) return st.fail(wrote);
+            // Whole-PC death is absorbed locally (journal/stripe serving);
+            // a crashed stack requests rung 3 and ends the epoch -- the op
+            // is retried after the barrier's power-cycle + restore.
+            if (absorb_device_loss(channel)) continue;
+            ++st.attempts;
+            return st.park(LadderRung::kPowerCycle);
           }
-          // Fall through to the per-beat path for escalation handling.
-        }
-      }
-
-      auto got = do_read(i, logical);
-      if (!got.is_ok()) {
-        if (st.wants_global) {
-          ++st.attempts;
-          return;  // re-served after the barrier applies the rung
-        }
-        if (got.status().code() == StatusCode::kUnavailable) {
-          if (absorb_device_loss(channel)) continue;  // journal/stripe next
-          st.wants_global = true;
-          st.wanted = LadderRung::kPowerCycle;
-          return;
-        }
-        if (got.status().code() != StatusCode::kDataLoss) {
-          st.status = got.status();
-          return;
-        }
-        auto rung = channel.escalate();
-        if (!rung.is_ok()) {
-          st.status = rung.status();
-          return;
-        }
-        ++st.attempts;
-        model_ns += kModelEscalateNs;
-        const bool over_deadline = st.attempts > r.deadline_attempts;
-        const bool budget_left = source.spend_retry(i, r.tenant);
-        if (over_deadline || !budget_left) {
-          // Deadline blown (or the tenant's retry slice is dry):
-          // guaranteed tenants hedge the rest of the run to the journal,
-          // best-effort requests are shed mid-serve.
-          if (r.hedge) {
-            deadline_hedge = true;
-            continue;
+          ++st.report.writes;
+          f.model_ns += channel.device_lost() ? kModelJournalNs
+                                              : kModelDeviceWriteNs;
+        } else {
+          auto got = do_read(i, logical);
+          if (!got.is_ok()) {
+            ++f.rounds;
+            if (++st.attempts > kMaxBeatAttempts) return st.fail(got.status());
+            if (st.wants_global) return false;  // parked by a stripe fetch
+            if (got.status().code() == StatusCode::kUnavailable) {
+              if (absorb_device_loss(channel)) continue;  // journal/stripe
+              return st.park(LadderRung::kPowerCycle);
+            }
+            if (got.status().code() != StatusCode::kDataLoss) {
+              return st.fail(got.status());
+            }
+            auto rung = channel.escalate();
+            if (!rung.is_ok()) return st.fail(rung.status());
+            f.model_ns += kModelEscalateNs;
+            if (f.rounds > r.deadline_attempts ||
+                !source.spend_retry(i, r.tenant)) {
+              // Deadline blown (or the tenant's retry slice is dry):
+              // guaranteed tenants hedge the rest of the request to the
+              // journal, best-effort requests are shed mid-serve.
+              if (r.hedge) {
+                f.hedging = true;
+                continue;
+              }
+              shed = true;
+              break;
+            }
+            if (!st.take(rung)) return false;  // retried after the barrier
+            continue;  // local correction: retry the same beat now
           }
-          dropped = true;
-          break;
+          if (got.value() != channel.journal_beat(logical)) {
+            ++st.report.corrupt_reads;
+          }
+          ++st.report.reads;
+          if (st.attempts > 0) ++st.report.escalated_reads;
+          const std::uint64_t js = channel.stats().journal_served_reads;
+          const std::uint64_t rc = channel.stats().reconstructed_reads;
+          f.model_ns += rc > rc_prev   ? reconstruct_ns
+                        : js > js_prev ? kModelJournalNs
+                                       : kModelDeviceReadNs;
         }
-        if (rung.value() != LadderRung::kCorrect) {
-          st.wants_global = true;
-          st.wanted = rung.value();
-          return;
-        }
-        continue;  // local correction: retry the same beat now
       }
-      if (got.value() != channel.journal_beat(logical)) {
-        ++st.report.corrupt_reads;
-      }
-      ++st.report.reads;
-      if (st.attempts > 0) ++st.report.escalated_reads;
-      const std::uint64_t js = channel.stats().journal_served_reads;
-      const std::uint64_t rc = channel.stats().reconstructed_reads;
-      if (rc > rc_prev) {
-        model_ns += reconstruct_ns;
-      } else if (js > js_prev) {
-        model_ns += kModelJournalNs;
-      } else {
-        model_ns += kModelDeviceReadNs;
-      }
-      js_prev = js;
-      rc_prev = rc;
-      ++k;
+      js_prev = channel.stats().journal_served_reads;
+      rc_prev = channel.stats().reconstructed_reads;
+      f.done += n;
+      st.served += n;
+      st.attempts = 0;
+      parity_touched = striped() && (write_op || n >= 2);
+      // A parked request resumes at f.done; the last run settles once the
+      // request is complete.
+      if (f.done < r.count && !settle(parity_touched)) return false;
     }
 
-    source.complete(i, r, dropped ? ServeOutcome::kShed : outcome,
-                    st.attempts, model_ns);
+    source.complete(i, r, shed ? ServeOutcome::kShed : f.outcome, f.rounds,
+                    f.model_ns);
     st.report.ops += r.count;
     ++st.cursor;  // next request tick
-    served += r.count;
-    st.attempts = 0;
-
-    // Consume a burned budget between requests, before a read trips on
-    // it; striped writes also settle the parity channel's ladder.
-    if (channel.budget().burned() || channel.escalation_pending()) {
-      auto rung = channel.escalate();
-      if (!rung.is_ok()) {
-        st.status = rung.status();
-        return;
-      }
-      if (rung.value() != LadderRung::kCorrect) {
-        st.wants_global = true;
-        st.wanted = rung.value();
-        return;
-      }
-    }
-    if (striped() && wrote_any) {
-      const Status settled = settle_parity(group_of(i), st);
-      if (!settled.is_ok()) {
-        st.status = settled;
-        return;
-      }
-      if (st.wants_global) return;
-    }
+    f = PcState::Flight{};
+    if (!settle(parity_touched)) return false;
   }
+  return true;
 }
 
 void ServingFleet::serve_group_epoch(std::size_t g) {
   const std::size_t base = g * config_.stripe_width;
   for (std::size_t s = base; s < base + config_.stripe_width; ++s) {
-    if (config_.source != nullptr) {
-      serve_pc_source_epoch(s);
-    } else {
-      serve_pc_epoch(s);
-    }
+    serve_slot_epoch(s);
   }
   rebuild_step(g);
 }
@@ -744,7 +539,6 @@ void ServingFleet::serve_group_epoch(std::size_t g) {
 void ServingFleet::rebuild_step(std::size_t g) {
   StripeGroup& grp = groups_[g];
   grp.wants_global = false;
-  grp.wanted = LadderRung::kCorrect;
   if (grp.rebuilding == StripeGroup::kIdle && !grp.rebuilding_parity) return;
   ReliableChannel& ch = grp.rebuilding_parity
                             ? *parity_channels_[g]
@@ -781,10 +575,9 @@ void ServingFleet::rebuild_step(std::size_t g) {
     const Status rebuilt = ch.rebuild_device_range(cur, end - cur);
     if (!rebuilt.is_ok()) {
       if (rebuilt.code() == StatusCode::kUnavailable) {
-        grp.wants_global = true;
-        grp.wanted = LadderRung::kPowerCycle;
+        grp.park(LadderRung::kPowerCycle);
       } else {
-        grp.status = rebuilt;
+        grp.fail(rebuilt);
       }
       return;
     }
@@ -893,13 +686,11 @@ void ServingFleet::close_epoch(std::uint64_t epoch) {
     parity_prev_[g] = now;
   }
   sample.budget_burn = burn_max;
-  if (config_.source != nullptr) {
-    // Fold the plane's slot-local accounting (serial, slot order) and let
-    // it fill the sample's admitted/shed deltas plus the tenant health
-    // rows before the alert tick and the dashboard hook see either.
-    config_.source->end_epoch(&sample);
-    config_.source->fill_health(&health_);
-  }
+  // Fold the source's slot-local accounting (serial, slot order) and let
+  // it fill the sample's admitted/shed deltas plus the tenant health rows
+  // before the alert tick and the dashboard hook see either.
+  source_->end_epoch(&sample);
+  source_->fill_health(&health_);
   alerts_.tick(sample);
   for (auto& channel : channels_) channel->flush_telemetry();
   for (auto& parity : parity_channels_) parity->flush_telemetry();
@@ -919,32 +710,17 @@ Result<FleetReport> ServingFleet::run() {
     pool = std::make_unique<core::ThreadPool>(config_.threads);
   }
 
-  // Epochs bound: the trace (or queued-demand) epochs plus a generous
-  // allowance for escalation-interrupted ones (each of those makes ladder
-  // progress) and for post-trace rebuild epochs.
-  const std::uint64_t trace_epochs =
-      config_.source != nullptr
-          ? config_.source->epochs_remaining_bound()
-          : (config_.ops_per_pc + config_.ops_per_epoch - 1) /
-                config_.ops_per_epoch;
-  std::uint64_t max_epochs = trace_epochs + 4096;
+  // Epochs bound: the source's demand epochs plus a generous allowance
+  // for escalation-interrupted ones (each of those makes ladder progress)
+  // and for post-trace rebuild epochs.
+  std::uint64_t max_epochs = source_->epochs_remaining_bound() + 4096;
   if (striped() && !channels_.empty()) {
     max_epochs +=
         channels_[0]->capacity() / config_.rebuild_beats_per_epoch + 1;
   }
 
   for (;;) {
-    bool all_done = true;
-    if (config_.source != nullptr) {
-      all_done = config_.source->exhausted();
-    } else {
-      for (std::size_t i = 0; i < states_.size(); ++i) {
-        if (states_[i].cursor < traces_[i].size()) {
-          all_done = false;
-          break;
-        }
-      }
-    }
+    bool all_done = source_->exhausted();
     // A rebuild in flight keeps the fleet ticking after the traces end:
     // the group workers drain it with no foreground ops in the way.
     for (const StripeGroup& grp : groups_) {
@@ -957,42 +733,34 @@ Result<FleetReport> ServingFleet::run() {
       return unavailable("fleet ladder failed to converge");
     }
     ++report.epochs;
-    if (config_.source != nullptr) {
-      // Serial admission: quotas refill, brownout policy updates from the
-      // barrier-time fleet state, and this epoch's requests land on slot
-      // queues before any worker runs.
-      config_.source->begin_epoch(*this, report.epochs);
-    }
+    // Serial admission: quotas refill, brownout policy updates from the
+    // barrier-time fleet state, and this epoch's requests land on slot
+    // queues before any worker runs.
+    source_->begin_epoch(*this, report.epochs);
 
     if (striped()) {
       core::parallel_for_each(pool.get(), groups_.size(),
                               [this](std::size_t g) { serve_group_epoch(g); });
     } else {
       core::parallel_for_each(pool.get(), states_.size(),
-                              [this](std::size_t i) {
-                                if (config_.source != nullptr) {
-                                  serve_pc_source_epoch(i);
-                                } else {
-                                  serve_pc_epoch(i);
-                                }
-                              });
+                              [this](std::size_t i) { serve_slot_epoch(i); });
     }
 
     // Serial aggregation and global ladder actions, in PC index order.
     bool want_cycle = false;
     bool want_raise = false;
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-      PcState& st = states_[i];
+    const auto gather = [&](const ParkState& parked) {
+      if (!parked.wants_global) return;
+      want_cycle = want_cycle || parked.wanted == LadderRung::kPowerCycle;
+      want_raise = want_raise || parked.wanted == LadderRung::kRaiseVoltage;
+    };
+    for (const PcState& st : states_) {
       if (!st.status.is_ok()) return st.status;
-      if (!st.wants_global) continue;
-      if (st.wanted == LadderRung::kPowerCycle) want_cycle = true;
-      if (st.wanted == LadderRung::kRaiseVoltage) want_raise = true;
+      gather(st);
     }
-    for (StripeGroup& grp : groups_) {
+    for (const StripeGroup& grp : groups_) {
       if (!grp.status.is_ok()) return grp.status;
-      if (!grp.wants_global) continue;
-      if (grp.wanted == LadderRung::kPowerCycle) want_cycle = true;
-      if (grp.wanted == LadderRung::kRaiseVoltage) want_raise = true;
+      gather(grp);
     }
     if (want_cycle || !board_.responding()) {
       HBMVOLT_RETURN_IF_ERROR(board_.power_cycle());
@@ -1161,8 +929,11 @@ FleetCheckpoint ServingFleet::checkpoint() const {
   ck.slots.resize(states_.size());
   ck.channels.resize(channels_.size());
   for (std::size_t i = 0; i < states_.size(); ++i) {
-    ck.slots[i] = {states_[i].cursor, states_[i].storm_next,
-                   states_[i].attempts, states_[i].report};
+    const PcState& st = states_[i];
+    const StreamSource::Stream& stream = streams_->streams[i];
+    ck.slots[i] = {st.cursor,      st.storm_next, st.attempts,
+                   st.flight.done, stream.next,   stream.pending,
+                   st.report};
     channels_[i]->capture(&ck.channels[i]);
   }
   ck.parity.resize(parity_channels_.size());
@@ -1179,6 +950,9 @@ FleetCheckpoint ServingFleet::checkpoint() const {
 }
 
 Status ServingFleet::restore(const FleetCheckpoint& ck) {
+  if (config_.source != nullptr) {
+    return invalid_argument("a fleet with an external source cannot restore");
+  }
   const hbm::HbmGeometry& geometry = board_.geometry();
   const unsigned total = geometry.total_pcs();
   if (ck.slots.size() != states_.size() ||
@@ -1213,10 +987,13 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
   }
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     channels_[i]->restore(ck.channels[i]);
-    states_[i].cursor = ck.slots[i].cursor;
-    states_[i].storm_next = ck.slots[i].storm_next;
-    states_[i].attempts = ck.slots[i].attempts;
-    states_[i].report = ck.slots[i].report;
+    const FleetCheckpoint::Slot& slot = ck.slots[i];
+    states_[i].cursor = slot.cursor;
+    states_[i].storm_next = slot.storm_next;
+    states_[i].attempts = slot.attempts;
+    states_[i].flight = PcState::Flight{slot.done};
+    states_[i].report = slot.report;
+    streams_->streams[i] = {slot.next_record, slot.pending};
     // Barrier deltas restart from the restored stats (observers only --
     // the alert ring is not checkpointed, see FleetCheckpoint).
     epoch_prev_[i] = channels_[i]->stats();

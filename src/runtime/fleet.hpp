@@ -1,15 +1,19 @@
 // ServingFleet: epoch-based parallel serving over many ReliableChannels,
 // under a pluggable mitigation scheme (mitigate/scheme.hpp).
 //
-// One ReliableChannel per pseudo-channel, one deterministic op stream per
-// PC (workload::make_uniform_random over a counter-derived seed), served
-// in epochs over the PR-1 thread pool.  The determinism discipline is the
-// repo's usual one:
+// One ReliableChannel per pseudo-channel, served in epochs over the core
+// thread pool (core/parallel.hpp) by one worker that drains placed
+// requests from a RequestSource: the request plane (FleetConfig::source),
+// or else the fleet's built-in per-PC streams (workload::make_uniform_random
+// over a counter-derived seed, or streaming passes), which the fleet itself
+// serves as coalesced same-direction runs.  The determinism discipline is
+// the repo's usual one:
 //
-//  * workers own disjoint per-PC state (channel, trace cursor, report
-//    slot) and never mutate anything global -- a worker that needs a
-//    global ladder rung (raise voltage / power-cycle) *requests* it and
-//    ends its epoch early;
+//  * workers own disjoint per-PC state (channel, request in flight,
+//    report slot) and never mutate anything global -- a worker that needs
+//    a global ladder rung (raise voltage / power-cycle) *parks* the
+//    request at the beat it reached, requests the rung, and ends its
+//    epoch early; after the barrier the request resumes at that beat;
 //  * global actions are applied serially between epochs, in PC index
 //    order, at most one voltage raise (or one power-cycle + restore) per
 //    barrier;
@@ -34,9 +38,12 @@
 // redundancy left.
 //
 // Chaos fault storms plug in through `storm_hook`, called once per
-// (PC, op tick) on the worker -- wire it to ChaosInjector::storm_tick,
+// (PC, request tick) on the worker -- wire it to ChaosInjector::storm_tick,
 // whose decisions are pure in (seed, pc, tick) and whose mutations are
-// PC-local, preserving both thread-safety and reproducibility.
+// PC-local, preserving both thread-safety and reproducibility.  With a
+// hook set the built-in streams issue one-op requests, so they tick per
+// op; the plane ticks per placed request.  A parked request keeps its
+// tick.
 
 #pragma once
 
@@ -44,6 +51,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "board/vcu128.hpp"
@@ -60,13 +68,14 @@ class ServingFleet;
 
 // ---- Request plane seam ----
 //
-// A RequestSource replaces the fleet's built-in per-PC op streams with an
-// externally owned queue of placed requests (src/serve/plane.hpp is the
-// multi-tenant implementation).  The determinism split mirrors the rest
-// of the fleet: the serial hooks (begin_epoch / end_epoch / fill_health)
-// run only at the barrier and may see global state; the worker hooks
-// (front / complete / spend_retry) are called from the fan-out and must
-// touch only slot-local state for the slot they are handed.
+// A RequestSource feeds the fleet's worker placed requests.  The fleet
+// serves its built-in per-PC streams through one of its own; an externally
+// owned source replaces them (src/serve/plane.hpp is the multi-tenant
+// implementation).  The determinism split mirrors the rest of the fleet:
+// the serial hooks (begin_epoch / end_epoch / fill_health) run only at the
+// barrier and may see global state; the worker hooks (front / complete /
+// spend_retry) are called from the fan-out and must touch only slot-local
+// state for the slot they are handed.
 
 /// Deterministic service-time model, in "model nanoseconds": every path a
 /// request can take has a fixed per-beat cost, so per-tenant latency
@@ -103,9 +112,16 @@ struct PlacedRequest {
   /// of paying the slow path (ServeOutcome::kHedged).
   bool hedge = false;
   std::uint64_t logical = 0;
-  std::uint64_t count = 1;
+  /// Beats in the run.  A run stays inside one slot (far below 2^32
+  /// beats), and 32 bits keep a placed request at 32 bytes -- the plane
+  /// queues and copies millions of them.
+  std::uint32_t count = 1;
   /// Escalation rounds before the deadline is considered blown.
   unsigned deadline_attempts = 4;
+  /// Payload identity of the first beat: beat k is written with
+  /// make_payload(seed, pc, payload + k), so a re-served write stores
+  /// identical data.
+  std::uint64_t payload = 0;
 };
 
 class RequestSource {
@@ -120,7 +136,8 @@ class RequestSource {
   // Worker-side, slot-local.  front() returns the slot's next queued
   // request (nullptr = drained for this epoch) and must keep returning
   // the *same* request until complete() is called -- a worker that parks
-  // on a global ladder rung re-serves it after the barrier.
+  // on a global ladder rung resumes it after the barrier, at the beat it
+  // parked on.
   virtual const PlacedRequest* front(std::size_t slot) = 0;
   virtual void complete(std::size_t slot, const PlacedRequest& request,
                         ServeOutcome outcome, unsigned attempts,
@@ -175,26 +192,29 @@ struct FleetConfig {
   /// running to completion; 0 = run to the end.  The checkpoint seam:
   /// halt, checkpoint(), restore() on a fresh board, run() again.
   std::uint64_t halt_after_epochs = 0;
-  /// Total foreground ops per PC.
+  /// Total foreground ops per PC (uniform-random streams).
   std::uint64_t ops_per_pc = 1 << 14;
-  /// Ops per PC between global barriers.
+  /// Beats served per slot between global barriers.
   std::uint64_t ops_per_epoch = 1024;
   double write_fraction = 0.25;
   /// 0 = uniform-random traffic (ops_per_pc / write_fraction above).
   /// N > 0 = N sequential sweeps over each PC's full capacity instead
-  /// (first touch writes, later passes read), the shape that lets the
-  /// range engine coalesce -- the perf-gate workload (BM_StripeServe),
-  /// directly comparable to ReliableChannel::serve_trace streaming.
+  /// (first touch writes, later passes read; ops_per_pc is ignored), the
+  /// shape that lets the range engine coalesce -- the perf-gate workload
+  /// (BM_StripeServe), directly comparable to ReliableChannel::serve_trace
+  /// streaming.
   unsigned streaming_passes = 0;
   std::uint64_t seed = 1;
   /// Worker threads (1 = serial reference path, 0 = hardware count).
   unsigned threads = 1;
-  /// Optional fault-storm hook, called once per (pc_global, op tick)
-  /// before that op is served.  Must be PC-local in its mutations (see
-  /// ChaosInjector::storm_tick).  A true return means a fault event
-  /// fired on this PC; the fleet responds with an alarm-driven journal
-  /// refresh (see ReliableChannel::refresh_from_journal) -- the model
-  /// for a droop detector or RAS interrupt in a real deployment.
+  /// Optional fault-storm hook, called once per (pc_global, request tick)
+  /// before that request is served; the built-in streams then issue one
+  /// op per request, so they tick per op.  A request parked on a global
+  /// rung does not tick again when it resumes.  Must be PC-local in its
+  /// mutations (see ChaosInjector::storm_tick).  A true return means a
+  /// fault event fired on this PC; the fleet responds with an alarm-driven
+  /// journal refresh (see ReliableChannel::refresh_from_journal) -- the
+  /// model for a droop detector or RAS interrupt in a real deployment.
   std::function<bool(unsigned pc_global, std::uint64_t tick)> storm_hook;
   /// Burn-rate alert rules evaluated at every barrier (empty = defaults
   /// derived from the channel budget: a corrected-rate rule at the budget
@@ -208,12 +228,12 @@ struct FleetConfig {
   /// Must not touch the board or the channels.
   std::function<void(const EpochStatus&)> epoch_hook;
   /// Optional request plane (borrowed; must outlive the fleet).  When
-  /// set, the built-in per-PC op streams are replaced by the source's
-  /// placed-request queues: begin_epoch admits work at every barrier,
-  /// workers drain their slot queues, and end_epoch folds the per-tenant
-  /// accounting.  ops_per_epoch then bounds *beats served per slot per
-  /// epoch*; ops_per_pc / write_fraction / streaming_passes are ignored.
-  /// Incompatible with the checkpoint seam (a source is not captured).
+  /// set, it replaces the built-in per-PC streams: begin_epoch admits
+  /// work at every barrier, the worker drains each slot's queue, and
+  /// end_epoch folds the per-tenant accounting; ops_per_pc /
+  /// write_fraction / streaming_passes are ignored.  Incompatible with
+  /// the checkpoint seam: a source is not captured, and restore()
+  /// refuses such a fleet.
   RequestSource* source = nullptr;
 };
 
@@ -267,6 +287,9 @@ struct FleetCheckpoint {
     std::uint64_t cursor = 0;
     std::uint64_t storm_next = 0;
     unsigned attempts = 0;
+    std::uint64_t done = 0;         // beats of the parked request served
+    std::uint64_t next_record = 0;  // built-in stream cursor
+    PlacedRequest pending;          // built-in request (count 0: none)
     ServeReport report;
   };
   std::vector<Slot> slots;
@@ -284,6 +307,7 @@ struct FleetCheckpoint {
 class ServingFleet {
  public:
   ServingFleet(board::Vcu128Board& board, FleetConfig config);
+  ~ServingFleet();
 
   /// Serves every PC's full op stream; returns the aggregated report.
   /// With halt_after_epochs set, may instead return early with
@@ -298,7 +322,8 @@ class ServingFleet {
   /// Restores a checkpoint onto this fleet and its (fresh) board: replays
   /// voltage, burst extras, PC kills, and raw array words, then every
   /// channel/slot/group state.  The fleet must have been constructed with
-  /// the same config as the one that captured the checkpoint.
+  /// the same config as the one that captured the checkpoint, and without
+  /// an external source (invalid_argument otherwise).
   Status restore(const FleetCheckpoint& ck);
 
   [[nodiscard]] mitigate::MitigationKind scheme() const noexcept {
@@ -331,15 +356,50 @@ class ServingFleet {
   }
 
  private:
-  /// Per-PC worker state; owned by exactly one index during a fan-out.
-  struct PcState {
-    std::uint64_t cursor = 0;      // next trace record to serve
-    std::uint64_t storm_next = 0;  // first tick not yet storm-ticked
-    unsigned attempts = 0;         // escalation rounds on the current op
-    ServeReport report;
+  /// What a worker hands the barrier: an error, or the global ladder rung
+  /// it parked on.  Shared by serving slots and stripe groups; each
+  /// helper returns false when the worker must end its epoch.
+  struct ParkState {
     Status status = Status::ok();
     bool wants_global = false;
     LadderRung wanted = LadderRung::kCorrect;
+
+    bool fail(Status error) {
+      status = std::move(error);
+      return false;
+    }
+    bool park(LadderRung rung) {
+      wants_global = true;
+      wanted = rung;
+      return false;
+    }
+    /// Applies an escalate() result: true when handled locally.
+    bool take(const Result<LadderRung>& rung) {
+      if (!rung.is_ok()) return fail(rung.status());
+      return rung.value() == LadderRung::kCorrect || park(rung.value());
+    }
+    /// Escalates `ch` when its budget burned or an escalation is pending.
+    bool settle(ReliableChannel& ch) {
+      if (!ch.budget().burned() && !ch.escalation_pending()) return true;
+      return take(ch.escalate());
+    }
+  };
+
+  /// Per-PC worker state; owned by exactly one index during a fan-out.
+  struct PcState : ParkState {
+    std::uint64_t cursor = 0;      // request tick (one per request)
+    std::uint64_t storm_next = 0;  // first tick not yet storm-ticked
+    std::uint64_t served = 0;      // beats served this epoch
+    unsigned attempts = 0;         // escalation rounds on the current op
+    /// The request in flight; survives a park so it resumes at `done`.
+    struct Flight {
+      std::uint64_t done = 0;  // beats already served
+      unsigned rounds = 0;     // failed reads, against the deadline
+      std::uint64_t model_ns = 0;
+      ServeOutcome outcome = ServeOutcome::kServed;
+      bool hedging = false;  // deadline blown: the rest from the journal
+    } flight;
+    ServeReport report;
     /// Payload/read buffer for coalesced bulk runs (high-water reuse).
     std::vector<hbm::Beat> beats;
     /// Parity scratch for bulk stripe writes (distinct from `beats`,
@@ -350,15 +410,15 @@ class ServingFleet {
   /// One erasure-stripe group: members are serving slots
   /// [group * stripe_width, (group + 1) * stripe_width), plus a dedicated
   /// parity channel and at most one rebuild in flight.
-  struct StripeGroup {
+  struct StripeGroup : ParkState {
     static constexpr std::size_t kIdle = ~std::size_t(0);
     std::size_t rebuilding = kIdle;  // serving-slot index being rebuilt
     bool rebuilding_parity = false;  // the parity channel is the target
     std::uint64_t rebuild_cursor = 0;
-    Status status = Status::ok();
-    bool wants_global = false;
-    LadderRung wanted = LadderRung::kCorrect;
   };
+
+  /// The built-in per-PC streams as a RequestSource (see fleet.cpp).
+  class StreamSource;
 
   [[nodiscard]] bool striped() const noexcept {
     return config_.scheme == mitigate::MitigationKind::kStripe;
@@ -367,12 +427,11 @@ class ServingFleet {
     return slot / config_.stripe_width;
   }
 
-  void serve_pc_epoch(std::size_t i);
-  /// Request-plane worker: drains slot i's queue from config_.source
-  /// instead of the built-in trace (same parking / escalation discipline
-  /// as serve_pc_epoch, plus the deadline / hedge / stale QoS paths).
-  void serve_pc_source_epoch(std::size_t i);
-  /// Runs the storm hook for slot i at its current op tick (at most
+  /// The fleet worker: drains slot i's requests from the active source
+  /// for one epoch (escalation, parking, and the deadline / hedge / stale
+  /// QoS paths).  False = the epoch ended early on a park or an error.
+  bool serve_slot_epoch(std::size_t i);
+  /// Runs the storm hook for slot i at its current request tick (at most
   /// once), including the alarm-driven journal refresh.  False = the
   /// epoch must end (a global rung was parked or an error recorded).
   bool storm_tick_slot(std::size_t i);
@@ -380,12 +439,11 @@ class ServingFleet {
   /// this epoch's rebuild step.
   void serve_group_epoch(std::size_t g);
 
-  /// Scheme-dispatching op wrappers used by serve_pc_epoch.  In stripe
-  /// mode writes also maintain the group parity and reads of a lost
-  /// device reconstruct from peers.
-  Status do_write(std::size_t i, std::uint64_t logical, const hbm::Beat& data);
-  Status do_write_range(std::size_t i, std::uint64_t logical,
-                        std::uint64_t count, const hbm::Beat* data);
+  /// Scheme-dispatching op wrappers used by the worker.  In stripe mode
+  /// writes also maintain the group parity and reads of a lost device
+  /// reconstruct from peers.
+  Status do_write(std::size_t i, std::uint64_t logical, std::uint64_t count,
+                  const hbm::Beat* data);
   Result<hbm::Beat> do_read(std::size_t i, std::uint64_t logical);
 
   /// XOR of the live member journals at `logical` -- the parity value the
@@ -398,9 +456,6 @@ class ServingFleet {
   /// parked on the *member's* state (slot `i`).
   Result<hbm::Beat> stripe_fetch(ReliableChannel& ch, std::uint64_t logical,
                                  PcState& st);
-  /// After parity traffic: consume the parity channel's burned budget /
-  /// pending escalation, parking global needs on slot `i`'s state.
-  Status settle_parity(std::size_t g, PcState& st);
 
   /// If `ch`'s silicon was chaos-killed, flip it device-lost and return
   /// true (the op retries against the journal/stripe path) -- the prompt
@@ -420,7 +475,9 @@ class ServingFleet {
   board::Vcu128Board& board_;
   FleetConfig config_;
   std::vector<std::unique_ptr<ReliableChannel>> channels_;
-  std::vector<workload::AccessTrace> traces_;
+  std::vector<workload::AccessTrace> traces_;  // built-in streams
+  std::unique_ptr<StreamSource> streams_;
+  RequestSource* source_ = nullptr;  // config_.source, else streams_
   std::vector<PcState> states_;
   std::vector<ChannelStats> epoch_prev_;  // stats at the previous barrier
   // Stripe state (empty unless kStripe).

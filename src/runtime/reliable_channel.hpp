@@ -371,6 +371,12 @@ class ReliableChannel {
   [[nodiscard]] bool journal_live(std::uint64_t logical) const {
     return live_.get(logical);
   }
+  /// Length of the run of beats from `logical`, at most `limit` (within
+  /// capacity), whose journal_live() equals `live` -- a word-at-a-time scan.
+  [[nodiscard]] std::uint64_t live_run(std::uint64_t logical, bool live,
+                                       std::uint64_t limit) const noexcept {
+    return live_.run(logical, live, limit);
+  }
   /// True when the beat is journal-backed (no device copy can serve it).
   [[nodiscard]] bool parked(std::uint64_t logical) const {
     return parked_.contains(logical);

@@ -117,20 +117,20 @@ void RequestPlane::begin_epoch(const runtime::ServingFleet& fleet,
 
   // 1) Queue aging: anything admitted more than queue_deadline_epochs ago
   // has blown its queueing deadline -- shed it rather than serve a result
-  // nobody is waiting for.
+  // nobody is waiting for.  A request a worker already started (and
+  // parked) resumes instead.
   for (SlotState& slot : slots_) {
-    std::deque<Queued> keep;
-    for (Queued& q : slot.queue) {
+    const auto aged = [&](const Queued& q) {
       const TenantSpec& spec = config_.tenants[q.req.tenant];
-      if (q.born + spec.queue_deadline_epochs < epoch) {
-        tenants_[q.req.tenant].stats.shed_queue += q.req.count;
-        epoch_shed_ += q.req.count;
-        if (tel != nullptr) tel->count("serve.shed.queue", q.req.count);
-      } else {
-        keep.push_back(std::move(q));
-      }
-    }
-    slot.queue.swap(keep);
+      if (q.born + spec.queue_deadline_epochs >= epoch) return false;
+      tenants_[q.req.tenant].stats.shed_queue += q.req.count;
+      epoch_shed_ += q.req.count;
+      if (tel != nullptr) tel->count("serve.shed.queue", q.req.count);
+      return true;
+    };
+    const auto from = slot.queue.begin() + (slot.front_started ? 1 : 0);
+    slot.queue.erase(std::remove_if(from, slot.queue.end(), aged),
+                     slot.queue.end());
   }
 
   // 2) Admission, tenant index order: refill the token bucket, poll the
@@ -205,7 +205,8 @@ void RequestPlane::begin_epoch(const runtime::ServingFleet& fleet,
                      chunks_per_slot) *
                         chunk_ +
                     first.beat % chunk_;
-      req.count = run;
+      req.count = static_cast<std::uint32_t>(run);
+      req.payload = (static_cast<std::uint64_t>(t) << 40) | req.logical;
       req.deadline_attempts = std::min<unsigned>(spec.deadline_attempts,
                                                  config_.retry.max_attempts);
       Candidate cand;
@@ -277,7 +278,9 @@ void RequestPlane::begin_epoch(const runtime::ServingFleet& fleet,
 
 const runtime::PlacedRequest* RequestPlane::front(std::size_t slot) {
   SlotState& state = slots_[slot];
-  return state.queue.empty() ? nullptr : &state.queue.front().req;
+  if (state.queue.empty()) return nullptr;
+  state.front_started = true;
+  return &state.queue.front().req;
 }
 
 void RequestPlane::complete(std::size_t slot,
@@ -287,6 +290,7 @@ void RequestPlane::complete(std::size_t slot,
   SlotState& state = slots_[slot];
   HBMVOLT_REQUIRE(!state.queue.empty(), "complete() without a queued request");
   state.queue.pop_front();
+  state.front_started = false;
   TenantStats& s = state.scratch[request.tenant];
   s.retries += attempts;
   if (attempts > request.deadline_attempts) ++s.deadline_hits;

@@ -129,6 +129,9 @@ class RequestPlane : public runtime::RequestSource {
   /// serially at end_epoch.  Workers touch only their own slot.
   struct SlotState {
     std::deque<Queued> queue;
+    /// front() handed the queue's front to the worker, which may have
+    /// parked it mid-request: queue aging must not shed it.
+    bool front_started = false;
     std::vector<std::uint64_t> retry_tokens;          // per tenant
     std::vector<TenantStats> scratch;                 // per tenant deltas
     std::vector<telemetry::HdrHistogram> latency;     // per tenant

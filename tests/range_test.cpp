@@ -248,6 +248,19 @@ TEST(FlatIndexTest, BitVecRunScans) {
   bits.clear(127);
   EXPECT_EQ(bits.next_clear(100), 127u);
   EXPECT_EQ(bits.next_set(127), 128u);
+  // run(): the same-valued stretch from a start, capped by its limit,
+  // across word boundaries and up to the last bit.
+  EXPECT_EQ(bits.run(100, true, 30), 27u);
+  EXPECT_EQ(bits.run(100, true, 20), 20u);
+  EXPECT_EQ(bits.run(127, false, 3), 1u);
+  EXPECT_EQ(bits.run(128, true, 2), 2u);
+  EXPECT_EQ(bits.run(0, true, 127), 127u);
+  EXPECT_EQ(bits.run(5, true, 0), 0u);
+  bits.assign(130, false);
+  bits.set(70);
+  EXPECT_EQ(bits.run(3, false, 127), 67u);
+  EXPECT_EQ(bits.run(70, true, 60), 1u);
+  EXPECT_EQ(bits.run(71, false, 59), 59u);
 }
 
 // ---------------------------------------------------------------------------

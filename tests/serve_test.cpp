@@ -15,7 +15,10 @@
 //    cannot amplify retries.
 
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -354,6 +357,233 @@ TEST(RequestPlaneTest, HealthDashboardAndJsonExposeTenantRows) {
   const std::string plane_json = plane.to_json();
   EXPECT_NE(plane_json.find("\"qos\""), std::string::npos);
   EXPECT_NE(plane_json.find("\"fingerprint\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// One worker: accounting, storm ticks, and the placed-request seam
+// ---------------------------------------------------------------------------
+
+chaos::ChaosConfig rot_and_burst_chaos() {
+  chaos::ChaosConfig config;
+  config.seed = 404;
+  config.weak_burst_rate = 1e-4;
+  config.bit_rot_rate = 1e-3;
+  config.burst_cells = 4;
+  return config;
+}
+
+PlaneConfig probe_plane() {
+  PlaneConfig config = plane_config(21);
+  for (TenantSpec& spec : config.tenants) spec.ops = 4000;
+  return config;
+}
+
+/// Forwards to a RequestPlane and counts complete() calls per slot.
+class CountingSource : public runtime::RequestSource {
+ public:
+  explicit CountingSource(RequestPlane& plane) : plane_(plane) {}
+
+  void begin_epoch(const runtime::ServingFleet& fleet,
+                   std::uint64_t epoch) override {
+    if (completed.empty()) completed.assign(fleet.channels(), 0);
+    plane_.begin_epoch(fleet, epoch);
+  }
+  const runtime::PlacedRequest* front(std::size_t slot) override {
+    return plane_.front(slot);
+  }
+  void complete(std::size_t slot, const runtime::PlacedRequest& request,
+                runtime::ServeOutcome outcome, unsigned attempts,
+                std::uint64_t model_ns) override {
+    ++completed[slot];
+    plane_.complete(slot, request, outcome, attempts, model_ns);
+  }
+  bool spend_retry(std::size_t slot, std::uint32_t tenant) override {
+    return plane_.spend_retry(slot, tenant);
+  }
+  void end_epoch(telemetry::EpochSample* sample) override {
+    plane_.end_epoch(sample);
+  }
+  [[nodiscard]] bool exhausted() const override { return plane_.exhausted(); }
+  [[nodiscard]] std::uint64_t epochs_remaining_bound() const override {
+    return plane_.epochs_remaining_bound();
+  }
+  void fill_health(runtime::HealthRegistry* health) const override {
+    plane_.fill_health(health);
+  }
+  [[nodiscard]] std::uint64_t fingerprint() const override {
+    return plane_.fingerprint();
+  }
+
+  /// Requests completed per slot (one entry per serving slot).
+  std::vector<std::uint64_t> completed;
+
+ private:
+  RequestPlane& plane_;
+};
+
+TEST(FleetWorkerTest, ParkedRequestsResumeWithoutRecountingServedBeats) {
+  // Bit rot and weak-cell bursts at 910 mV drive requests onto global
+  // rungs mid-request.  A parked request resumes at the beat it parked
+  // on, so no beat is counted twice: reads + writes never exceed ops
+  // (shed requests serve fewer beats than they count).
+  board::Vcu128Board board(tiny_board());
+  ASSERT_TRUE(board.set_hbm_voltage(Millivolts{910}).is_ok());
+  chaos::ChaosInjector injector(board, rot_and_burst_chaos());
+  RequestPlane plane(probe_plane());
+  runtime::FleetConfig config = fleet_config(plane, 1, 21);
+  config.storm_hook = [&injector](unsigned pc_global, std::uint64_t tick) {
+    return injector.storm_tick(pc_global, tick);
+  };
+  runtime::ServingFleet fleet(board, config);
+  auto result = fleet.run();
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const runtime::FleetReport& report = result.value();
+  EXPECT_EQ(report.corrupt_reads, 0u);
+  EXPECT_GT(report.raises + report.power_cycles, 0u)
+      << "the probe must park requests on a global rung";
+  EXPECT_LE(report.reads + report.writes, report.ops);
+
+  // The built-in streams serve every op exactly once.
+  for (const unsigned passes : {0u, 2u}) {
+    board::Vcu128Board builtin_board(tiny_board());
+    ASSERT_TRUE(builtin_board.set_hbm_voltage(Millivolts{910}).is_ok());
+    chaos::ChaosInjector builtin_injector(builtin_board, rot_and_burst_chaos());
+    runtime::FleetConfig builtin;
+    builtin.ops_per_pc = 1024;
+    builtin.ops_per_epoch = 64;
+    builtin.streaming_passes = passes;
+    builtin.seed = 21;
+    builtin.storm_hook = [&builtin_injector](unsigned pc_global,
+                                             std::uint64_t tick) {
+      return builtin_injector.storm_tick(pc_global, tick);
+    };
+    runtime::ServingFleet builtin_fleet(builtin_board, builtin);
+    auto builtin_result = builtin_fleet.run();
+    ASSERT_TRUE(builtin_result.is_ok())
+        << builtin_result.status().to_string();
+    const runtime::FleetReport& r = builtin_result.value();
+    EXPECT_GT(r.raises + r.power_cycles, 0u) << "passes=" << passes;
+    EXPECT_EQ(r.reads + r.writes, r.ops) << "passes=" << passes;
+    EXPECT_EQ(r.corrupt_reads, 0u) << "passes=" << passes;
+  }
+}
+
+/// Every tick the storm hook sees, per global PC, in call order.
+using TickLog = std::map<unsigned, std::vector<std::uint64_t>>;
+
+TEST(FleetWorkerTest, StormHookTicksOncePerOpOrRequest) {
+  // Built-in streams tick once per served op; the plane once per request.
+  // Requests parked on a global rung (bit rot at 910 mV forces some) keep
+  // their tick: every PC's ticks are exactly 0, 1, 2, ... with no repeat.
+  const auto check_ticks = [](const TickLog& log, unsigned pc,
+                              std::uint64_t expected) {
+    const auto it = log.find(pc);
+    const std::size_t seen = it == log.end() ? 0 : it->second.size();
+    ASSERT_EQ(seen, expected) << "pc " << pc;
+    for (std::uint64_t k = 0; k < expected; ++k) {
+      ASSERT_EQ(it->second[k], k) << "pc " << pc << " ticked out of order";
+    }
+  };
+
+  {
+    board::Vcu128Board board(tiny_board());
+    ASSERT_TRUE(board.set_hbm_voltage(Millivolts{910}).is_ok());
+    chaos::ChaosInjector injector(board, rot_and_burst_chaos());
+    TickLog log;
+    runtime::FleetConfig config;
+    config.pcs = {0, 1, 2, 3, 4, 5, 6, 7};
+    config.ops_per_pc = 1024;
+    config.ops_per_epoch = 64;
+    config.seed = 21;
+    config.storm_hook = [&](unsigned pc_global, std::uint64_t tick) {
+      log[pc_global].push_back(tick);
+      return injector.storm_tick(pc_global, tick);
+    };
+    runtime::ServingFleet fleet(board, config);
+    auto result = fleet.run();
+    ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+    EXPECT_GT(result.value().raises + result.value().power_cycles, 0u);
+    for (const unsigned pc : config.pcs) check_ticks(log, pc, 1024);
+  }
+
+  board::Vcu128Board board(tiny_board());
+  ASSERT_TRUE(board.set_hbm_voltage(Millivolts{910}).is_ok());
+  chaos::ChaosInjector injector(board, rot_and_burst_chaos());
+  RequestPlane plane(probe_plane());
+  CountingSource source(plane);
+  TickLog log;
+  runtime::FleetConfig config = fleet_config(plane, 1, 21);
+  config.source = &source;
+  config.storm_hook = [&](unsigned pc_global, std::uint64_t tick) {
+    log[pc_global].push_back(tick);
+    return injector.storm_tick(pc_global, tick);
+  };
+  runtime::ServingFleet fleet(board, config);
+  auto result = fleet.run();
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_GT(result.value().raises + result.value().power_cycles, 0u);
+  for (std::size_t slot = 0; slot < fleet.channels(); ++slot) {
+    check_ticks(log, fleet.config().pcs[slot], source.completed[slot]);
+  }
+}
+
+TEST(FleetWorkerTest, RestoreRejectsAnExternalSource) {
+  // A RequestSource's queues are not part of a FleetCheckpoint, so a
+  // plane-driven fleet cannot resume from one.
+  board::Vcu128Board board(tiny_board());
+  RequestPlane plane(plane_config(3));
+  runtime::FleetConfig config = fleet_config(plane, 1, 3);
+  config.pcs = {0, 1, 2, 3};
+  runtime::ServingFleet fleet(board, config);
+  const runtime::FleetCheckpoint ck = fleet.checkpoint();
+  const Status restored = fleet.restore(ck);
+  EXPECT_EQ(restored.code(), StatusCode::kInvalidArgument)
+      << restored.to_string();
+}
+
+/// Places one request at `logical` on slot 0, then reports exhaustion.
+class OnePlacedRequest : public runtime::RequestSource {
+ public:
+  OnePlacedRequest(std::uint64_t logical, std::uint64_t count) {
+    request_.logical = logical;
+    request_.count = count;
+  }
+  void begin_epoch(const runtime::ServingFleet&, std::uint64_t) override {}
+  const runtime::PlacedRequest* front(std::size_t slot) override {
+    return slot == 0 && !done_ ? &request_ : nullptr;
+  }
+  void complete(std::size_t, const runtime::PlacedRequest&,
+                runtime::ServeOutcome, unsigned, std::uint64_t) override {
+    done_ = true;
+  }
+  bool spend_retry(std::size_t, std::uint32_t) override { return true; }
+  void end_epoch(telemetry::EpochSample*) override {}
+  [[nodiscard]] bool exhausted() const override { return done_; }
+  [[nodiscard]] std::uint64_t epochs_remaining_bound() const override {
+    return 1;
+  }
+  void fill_health(runtime::HealthRegistry*) const override {}
+  [[nodiscard]] std::uint64_t fingerprint() const override { return 1; }
+
+ private:
+  runtime::PlacedRequest request_;
+  bool done_ = false;
+};
+
+TEST(FleetWorkerDeathTest, PlacedRequestBoundCheckDoesNotWrap) {
+  // logical + count wraps to 0 here; the bound check must still refuse.
+  const auto serve_one = [](std::uint64_t logical, std::uint64_t count) {
+    board::Vcu128Board board(tiny_board());
+    OnePlacedRequest source(logical, count);
+    runtime::FleetConfig config;
+    config.pcs = {0};
+    config.source = &source;
+    runtime::ServingFleet fleet(board, config);
+    (void)fleet.run();
+  };
+  EXPECT_DEATH(serve_one(std::numeric_limits<std::uint64_t>::max() - 1, 2),
+               "placed request outside slot capacity");
+  EXPECT_DEATH(serve_one(0, 0), "placed request outside slot capacity");
 }
 
 }  // namespace
