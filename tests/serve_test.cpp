@@ -18,7 +18,6 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
