@@ -5,6 +5,7 @@
 // on.
 
 #include <optional>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -443,22 +444,26 @@ void BM_StripeServe(benchmark::State& state) {
 }
 BENCHMARK(BM_StripeServe)->Arg(1200)->Arg(950)->Unit(benchmark::kMillisecond);
 
-// Request-plane bookkeeping price (docs/serving.md, CI perf gate): the
-// same single-threaded SECDED fleet serving a streaming shape bare
-// (Arg 1 == 0: the fleet's built-in per-PC sweeps -- the same reliable
-// serving path BM_ReliableServe prices on one channel) vs driven
-// through the multi-tenant RequestPlane (Arg 1 == 1: four streaming
-// tenants, chunk-placed, admission-controlled, deadline-tracked).
-// items/s counts foreground beats served either way, so the gap between
-// the two arms is what the plane's hashing, queues, and per-tenant
-// accounting cost; CI fails if that overhead exceeds 10% at nominal
-// voltage.  chunk_beats is large (512) so the range engine coalesces
-// comparably in both arms; board rebuilt per iteration with overlays
-// pre-built and tenant traces generated under PauseTiming.
+// Request-plane bookkeeping price (docs/serving.md, CI perf gate): one
+// single-threaded SECDED fleet on four PCs serves the same streaming work
+// bare (Arg 1 == 0: the fleet's built-in per-PC sweeps) and through the
+// multi-tenant RequestPlane (Arg 1 == 1: four streaming tenants, placed,
+// admission-controlled, deadline-tracked).  Both arms serve equal work:
+// each tenant sweeps one channel's capacity kPasses times (one write
+// pass, then reads) as one chunk, and the plane seed places the four
+// tenants on four distinct PCs, so both arms serve the same beats, the
+// same write/read mix and the same runs onto the same live footprint.
+// Queues are deep enough that nothing is shed, and an iteration that
+// serves other work fails the benchmark.  items/s counts foreground beats
+// either way, so the gap between the two arms is what the plane's
+// hashing, queues, and per-tenant accounting cost; CI fails if that
+// overhead exceeds 10% at nominal voltage.  Board rebuilt per iteration
+// with overlays pre-built and the plane built under PauseTiming.
 void BM_TenantServe(benchmark::State& state) {
   const int mv = static_cast<int>(state.range(0));
   const bool plane_on = state.range(1) != 0;
   constexpr unsigned kPasses = 8;
+  const std::vector<unsigned> pcs = {0, 1, 2, 3};
   std::uint64_t ops = 0;
   std::optional<board::Vcu128Board> board;
   std::optional<serve::RequestPlane> plane;
@@ -470,26 +475,34 @@ void BM_TenantServe(benchmark::State& state) {
     board.emplace(bench::default_board_config());
     (void)board->set_hbm_voltage(Millivolts{mv});
     const unsigned per_stack = board->geometry().pcs_per_stack();
-    for (unsigned pc = 0; pc < board->geometry().total_pcs(); ++pc) {
+    for (const unsigned pc : pcs) {
       (void)board->stack(pc / per_stack).read_beat(pc % per_stack, 0);
     }
     runtime::FleetConfig config;
+    config.pcs = pcs;
     config.scheme = mitigate::MitigationKind::kSecded;
     config.threads = 1;
     config.seed = 0x5E11E;
+    config.ops_per_epoch = 2048;
+    const std::uint64_t capacity =
+        runtime::ReliableChannel(*board, pcs[0], config.channel).capacity();
     if (plane_on) {
-      // ops = footprint x kPasses, so each tenant is one write pass plus
-      // kPasses-1 read passes -- the same read/write mix as the bare arm.
+      // One tenant per PC at the bare fleet's per-epoch rate; a chunk is
+      // the whole footprint, and this seed hashes tenant t's chunk onto
+      // a PC of its own (the footprint check below fails otherwise).
       serve::PlaneConfig plane_config;
       plane_config.tenants = serve::make_tenant_set(
-          4, {serve::WorkloadMix::kStreaming},
-          /*ops=*/2048 * kPasses,
-          /*footprint_beats=*/2048, /*quota_per_epoch=*/8192);
-      plane_config.seed = 0x5E11E;
-      plane_config.chunk_beats = 512;
+          static_cast<unsigned>(pcs.size()), {serve::WorkloadMix::kStreaming},
+          /*ops=*/capacity * kPasses, /*footprint_beats=*/capacity,
+          /*quota_per_epoch=*/config.ops_per_epoch);
+      for (serve::TenantSpec& spec : plane_config.tenants) {
+        spec.queue_deadline_epochs = 1 << 20;
+      }
+      plane_config.seed = 0x5E120;
+      plane_config.chunk_beats = capacity;
+      plane_config.max_queue_per_slot = 1 << 20;
       plane.emplace(std::move(plane_config));
       config.source = &*plane;
-      config.ops_per_epoch = 2048;
     } else {
       config.streaming_passes = kPasses;
     }
@@ -498,6 +511,15 @@ void BM_TenantServe(benchmark::State& state) {
     auto report = fleet->run();
     if (!report.is_ok()) {
       state.SkipWithError("fleet run failed");
+      break;
+    }
+    bool equal = report.value().writes == pcs.size() * capacity &&
+                 report.value().reads == pcs.size() * capacity * (kPasses - 1);
+    for (std::size_t i = 0; i < fleet->channels(); ++i) {
+      equal = equal && fleet->channel(i).live_run(0, true, capacity) == capacity;
+    }
+    if (!equal) {
+      state.SkipWithError("bare and plane arms served unequal work");
       break;
     }
     ops += report.value().ops;

@@ -132,6 +132,21 @@ class BitVec {
     return (words_[i / 64] >> (i % 64)) & 1ull;
   }
   void set(std::uint64_t i) noexcept { words_[i / 64] |= 1ull << (i % 64); }
+  /// Sets bits [lo, lo + n) a word at a time (lo + n <= size()).
+  void set_range(std::uint64_t lo, std::uint64_t n) noexcept {
+    if (n == 0) return;
+    const std::uint64_t last = (lo + n - 1) / 64;
+    const std::uint64_t head = ~0ull << (lo % 64);
+    const std::uint64_t tail = ~0ull >> (63 - (lo + n - 1) % 64);
+    std::uint64_t w = lo / 64;
+    if (w == last) {
+      words_[w] |= head & tail;
+      return;
+    }
+    words_[w] |= head;
+    while (++w < last) words_[w] = ~0ull;
+    words_[last] |= tail;
+  }
   void clear(std::uint64_t i) noexcept {
     words_[i / 64] &= ~(1ull << (i % 64));
   }

@@ -45,8 +45,8 @@ constexpr unsigned kMaxBeatAttempts = 64;
 
 }  // namespace
 
-/// The built-in per-PC streams as a RequestSource over the fleet's stored
-/// traces.  A request is a maximal run of consecutive-beat records in one
+/// The built-in per-PC streams as a RequestSource over the fleet's demand
+/// streams.  A request is a maximal run of consecutive beats in one
 /// effective direction (a read of a never-written beat is a write),
 /// capped at the slot's remaining epoch budget -- or a single record when
 /// a storm hook is set, so storms tick per op.  The payload identity is
@@ -68,29 +68,40 @@ class ServingFleet::StreamSource final : public RequestSource {
   const PlacedRequest* front(std::size_t slot) override {
     Stream& stream = streams[slot];
     if (stream.pending.count > 0) return &stream.pending;
-    const workload::AccessTrace& trace = fleet_.traces_[slot];
-    if (stream.next >= trace.size()) return nullptr;
+    const workload::DemandStream& demand = fleet_.demand_[slot];
+    if (stream.next >= demand.size()) return nullptr;
     const ReliableChannel& channel = *fleet_.channels_[slot];
-    const std::uint64_t cap = channel.capacity();
-    PlacedRequest& r = stream.pending;
-    r.logical = trace[stream.next].beat % cap;
-    r.write = trace[stream.next].write || !channel.journal_live(r.logical);
-    r.payload = stream.next;
-    r.deadline_attempts = std::numeric_limits<unsigned>::max();
     const std::uint64_t budget =
         fleet_.config_.storm_hook
             ? 1
             : std::min<std::uint64_t>(
-                  trace.size() - stream.next,
-                  fleet_.config_.ops_per_epoch - fleet_.states_[slot].served);
-    r.count = 1;
-    while (r.count < budget) {
-      const workload::TraceRecord& record = trace[stream.next + r.count];
-      const std::uint64_t logical = record.beat % cap;
-      if (logical != r.logical + r.count) break;
-      if ((record.write || !channel.journal_live(logical)) != r.write) break;
-      ++r.count;
+                  {demand.size() - stream.next,
+                   fleet_.config_.ops_per_epoch - fleet_.states_[slot].served,
+                   std::numeric_limits<std::uint32_t>::max()});
+    PlacedRequest& r = stream.pending;
+    r.payload = stream.next;
+    r.deadline_attempts = std::numeric_limits<unsigned>::max();
+    // Split each raw run by liveness, word-wide; a piece that reaches the
+    // raw run's end merges with the next raw run when that one continues
+    // the beats in the same effective direction.
+    std::uint64_t count = 0;
+    while (count < budget) {
+      const workload::DemandRun run =
+          demand.run(stream.next + count, budget - count);
+      const bool live = channel.journal_live(run.beat);
+      const bool write = run.write || !live;
+      if (count == 0) {
+        r.logical = run.beat;
+        r.write = write;
+      } else if (run.beat != r.logical + count || write != r.write) {
+        break;
+      }
+      const std::uint64_t n =
+          run.write ? run.count : channel.live_run(run.beat, live, run.count);
+      count += n;
+      if (n < run.count) break;
     }
+    r.count = static_cast<std::uint32_t>(count);
     return &r;
   }
 
@@ -103,15 +114,15 @@ class ServingFleet::StreamSource final : public RequestSource {
   void end_epoch(telemetry::EpochSample*) override {}
 
   [[nodiscard]] bool exhausted() const override {
-    for (std::size_t i = 0; i < fleet_.traces_.size(); ++i) {
-      if (streams[i].next < fleet_.traces_[i].size()) return false;
+    for (std::size_t i = 0; i < fleet_.demand_.size(); ++i) {
+      if (streams[i].next < fleet_.demand_[i].size()) return false;
     }
     return true;
   }
   [[nodiscard]] std::uint64_t epochs_remaining_bound() const override {
     std::uint64_t longest = 0;
-    for (const auto& trace : fleet_.traces_) {
-      longest = std::max<std::uint64_t>(longest, trace.size());
+    for (const workload::DemandStream& demand : fleet_.demand_) {
+      longest = std::max(longest, demand.size());
     }
     const std::uint64_t epoch = fleet_.config_.ops_per_epoch;
     return (longest + epoch - 1) / epoch;
@@ -163,16 +174,15 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
     channels_.push_back(
         std::make_unique<ReliableChannel>(board_, pc, config_.channel));
     // Request-plane mode: the source's slot queues replace the built-in
-    // streams entirely.
+    // streams entirely.  Sweeps are arithmetic and store no records.
     if (config_.source != nullptr) continue;
-    traces_.push_back(
+    const std::uint64_t capacity = channels_.back()->capacity();
+    demand_.push_back(
         config_.streaming_passes > 0
-            ? workload::make_streaming(channels_.back()->capacity(),
-                                       config_.streaming_passes)
-            : workload::make_uniform_random(
-                  channels_.back()->capacity(), config_.ops_per_pc,
-                  config_.write_fraction,
-                  stream_seed(config_.seed, 0xF1EE7, pc, 0)));
+            ? workload::DemandStream::sweep(capacity, config_.streaming_passes)
+            : workload::DemandStream::replay(workload::make_uniform_random(
+                  capacity, config_.ops_per_pc, config_.write_fraction,
+                  stream_seed(config_.seed, 0xF1EE7, pc, 0))));
   }
   if (striped()) {
     // Stripe XOR needs every member and parity channel address-congruent.

@@ -4,10 +4,14 @@
 // One ReliableChannel per pseudo-channel, served in epochs over the core
 // thread pool (core/parallel.hpp) by one worker that drains placed
 // requests from a RequestSource: the request plane (FleetConfig::source),
-// or else the fleet's built-in per-PC streams (workload::make_uniform_random
-// over a counter-derived seed, or streaming passes), which the fleet itself
-// serves as coalesced same-direction runs.  The determinism discipline is
-// the repo's usual one:
+// or else the fleet's built-in per-PC streams, which the fleet itself
+// serves as coalesced same-direction runs.  A built-in stream is a
+// workload::DemandStream (workload/demand.hpp): streaming passes are an
+// arithmetic sweep that stores no trace, so any pass count costs O(1)
+// memory, and uniform-random traffic (make_uniform_random over a
+// counter-derived seed) replays a stored trace of ops_per_pc records.
+// Each request is one raw run from the stream, split by journal liveness
+// a word at a time.  The determinism discipline is the repo's usual one:
 //
 //  * workers own disjoint per-PC state (channel, request in flight,
 //    report slot) and never mutate anything global -- a worker that needs
@@ -60,7 +64,7 @@
 #include "runtime/health.hpp"
 #include "runtime/reliable_channel.hpp"
 #include "telemetry/alerts.hpp"
-#include "workload/trace.hpp"
+#include "workload/demand.hpp"
 
 namespace hbmvolt::runtime {
 
@@ -202,7 +206,8 @@ struct FleetConfig {
   /// (first touch writes, later passes read; ops_per_pc is ignored), the
   /// shape that lets the range engine coalesce -- the perf-gate workload
   /// (BM_StripeServe), directly comparable to ReliableChannel::serve_trace
-  /// streaming.
+  /// streaming.  The sweeps are computed, never stored: no trace is held
+  /// for any N, up to UINT_MAX.
   unsigned streaming_passes = 0;
   std::uint64_t seed = 1;
   /// Worker threads (1 = serial reference path, 0 = hardware count).
@@ -288,7 +293,7 @@ struct FleetCheckpoint {
     std::uint64_t storm_next = 0;
     unsigned attempts = 0;
     std::uint64_t done = 0;         // beats of the parked request served
-    std::uint64_t next_record = 0;  // built-in stream cursor
+    std::uint64_t next_record = 0;  // built-in stream record cursor
     PlacedRequest pending;          // built-in request (count 0: none)
     ServeReport report;
   };
@@ -475,7 +480,7 @@ class ServingFleet {
   board::Vcu128Board& board_;
   FleetConfig config_;
   std::vector<std::unique_ptr<ReliableChannel>> channels_;
-  std::vector<workload::AccessTrace> traces_;  // built-in streams
+  std::vector<workload::DemandStream> demand_;  // built-in streams
   std::unique_ptr<StreamSource> streams_;
   RequestSource* source_ = nullptr;  // config_.source, else streams_
   std::vector<PcState> states_;

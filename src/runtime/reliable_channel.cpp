@@ -414,7 +414,7 @@ Status ReliableChannel::write_range(std::uint64_t logical, std::uint64_t count,
   if (device_lost_) {
     std::copy(data, data + count,
               journal_.begin() + static_cast<long>(logical));
-    for (std::uint64_t i = 0; i < count; ++i) live_.set(logical + i);
+    live_.set_range(logical, count);
     stats_.writes += count;
     ops_ += count;
     return settle_scrub_debt(ops_before);
@@ -461,7 +461,7 @@ Status ReliableChannel::write_range(std::uint64_t logical, std::uint64_t count,
         }
       }
       std::copy(src, src + n, journal_.begin() + static_cast<long>(cur));
-      for (std::uint64_t i = 0; i < n; ++i) live_.set(cur + i);
+      live_.set_range(cur, n);
       stats_.writes += n;
       ops_ += n;
       cur = plain_end;
@@ -811,8 +811,7 @@ void ReliableChannel::capture(ChannelCheckpoint* out) const {
   ck.spares = spares_;
   ck.spare_cursor = spare_cursor_;
   ck.journal = journal_;
-  ck.live.assign(live_.size(), false);
-  for (std::uint64_t i = 0; i < live_.size(); ++i) ck.live[i] = live_.get(i);
+  ck.live = live_;
   ck.parked = parked_.keys();
   ck.special = special_.keys();
   ck.row_events.assign(row_events_.begin(), row_events_.end());
@@ -821,10 +820,7 @@ void ReliableChannel::capture(ChannelCheckpoint* out) const {
   ck.ops = ops_;
   ck.scrub_cursor = scrub_cursor_;
   ck.escalation_pending = escalation_pending_;
-  ck.clean_blocks.assign(clean_blocks_.size(), false);
-  for (std::uint64_t i = 0; i < clean_blocks_.size(); ++i) {
-    ck.clean_blocks[i] = clean_blocks_.get(i);
-  }
+  ck.clean_blocks = clean_blocks_;
   ck.scan_block = scan_block_;
   ck.scan_clean = scan_clean_;
   ck.stats = stats_;
@@ -851,10 +847,9 @@ void ReliableChannel::restore(const ChannelCheckpoint& ck) {
   spares_ = ck.spares;
   spare_cursor_ = ck.spare_cursor;
   journal_ = ck.journal;
-  live_.assign(ck.live.size(), false);
-  for (std::uint64_t i = 0; i < ck.live.size(); ++i) {
-    if (ck.live[i]) live_.set(i);
-  }
+  HBMVOLT_REQUIRE(ck.live.size() == capacity(),
+                  "checkpoint live map size mismatch");
+  live_ = ck.live;  // word copy
   parked_.clear();
   for (const std::uint64_t key : ck.parked) parked_.insert(key);
   special_.clear();
@@ -868,10 +863,7 @@ void ReliableChannel::restore(const ChannelCheckpoint& ck) {
   ops_ = ck.ops;
   scrub_cursor_ = ck.scrub_cursor;
   escalation_pending_ = ck.escalation_pending;
-  clean_blocks_.assign(ck.clean_blocks.size(), false);
-  for (std::uint64_t i = 0; i < ck.clean_blocks.size(); ++i) {
-    if (ck.clean_blocks[i]) clean_blocks_.set(i);
-  }
+  clean_blocks_ = ck.clean_blocks;
   scan_block_ = ck.scan_block;
   scan_clean_ = ck.scan_clean;
   stats_ = ck.stats;

@@ -192,7 +192,7 @@ struct ChannelCheckpoint {
   std::vector<std::uint32_t> spares;
   std::size_t spare_cursor = 0;
   std::vector<hbm::Beat> journal;
-  std::vector<bool> live;
+  BitVec live;
   std::vector<std::uint64_t> parked;
   std::vector<std::uint64_t> special;
   std::vector<std::pair<std::uint64_t, unsigned>> row_events;
@@ -201,7 +201,7 @@ struct ChannelCheckpoint {
   std::uint64_t ops = 0;
   std::uint64_t scrub_cursor = 0;
   bool escalation_pending = false;
-  std::vector<bool> clean_blocks;
+  BitVec clean_blocks;
   std::uint64_t scan_block = 0;
   bool scan_clean = false;
   ChannelStats stats;

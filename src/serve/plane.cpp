@@ -16,24 +16,25 @@ constexpr std::uint64_t kSlotSalt = 0x51A7;
 constexpr std::uint64_t kChunkSalt = 0xBA5E;
 constexpr std::uint64_t kFingerprintSalt = 0x7E57A11;
 
-workload::AccessTrace make_demand(const TenantSpec& spec, std::uint64_t seed) {
+workload::DemandStream make_demand(const TenantSpec& spec,
+                                   std::uint64_t seed) {
   switch (spec.mix) {
     case WorkloadMix::kZipfian:
-      return workload::make_zipfian(spec.footprint_beats, spec.ops,
-                                    spec.zipf_theta, spec.write_fraction, seed);
-    case WorkloadMix::kStreaming: {
-      const auto passes = static_cast<unsigned>(
+      return workload::DemandStream::replay(workload::make_zipfian(
+          spec.footprint_beats, spec.ops, spec.zipf_theta, spec.write_fraction,
+          seed));
+    case WorkloadMix::kStreaming:
+      return workload::DemandStream::sweep(
+          spec.footprint_beats,
           std::max<std::uint64_t>(1, spec.ops / spec.footprint_beats));
-      return workload::make_streaming(spec.footprint_beats, passes);
-    }
     case WorkloadMix::kPointerChase:
-      return workload::make_pointer_chase(spec.footprint_beats, spec.ops,
-                                          seed);
+      return workload::DemandStream::replay(workload::make_pointer_chase(
+          spec.footprint_beats, spec.ops, seed));
     case WorkloadMix::kUniform:
       break;
   }
-  return workload::make_uniform_random(spec.footprint_beats, spec.ops,
-                                       spec.write_fraction, seed);
+  return workload::DemandStream::replay(workload::make_uniform_random(
+      spec.footprint_beats, spec.ops, spec.write_fraction, seed));
 }
 
 }  // namespace
@@ -50,9 +51,9 @@ RequestPlane::RequestPlane(PlaneConfig config) : config_(std::move(config)) {
     HBMVOLT_REQUIRE(spec.quota_per_epoch > 0, "tenant needs a quota");
     // Generators may round the demand (whole streaming passes, the
     // pointer-chase write pass); the spec keeps the realized size.
-    tenants_[t].trace =
+    tenants_[t].demand =
         make_demand(spec, stream_seed(config_.seed, kTraceSalt, t));
-    spec.ops = tenants_[t].trace.size();
+    spec.ops = tenants_[t].demand.size();
   }
 }
 
@@ -148,7 +149,7 @@ void RequestPlane::begin_epoch(const runtime::ServingFleet& fleet,
     TenantState& ts = tenants_[t];
     const TenantSpec& spec = config_.tenants[t];
     ts.tokens = std::min(spec.burst_tokens, ts.tokens + spec.quota_per_epoch);
-    if (ts.cursor >= ts.trace.size()) continue;
+    if (ts.cursor >= ts.demand.size()) continue;
     std::uint64_t mult = 1;
     if (config_.chaos != nullptr) {
       mult = config_.chaos->surge_tick(t, epoch);
@@ -158,7 +159,7 @@ void RequestPlane::begin_epoch(const runtime::ServingFleet& fleet,
       }
     }
     const std::uint64_t offer = std::min<std::uint64_t>(
-        spec.quota_per_epoch * mult, ts.trace.size() - ts.cursor);
+        spec.quota_per_epoch * mult, ts.demand.size() - ts.cursor);
     ts.stats.demand += offer;
     if (brownout_ >= 2 && spec.qos == QosClass::kBestEffort) {
       ts.stats.shed_brownout += offer;
@@ -178,23 +179,19 @@ void RequestPlane::begin_epoch(const runtime::ServingFleet& fleet,
     }
     if (tel != nullptr && admit > 0) tel->count("serve.admitted", admit);
 
-    // Place the admitted window: coalesce consecutive same-direction
-    // beats inside one chunk, then hash (tenant, chunk) to a slot and a
-    // chunk-aligned base so a tenant's chunk always lands on one home.
+    // Place the admitted window: take each run of consecutive same-
+    // direction beats from the demand stream, trim it at the chunk
+    // boundary, then hash (tenant, chunk) to a slot and a chunk-aligned
+    // base so a tenant's chunk always lands on one home.  No run inside a
+    // chunk exceeds chunk_ records, which bounds the trace-backed scan.
     const std::uint64_t end = ts.cursor + admit;
     std::uint64_t i = ts.cursor;
     while (i < end) {
-      const workload::TraceRecord& first = ts.trace[i];
+      const workload::DemandRun first =
+          ts.demand.run(i, std::min(end - i, chunk_));
       const std::uint64_t chunk = first.beat / chunk_;
-      std::uint64_t run = 1;
-      while (i + run < end) {
-        const workload::TraceRecord& next = ts.trace[i + run];
-        if (next.write != first.write || next.beat != first.beat + run ||
-            next.beat / chunk_ != chunk) {
-          break;
-        }
-        ++run;
-      }
+      const std::uint64_t run =
+          std::min(first.count, chunk_ - first.beat % chunk_);
       const std::uint64_t key = (static_cast<std::uint64_t>(t) << 32) | chunk;
       runtime::PlacedRequest req;
       req.tenant = static_cast<std::uint32_t>(t);
@@ -370,7 +367,7 @@ void RequestPlane::end_epoch(telemetry::EpochSample* sample) {
 
 bool RequestPlane::exhausted() const {
   for (const TenantState& ts : tenants_) {
-    if (ts.cursor < ts.trace.size()) return false;
+    if (ts.cursor < ts.demand.size()) return false;
   }
   for (const SlotState& slot : slots_) {
     if (!slot.queue.empty()) return false;
@@ -387,7 +384,7 @@ std::uint64_t RequestPlane::epochs_remaining_bound() const {
     const TenantState& ts = tenants_[t];
     const TenantSpec& spec = config_.tenants[t];
     const std::uint64_t left =
-        ts.trace.size() - std::min<std::uint64_t>(ts.cursor, ts.trace.size());
+        ts.demand.size() - std::min(ts.cursor, ts.demand.size());
     const std::uint64_t quota = std::max<std::uint64_t>(1, spec.quota_per_epoch);
     bound += (left + quota - 1) / quota + spec.queue_deadline_epochs + 2;
   }

@@ -47,7 +47,7 @@
 #include "runtime/fleet.hpp"
 #include "serve/tenant.hpp"
 #include "telemetry/hdr_histogram.hpp"
-#include "workload/trace.hpp"
+#include "workload/demand.hpp"
 
 namespace hbmvolt::chaos {
 class ChaosInjector;
@@ -137,7 +137,10 @@ class RequestPlane : public runtime::RequestSource {
     std::vector<telemetry::HdrHistogram> latency;     // per tenant
   };
   struct TenantState {
-    workload::AccessTrace trace;  // tenant-virtual demand stream
+    /// Tenant-virtual demand: an arithmetic sweep for kStreaming (no
+    /// stored records, whatever `ops`), a stored trace for the other
+    /// mixes.  `cursor` is the next record index either way.
+    workload::DemandStream demand;
     std::uint64_t cursor = 0;
     std::uint64_t tokens = 0;
     TenantStats stats;

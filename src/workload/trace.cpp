@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/rng.hpp"
+#include "workload/demand.hpp"
 
 namespace hbmvolt::workload {
 
@@ -95,12 +96,15 @@ Result<AccessTrace> AccessTrace::from_text(std::string_view text) {
 }
 
 AccessTrace make_streaming(std::uint64_t beats, unsigned passes) {
+  const DemandStream sweep = DemandStream::sweep(beats, passes);
   AccessTrace trace;
-  trace.reserve(beats * passes);
-  for (unsigned pass = 0; pass < passes; ++pass) {
-    for (std::uint64_t beat = 0; beat < beats; ++beat) {
-      trace.append(pass == 0, beat);  // first pass writes, rest read
+  trace.reserve(sweep.size());
+  for (std::uint64_t k = 0; k < sweep.size();) {
+    const DemandRun run = sweep.run(k, sweep.size() - k);
+    for (std::uint64_t i = 0; i < run.count; ++i) {
+      trace.append(run.write, run.beat + i);
     }
+    k += run.count;
   }
   return trace;
 }

@@ -65,7 +65,8 @@ class AccessTrace {
 // ---- Synthetic workload generators (deterministic per seed) ----
 
 /// Sequential scan: `passes` sweeps over [0, beats), the first writing
-/// every beat and the rest reading them back.
+/// every beat and the rest reading them back -- DemandStream::sweep
+/// (workload/demand.hpp) materialised record by record.
 [[nodiscard]] AccessTrace make_streaming(std::uint64_t beats,
                                          unsigned passes = 1);
 

@@ -263,6 +263,39 @@ TEST(FlatIndexTest, BitVecRunScans) {
   EXPECT_EQ(bits.run(71, false, 59), 59u);
 }
 
+TEST(FlatIndexTest, BitVecSetRangeMatchesPerBitSets) {
+  // Ranges of 0, 63, 64 and 65 bits, from word-aligned and unaligned
+  // starts, over a vector whose tail word is partial: set_range must
+  // touch exactly the bits a per-bit set loop does.
+  constexpr std::uint64_t kBits = 260;
+  for (const std::uint64_t n : {0u, 63u, 64u, 65u}) {
+    for (const std::uint64_t lo : {0u, 1u, 63u, 64u, 128u, 130u}) {
+      if (lo + n > kBits) continue;
+      runtime::BitVec ranged;
+      runtime::BitVec reference;
+      ranged.assign(kBits, false);
+      reference.assign(kBits, false);
+      // A set bit just outside the range on each side must survive.
+      for (runtime::BitVec* bits : {&ranged, &reference}) {
+        if (lo > 0) bits->set(lo - 1);
+        if (lo + n + 1 < kBits) bits->set(lo + n + 1);
+      }
+      ranged.set_range(lo, n);
+      for (std::uint64_t i = lo; i < lo + n; ++i) reference.set(i);
+      for (std::uint64_t i = 0; i < kBits; ++i) {
+        ASSERT_EQ(ranged.get(i), reference.get(i))
+            << "bit " << i << " of set_range(" << lo << ", " << n << ")";
+      }
+      EXPECT_EQ(ranged.next_clear(lo), reference.next_clear(lo));
+    }
+  }
+  // The full vector, partial tail word included, leaves no bit clear.
+  runtime::BitVec all;
+  all.assign(kBits, false);
+  all.set_range(0, kBits);
+  EXPECT_EQ(all.next_clear(0), runtime::BitVec::kNone);
+}
+
 // ---------------------------------------------------------------------------
 // EccChannel bulk ops vs per-beat calls
 // ---------------------------------------------------------------------------

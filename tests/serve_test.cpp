@@ -540,6 +540,52 @@ TEST(FleetWorkerTest, RestoreRejectsAnExternalSource) {
       << restored.to_string();
 }
 
+TEST(FleetWorkerTest, UnboundedStreamingPassesStoreNoTrace) {
+  // 2^32 - 1 sweeps per PC: a stored trace would need terabytes, the
+  // arithmetic sweep stores two integers.  The fleet builds, serves two
+  // epochs, halts, and checkpoints its record cursors.
+  board::Vcu128Board board(tiny_board());
+  runtime::FleetConfig config;
+  config.streaming_passes = std::numeric_limits<unsigned>::max();
+  config.halt_after_epochs = 2;
+  runtime::ServingFleet fleet(board, config);
+  auto result = fleet.run();
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  const runtime::FleetReport& report = result.value();
+  EXPECT_TRUE(report.halted);
+  EXPECT_EQ(report.epochs, 2u);
+  EXPECT_EQ(report.ops, fleet.channels() * 2 * config.ops_per_epoch);
+  EXPECT_EQ(report.corrupt_reads, 0u);
+  const runtime::FleetCheckpoint ck = fleet.checkpoint();
+  ASSERT_EQ(ck.slots.size(), fleet.channels());
+  for (const runtime::FleetCheckpoint::Slot& slot : ck.slots) {
+    EXPECT_EQ(slot.next_record, 2 * config.ops_per_epoch);
+  }
+}
+
+TEST(FleetWorkerTest, UnboundedStreamingTenantStoresNoTrace) {
+  // 2^40 beats of streaming demand: the plane keeps the sweep arithmetic
+  // (whole passes of the footprint) and admits from it epoch by epoch.
+  board::Vcu128Board board(tiny_board());
+  PlaneConfig plane_config;
+  plane_config.tenants = serve::make_tenant_set(
+      1, {WorkloadMix::kStreaming}, /*ops=*/1ull << 40,
+      /*footprint_beats=*/1000, /*quota_per_epoch=*/128);
+  plane_config.chunk_beats = 16;
+  RequestPlane plane(plane_config);
+  EXPECT_EQ(plane.spec(0).ops, (1ull << 40) / 1000 * 1000);
+  runtime::FleetConfig config = fleet_config(plane, 1, 5);
+  config.ops_per_epoch = 1024;  // every admitted beat is served
+  config.halt_after_epochs = 2;
+  runtime::ServingFleet fleet(board, config);
+  auto result = fleet.run();
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  EXPECT_TRUE(result.value().halted);
+  EXPECT_EQ(plane.stats(0).admitted, 2 * 128u);
+  EXPECT_EQ(result.value().writes, 2 * 128u);  // still the write pass
+  EXPECT_EQ(fleet.checkpoint().slots.size(), fleet.channels());
+}
+
 /// Places one request at `logical` on slot 0, then reports exhaustion.
 class OnePlacedRequest : public runtime::RequestSource {
  public:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -10,12 +11,15 @@
 #include <gtest/gtest.h>
 
 #include "faults/fault_overlay.hpp"
+#include "workload/demand.hpp"
 #include "workload/trace.hpp"
 
 namespace hbmvolt {
 namespace {
 
 using workload::AccessTrace;
+using workload::DemandRun;
+using workload::DemandStream;
 using workload::ExposureResult;
 
 class WorkloadTest : public ::testing::Test {
@@ -126,6 +130,113 @@ TEST(TraceTest, ParserRejectsBeatsBeyond32BitsWithoutTruncating) {
   const auto max = AccessTrace::from_text("R 4294967295\n");
   ASSERT_TRUE(max.is_ok());
   EXPECT_EQ(max.value()[0].beat, 4294967295u);
+}
+
+// --------------------------------------------------------- Demand streams
+
+constexpr std::uint64_t kUnlimited = std::numeric_limits<std::uint64_t>::max();
+constexpr std::uint64_t kLimits[] = {1, 7, 512, kUnlimited};
+
+/// The coalescing loop the fleet and the request plane used to inline over
+/// a stored trace (less the plane's chunk split, which it still applies
+/// to each run): from record i, extend while the next record continues
+/// the beats in the same direction, at most `limit` records.
+DemandRun inline_run(const AccessTrace& trace, std::uint64_t i,
+                     std::uint64_t limit) {
+  const workload::TraceRecord& first = trace[i];
+  std::uint64_t run = 1;
+  while (run < limit && i + run < trace.size()) {
+    const workload::TraceRecord& next = trace[i + run];
+    if (next.write != first.write || next.beat != first.beat + run) break;
+    ++run;
+  }
+  return {first.beat, run, first.write};
+}
+
+TEST(DemandStreamTest, SweepRunsExpandToStreamingRecords) {
+  for (const std::uint64_t footprint : {1u, 63u, 64u, 1726u}) {
+    for (const unsigned passes : {1u, 2u, 5u}) {
+      const AccessTrace trace = workload::make_streaming(footprint, passes);
+      const DemandStream sweep = DemandStream::sweep(footprint, passes);
+      ASSERT_EQ(trace.size(), footprint * passes);
+      ASSERT_EQ(sweep.size(), trace.size());
+      // make_streaming is the sweep materialised; both must keep the
+      // definition: record k touches beat k mod F and writes iff k < F.
+      for (std::uint64_t k = 0; k < trace.size(); ++k) {
+        ASSERT_EQ(trace[k].beat, k % footprint);
+        ASSERT_EQ(trace[k].write, k < footprint);
+      }
+      for (const std::uint64_t limit : kLimits) {
+        const std::string where = "F=" + std::to_string(footprint) +
+                                  " passes=" + std::to_string(passes) +
+                                  " limit=" + std::to_string(limit);
+        std::uint64_t k = 0;
+        while (k < sweep.size()) {
+          const DemandRun run = sweep.run(k, limit);
+          ASSERT_GE(run.count, 1u) << where;
+          ASSERT_LE(run.count, limit) << where;
+          ASSERT_LE(run.count, trace.size() - k) << where;
+          for (std::uint64_t i = 0; i < run.count; ++i) {
+            ASSERT_EQ(trace[k + i].beat, run.beat + i) << where;
+            ASSERT_EQ(trace[k + i].write, run.write) << where;
+          }
+          // Maximal unless the limit ended it: the next record breaks
+          // the beat sequence or the direction.
+          const std::uint64_t end = k + run.count;
+          if (run.count < limit && end < trace.size()) {
+            EXPECT_TRUE(trace[end].write != run.write ||
+                        trace[end].beat != run.beat + run.count)
+                << where << " run at " << k << " stops early";
+          }
+          k = end;
+        }
+        EXPECT_EQ(k, trace.size()) << where;
+      }
+    }
+  }
+}
+
+TEST(DemandStreamTest, ReplayCoalescesLikeTheInlineLoops) {
+  // Tiny footprints make consecutive-beat runs common; the pointer chase
+  // adds one long write run.
+  const std::vector<AccessTrace> traces = {
+      workload::make_uniform_random(4, 3000, 0.5, 5),
+      workload::make_uniform_random(2048, 3000, 0.25, 6),
+      workload::make_zipfian(8, 3000, 0.99, 0.5, 7),
+      workload::make_zipfian(128, 3000, 0.5, 0.25, 8),
+      workload::make_pointer_chase(700, 1500, 9),
+  };
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    const AccessTrace& trace = traces[t];
+    const DemandStream stream = DemandStream::replay(trace);
+    ASSERT_EQ(stream.size(), trace.size());
+    for (const std::uint64_t limit : kLimits) {
+      // Every start, not only run starts: a consumer resumes anywhere.
+      for (std::uint64_t i = 0; i < trace.size(); ++i) {
+        const DemandRun got = stream.run(i, limit);
+        const DemandRun want = inline_run(trace, i, limit);
+        ASSERT_EQ(got.beat, want.beat) << "trace " << t << " record " << i;
+        ASSERT_EQ(got.count, want.count) << "trace " << t << " record " << i;
+        ASSERT_EQ(got.write, want.write) << "trace " << t << " record " << i;
+      }
+    }
+  }
+}
+
+TEST(DemandStreamTest, SweepStoresNoRecords) {
+  // 2^32 passes of 2^20 beats: O(1) to build and to query anywhere.
+  const DemandStream huge = DemandStream::sweep(1u << 20, 1ull << 32);
+  EXPECT_EQ(huge.size(), 1ull << 52);
+  const DemandRun last = huge.run(huge.size() - 5, kUnlimited);
+  EXPECT_EQ(last.beat, (1u << 20) - 5);
+  EXPECT_EQ(last.count, 5u);
+  EXPECT_FALSE(last.write);
+  EXPECT_EQ(DemandStream::sweep(0, 7).size(), 0u);
+}
+
+TEST(DemandStreamDeathTest, SweepRefusesOverflow) {
+  EXPECT_DEATH((void)DemandStream::sweep(1ull << 33, 1ull << 31),
+               "sweep length overflows");
 }
 
 // ------------------------------------------------------------ Generators
