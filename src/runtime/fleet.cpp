@@ -75,15 +75,15 @@ class ServingFleet::StreamSource final : public RequestSource {
         fleet_.config_.storm_hook
             ? 1
             : std::min<std::uint64_t>(
-                  {demand.size() - stream.next,
-                   fleet_.config_.ops_per_epoch - fleet_.states_[slot].served,
-                   std::numeric_limits<std::uint32_t>::max()});
+                  demand.size() - stream.next,
+                  fleet_.config_.ops_per_epoch - fleet_.states_[slot].served);
     PlacedRequest& r = stream.pending;
     r.payload = stream.next;
     r.deadline_attempts = std::numeric_limits<unsigned>::max();
     // Split each raw run by liveness, word-wide; a piece that reaches the
     // raw run's end merges with the next raw run when that one continues
-    // the beats in the same effective direction.
+    // the beats in the same effective direction.  Consecutive beats stay
+    // inside the slot, so the count fits the request's 32 bits.
     std::uint64_t count = 0;
     while (count < budget) {
       const workload::DemandRun run =

@@ -2,8 +2,8 @@
 //
 // A tenant is one counter-seeded op stream with a QoS class, an admission
 // quota, and a latency SLO.  Everything here is declarative: the specs
-// below fully determine the tenant's demand (via the workload generators
-// in workload/trace.hpp) and its admission treatment, so a fleet run is a
+// below fully determine the tenant's demand (via the demand streams in
+// workload/demand.hpp) and its admission treatment, so a fleet run is a
 // pure function of (seed, tenant set, fleet config) -- the repo's usual
 // reproducibility contract, extended to the request plane.
 
@@ -27,10 +27,11 @@ enum class QosClass : unsigned {
   kBestEffort = 1,
 };
 
-/// Synthetic demand shape, mapped onto workload/trace.hpp generators.
+/// Synthetic demand shape, mapped onto workload::DemandStream
+/// (workload/demand.hpp): an arithmetic sweep or a generated trace.
 enum class WorkloadMix : unsigned {
   kZipfian = 0,       // make_zipfian: YCSB-style skewed point accesses
-  kStreaming = 1,     // make_streaming: sequential sweeps (range-friendly)
+  kStreaming = 1,     // DemandStream::sweep: sequential sweeps, no trace
   kPointerChase = 2,  // make_pointer_chase: dependent random reads
   kUniform = 3,       // make_uniform_random
 };

@@ -137,10 +137,10 @@ TEST(TraceTest, ParserRejectsBeatsBeyond32BitsWithoutTruncating) {
 constexpr std::uint64_t kUnlimited = std::numeric_limits<std::uint64_t>::max();
 constexpr std::uint64_t kLimits[] = {1, 7, 512, kUnlimited};
 
-/// The coalescing loop the fleet and the request plane used to inline over
-/// a stored trace (less the plane's chunk split, which it still applies
-/// to each run): from record i, extend while the next record continues
-/// the beats in the same direction, at most `limit` records.
+/// The coalescing loop the request plane used to inline over a stored
+/// trace, less its chunk split (which the plane still applies to each
+/// run): from record i, extend while the next record continues the beats
+/// in the same direction, at most `limit` records.
 DemandRun inline_run(const AccessTrace& trace, std::uint64_t i,
                      std::uint64_t limit) {
   const workload::TraceRecord& first = trace[i];
