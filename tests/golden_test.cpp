@@ -16,6 +16,9 @@
 // (scheme, source, chaos, threads) cell of a small ServingFleet matrix,
 // plus one halt -> checkpoint -> restore row per scheme, each carrying the
 // fleet, data and tenant fingerprints and the served op counts.
+// channel_serve.txt pins ReliableChannel::serve_trace: one row per
+// (PC, voltage, traffic, engine) case with the report counters, the
+// channel stats, a ladder-trace digest and a journal digest.
 
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +33,7 @@
 #include "core/report.hpp"
 #include "runtime/fleet.hpp"
 #include "serve/plane.hpp"
+#include "workload/trace.hpp"
 
 #ifndef HBMVOLT_GOLDEN_DIR
 #error "HBMVOLT_GOLDEN_DIR must point at tests/golden (set by CMake)"
@@ -331,6 +335,100 @@ TEST(FleetGoldenTest, FingerprintMatrixMatches) {
     EXPECT_EQ(resumed.report.ops, whole.report.ops);
   }
   check_golden("fleet_fingerprints.txt", rows);
+}
+
+// ---------------------------------------------------------------------------
+// Channel-level serve_trace
+// ---------------------------------------------------------------------------
+
+struct ChannelCell {
+  unsigned pc = 0;
+  int mv = 1200;
+  bool streaming = false;
+  double spare = 0.05;
+  bool burst = false;  // a 64/64 weak-cell burst on the PC before serving
+};
+
+/// One ReliableChannel::serve_trace run on a fresh test_tiny board: the
+/// report counters, the ChannelStats fields the fleet fingerprint folds,
+/// the ladder trace and the journal, each as one row.
+std::string channel_row(const ChannelCell& cell, runtime::ChannelEngine engine) {
+  board::Vcu128Board board(tiny_board());
+  EXPECT_TRUE(board.set_hbm_voltage(Millivolts{cell.mv}).is_ok());
+  if (cell.burst) board.injector().add_burst(cell.pc, 64, 64);
+  runtime::ReliableChannelConfig config;
+  config.spare_fraction = cell.spare;
+  config.engine = engine;
+  runtime::ReliableChannel channel(board, cell.pc, config);
+  const workload::AccessTrace trace =
+      cell.streaming
+          ? workload::make_streaming(channel.capacity(), 4)
+          : workload::make_uniform_random(channel.capacity(), 2048, 0.25,
+                                          0x60D5EED);
+  auto served = channel.serve_trace(trace, 5);
+  EXPECT_TRUE(served.is_ok()) << served.status().to_string();
+  const runtime::ServeReport report =
+      served.is_ok() ? served.value() : runtime::ServeReport{};
+
+  const runtime::ChannelStats& cs = channel.stats();
+  std::uint64_t ladder = 0;
+  for (const runtime::LadderEvent& event : channel.ladder_trace()) {
+    ladder = mix_seed(ladder, static_cast<std::uint64_t>(event.rung));
+    ladder = mix_seed(ladder, static_cast<std::uint64_t>(event.voltage.value));
+    ladder = mix_seed(ladder, event.op);
+  }
+  std::uint64_t journal = 0;
+  for (std::uint64_t beat = 0; beat < channel.capacity(); ++beat) {
+    if (!channel.journal_live(beat)) continue;
+    journal = mix_seed(journal, beat);
+    for (const std::uint64_t word : channel.journal_beat(beat)) {
+      journal = mix_seed(journal, word);
+    }
+  }
+  const auto u = [](std::uint64_t v) {
+    return static_cast<unsigned long long>(v);
+  };
+  char buffer[640];
+  std::snprintf(
+      buffer, sizeof(buffer),
+      "%s pc=%u mv=%d %s spare=%.2f burst=%d | ops=%llu reads=%llu "
+      "writes=%llu corrupt=%llu escalated=%llu | corr=%llu/%llu unc=%llu "
+      "retired=%llu migrated=%llu jmig=%llu parked=%llu verify=%llu "
+      "refresh=%llu jserved=%llu recon=%llu rebuilt=%llu scrub=%llu/%llu/"
+      "%llu/%llu | ladder=%zu:%016llx final_mv=%d | journal=%016llx\n",
+      engine == runtime::ChannelEngine::kRange ? "range" : "perbeat", cell.pc,
+      cell.mv, cell.streaming ? "streaming" : "uniform", cell.spare,
+      cell.burst ? 1 : 0, u(report.ops), u(report.reads), u(report.writes),
+      u(report.corrupt_reads), u(report.escalated_reads),
+      u(cs.corrected_words), u(cs.corrected_check_words),
+      u(cs.uncorrectable_blocked), u(cs.rows_retired), u(cs.beats_migrated),
+      u(cs.journal_migrations), u(cs.beats_parked), u(cs.verify_caught),
+      u(cs.journal_refreshes), u(cs.journal_served_reads),
+      u(cs.reconstructed_reads), u(cs.rebuilt_beats), u(cs.scrub_beats),
+      u(cs.scrub_corrected), u(cs.scrub_uncorrectable),
+      u(cs.scrub_blocks_skipped), channel.ladder_trace().size(), u(ladder),
+      board.hbm_voltage().value, u(journal));
+  return buffer;
+}
+
+TEST(ChannelGoldenTest, ServeTraceMatches) {
+  constexpr unsigned kWeakPc = 4;
+  const std::vector<ChannelCell> cells = {
+      {0, 1200, false, 0.05, false},
+      {kWeakPc, 950, false, 0.25, false},
+      {kWeakPc, 950, true, 0.25, false},
+      {kWeakPc, 930, false, 0.25, false},
+      {kWeakPc, 930, true, 0.25, false},
+      {kWeakPc, 1200, false, 0.0, true},
+  };
+  std::string rows;
+  for (const ChannelCell& cell : cells) {
+    for (const auto engine :
+         {runtime::ChannelEngine::kRange, runtime::ChannelEngine::kPerBeat}) {
+      rows += channel_row(cell, engine);
+    }
+  }
+  check_golden("channel_serve.txt", rows);
 }
 
 }  // namespace
