@@ -103,11 +103,11 @@ int main() {
         channel.capacity(), kOps, 0.25, kSeed);
 
     const auto rel_start = std::chrono::steady_clock::now();
-    auto served = channel.serve(rel_trace, kSeed);
+    auto served = channel.serve_trace(rel_trace, kSeed);
     const std::chrono::duration<double> rel_elapsed =
         std::chrono::steady_clock::now() - rel_start;
     if (!served.is_ok()) {
-      std::printf("%.2fV    serve failed: %s\n", mv / 1000.0,
+      std::printf("%.2fV    serve_trace failed: %s\n", mv / 1000.0,
                   served.status().to_string().c_str());
       continue;
     }

@@ -223,10 +223,11 @@ BENCHMARK(BM_SweepThroughput)
     ->UseRealTime();
 
 // Telemetry overhead on the serial sweep plus a nominal-voltage
-// ReliableChannel serve pass (docs/observability.md, CI telemetry gate).
-// The serve pass exercises the newer instrumentation sites -- per-PC
-// labeled family counters and HDR latency recording via OpTimer -- so the
-// gate covers them too, not just the sweep spans.  Arg(0): no telemetry
+// ReliableChannel::serve_trace pass (docs/observability.md, CI telemetry
+// gate).  The serve pass exercises the newer instrumentation sites --
+// per-PC labeled family counters, HDR latency recording via OpTimer, and
+// the one-slot fleet's barrier flush -- so the gate covers them too, not
+// just the sweep spans.  Arg(0): no telemetry
 // at all -- the baseline.  Arg(1): an instance installed but disabled, so
 // every instrumentation site takes the one-branch null path; CI fails if
 // this costs more than 3% over the baseline.  Arg(2): fully enabled
@@ -259,9 +260,9 @@ void BM_TelemetryOverhead(benchmark::State& state) {
       break;
     }
     bits += map.value().device_record(Millivolts{1200}).bits_tested;
-    auto report = channel.serve(trace, 1);
+    auto report = channel.serve_trace(trace, 1);
     if (!report.is_ok()) {
-      state.SkipWithError("serve failed");
+      state.SkipWithError("serve_trace failed");
       break;
     }
     channel.flush_telemetry();  // the epoch-barrier family/HDR merge
@@ -279,8 +280,9 @@ BENCHMARK(BM_TelemetryOverhead)
 
 // Resilient-runtime serving price (bench/ext_resilient_serving.cpp has
 // the full raw-vs-reliable sweep; this tracks the trend).  One iteration
-// serves a 16k-op uniform stream through ReliableChannel on the weakest
-// PC.  Arg is the starting supply: nominal (ECC idle), 950 mV (SECDED
+// serves a 16k-op uniform stream through ReliableChannel::serve_trace --
+// the fleet worker on a one-slot fleet, whose construction and end-of-run
+// folds are part of the timed call -- on the weakest PC.  Arg is the starting supply: nominal (ECC idle), 950 mV (SECDED
 // absorbing stuck cells), 920 mV (budget burns, rows retire online).
 // The board is rebuilt per iteration -- the ladder mutates voltage and
 // array state, so a fresh loop body is the only way iterations measure
@@ -307,9 +309,9 @@ void BM_ResilientServe(benchmark::State& state) {
         workload::make_uniform_random(channel->capacity(), kOps, 0.25,
                                       0x5E11E);
     state.ResumeTiming();
-    auto report = channel->serve(trace, 1);
+    auto report = channel->serve_trace(trace, 1);
     if (!report.is_ok()) {
-      state.SkipWithError("serve failed");
+      state.SkipWithError("serve_trace failed");
       break;
     }
     benchmark::DoNotOptimize(report.value().ops);
@@ -328,9 +330,10 @@ BENCHMARK(BM_ResilientServe)
 // served raw at the stack (mode 0 -- per-beat loads, no ECC, no
 // journal, no scrub: the same unprotected baseline as
 // bench/ext_resilient_serving.cpp) or through
-// ReliableChannel::serve_trace (mode 1 -- the range engine coalesces
-// the sweeps into bulk encode/decode runs, scrub and budget amortized
-// per run).  CI fails if the reliable path delivers less than 1/3 of
+// ReliableChannel::serve_trace (mode 1 -- the fleet worker on a
+// one-slot fleet coalesces the sweeps into bulk encode/decode runs,
+// scrub and budget amortized per run; the fleet's construction and
+// end-of-run folds are a fixed cost per call).  CI fails if the reliable path delivers less than 1/3 of
 // raw ops/s at 950 mV.  Board rebuilt per iteration (same reason as
 // BM_ResilientServe), with setup and the lazy overlay build likewise
 // excluded from the timed region.

@@ -43,6 +43,29 @@ void xor_into(hbm::Beat& acc, const hbm::Beat& b) noexcept {
 /// Failed reads of one beat before the run fails outright.
 constexpr unsigned kMaxBeatAttempts = 64;
 
+/// The one-slot fleet's config: the channel's own config (the barrier
+/// reads its raise step) and one epoch wide enough for the whole trace.
+FleetConfig one_slot_config(const ReliableChannel& channel,
+                            const ReliableChannelConfig& channel_config,
+                            std::uint64_t records) {
+  FleetConfig config;
+  config.pcs = {channel.pc_global()};
+  config.channel = channel_config;
+  config.ops_per_epoch = std::max<std::uint64_t>(records, 1);
+  return config;
+}
+
+/// `trace` with every beat taken modulo `capacity`.
+workload::AccessTrace wrap_to(const workload::AccessTrace& trace,
+                              std::uint64_t capacity) {
+  workload::AccessTrace wrapped;
+  wrapped.reserve(trace.size());
+  for (const workload::TraceRecord& record : trace) {
+    wrapped.append(record.write, record.beat % capacity);
+  }
+  return wrapped;
+}
+
 }  // namespace
 
 /// The built-in per-PC streams as a RequestSource over the fleet's demand
@@ -139,6 +162,7 @@ class ServingFleet::StreamSource final : public RequestSource {
 ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
     : board_(board),
       config_(std::move(config)),
+      data_seed_(mix_seed(config_.seed, 0xDA7A)),
       alerts_(resolve_rules(config_)) {
   HBMVOLT_REQUIRE(config_.ops_per_epoch > 0, "epoch must serve ops");
   if (config_.pcs.empty()) {
@@ -169,14 +193,15 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
     groups_.resize(group_count);
     parity_prev_.resize(group_count);
   }
-  channels_.reserve(config_.pcs.size());
+  owned_.reserve(config_.pcs.size());
   for (const unsigned pc : config_.pcs) {
-    channels_.push_back(
+    owned_.push_back(
         std::make_unique<ReliableChannel>(board_, pc, config_.channel));
+    channels_.push_back(owned_.back().get());
     // Request-plane mode: the source's slot queues replace the built-in
     // streams entirely.  Sweeps are arithmetic and store no records.
     if (config_.source != nullptr) continue;
-    const std::uint64_t capacity = channels_.back()->capacity();
+    const std::uint64_t capacity = owned_.back()->capacity();
     demand_.push_back(
         config_.streaming_passes > 0
             ? workload::DemandStream::sweep(capacity, config_.streaming_passes)
@@ -186,7 +211,7 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
   }
   if (striped()) {
     // Stripe XOR needs every member and parity channel address-congruent.
-    for (const auto& channel : channels_) {
+    for (const ReliableChannel* channel : channels_) {
       HBMVOLT_REQUIRE(channel->capacity() == channels_[0]->capacity(),
                       "stripe members must have equal capacity");
     }
@@ -195,14 +220,44 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
                       "parity PC smaller than stripe members");
     }
   }
-  states_.resize(config_.pcs.size());
-  epoch_prev_.resize(config_.pcs.size());
-  health_.reset(config_.pcs.size());
+  init_slots();
+}
+
+ServingFleet::ServingFleet(ReliableChannel& channel,
+                           const workload::AccessTrace& trace,
+                           std::uint64_t data_seed)
+    : board_(channel.board_),
+      config_(one_slot_config(channel, channel.config_, trace.size())),
+      data_seed_(data_seed),
+      alerts_(resolve_rules(config_)) {
+  channels_.push_back(&channel);
+  demand_.push_back(
+      workload::DemandStream::replay(wrap_to(trace, channel.capacity())));
+  init_slots();
+}
+
+void ServingFleet::init_slots() {
+  states_.resize(channels_.size());
+  epoch_prev_.reserve(channels_.size());
+  for (const ReliableChannel* channel : channels_) {
+    epoch_prev_.push_back(channel->stats());
+  }
+  health_.reset(channels_.size());
   streams_ = std::make_unique<StreamSource>(*this);
   source_ = config_.source != nullptr ? config_.source : streams_.get();
 }
 
 ServingFleet::~ServingFleet() = default;
+
+Result<ServeReport> ReliableChannel::serve_trace(
+    const workload::AccessTrace& trace, std::uint64_t data_seed) {
+  ServingFleet fleet(*this, trace, data_seed);
+  auto run = fleet.run();
+  if (!run.is_ok()) return run.status();
+  const FleetReport& r = run.value();
+  return ServeReport{r.ops, r.reads, r.writes, r.corrupt_reads,
+                     r.escalated_reads};
+}
 
 // ---- Scheme-dispatching op wrappers ----
 
@@ -364,7 +419,6 @@ bool ServingFleet::serve_slot_epoch(std::size_t i) {
   PcState::Flight& f = st.flight;
   st.wants_global = false;
   st.served = 0;
-  const std::uint64_t data_seed = mix_seed(config_.seed, 0xDA7A);
   const std::uint64_t reconstruct_ns =
       kModelDeviceReadNs * (striped() ? config_.stripe_width + 1 : 1);
   // Consume a burned budget after every run and op, before a read trips
@@ -427,7 +481,7 @@ bool ServingFleet::serve_slot_epoch(std::size_t i) {
           // Payloads are pure in the request's payload identity, so a
           // re-served run rewrites identical data.
           for (std::uint64_t k = 0; k < n; ++k) {
-            st.beats[k] = make_payload(data_seed, pc, r.payload + f.done + k);
+            st.beats[k] = make_payload(data_seed_, pc, r.payload + f.done + k);
           }
           bulk = do_write(i, logical, n, st.beats.data());
         } else {
@@ -459,7 +513,7 @@ bool ServingFleet::serve_slot_epoch(std::size_t i) {
         n = 1;
         if (write_op) {
           const hbm::Beat payload =
-              make_payload(data_seed, pc, r.payload + f.done);
+              make_payload(data_seed_, pc, r.payload + f.done);
           const Status wrote = do_write(i, logical, 1, &payload);
           if (!wrote.is_ok()) {
             if (st.wants_global) return false;  // parked by a stripe fetch
@@ -702,7 +756,7 @@ void ServingFleet::close_epoch(std::uint64_t epoch) {
   source_->end_epoch(&sample);
   source_->fill_health(&health_);
   alerts_.tick(sample);
-  for (auto& channel : channels_) channel->flush_telemetry();
+  for (ReliableChannel* channel : channels_) channel->flush_telemetry();
   for (auto& parity : parity_channels_) parity->flush_telemetry();
   if (config_.epoch_hook) {
     config_.epoch_hook(
@@ -774,7 +828,7 @@ Result<FleetReport> ServingFleet::run() {
     }
     if (want_cycle || !board_.responding()) {
       HBMVOLT_RETURN_IF_ERROR(board_.power_cycle());
-      for (auto& channel : channels_) {
+      for (ReliableChannel* channel : channels_) {
         HBMVOLT_RETURN_IF_ERROR(channel->restore_after_power_cycle());
       }
       for (auto& parity : parity_channels_) {
@@ -798,7 +852,7 @@ Result<FleetReport> ServingFleet::run() {
                       config_.channel.raise_step_mv};
       if (next > nominal) next = nominal;
       HBMVOLT_RETURN_IF_ERROR(board_.set_hbm_voltage(next));
-      for (auto& channel : channels_) {
+      for (ReliableChannel* channel : channels_) {
         channel->on_global_action(LadderRung::kRaiseVoltage);
       }
       for (auto& parity : parity_channels_) {
@@ -969,8 +1023,25 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
       ck.channels.size() != channels_.size() ||
       ck.parity.size() != parity_channels_.size() ||
       ck.groups.size() != groups_.size() ||
-      ck.array_words.size() != total) {
+      ck.burst_extras.size() != total || ck.array_words.size() != total ||
+      ck.spare_next > spare_pcs_.size()) {
     return invalid_argument("fleet checkpoint shape mismatch");
+  }
+  for (const unsigned pc : ck.killed_pcs) {
+    if (pc >= total) return invalid_argument("fleet checkpoint PC out of range");
+  }
+  for (std::size_t g = 0; g < ck.groups.size(); ++g) {
+    const std::size_t rebuilding = ck.groups[g].rebuilding;
+    if (rebuilding != StripeGroup::kIdle && group_of(rebuilding) != g) {
+      return invalid_argument("fleet checkpoint rebuilds outside its group");
+    }
+  }
+  for (unsigned pc = 0; pc < total; ++pc) {
+    const hbm::PcId id = hbm::PcId::from_global(geometry, pc);
+    if (ck.array_words[pc].size() !=
+        board_.stack(id.stack).array(id.index).bits() / 64) {
+      return invalid_argument("fleet checkpoint array size mismatch");
+    }
   }
   base_epochs_ = ck.epochs;
   base_raises_ = ck.raises;
@@ -988,12 +1059,8 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
   }
   for (unsigned pc = 0; pc < total; ++pc) {
     const hbm::PcId id = hbm::PcId::from_global(geometry, pc);
-    hbm::MemoryArray& array = board_.stack(id.stack).array(id.index);
-    if (ck.array_words[pc].size() != array.bits() / 64) {
-      return invalid_argument("fleet checkpoint array size mismatch");
-    }
-    array.write_words(0, ck.array_words[pc].size(),
-                      ck.array_words[pc].data());
+    board_.stack(id.stack).array(id.index).write_words(
+        0, ck.array_words[pc].size(), ck.array_words[pc].data());
   }
   for (std::size_t i = 0; i < channels_.size(); ++i) {
     channels_[i]->restore(ck.channels[i]);

@@ -205,9 +205,9 @@ struct FleetConfig {
   /// N > 0 = N sequential sweeps over each PC's full capacity instead
   /// (first touch writes, later passes read; ops_per_pc is ignored), the
   /// shape that lets the range engine coalesce -- the perf-gate workload
-  /// (BM_StripeServe), directly comparable to ReliableChannel::serve_trace
-  /// streaming.  The sweeps are computed, never stored: no trace is held
-  /// for any N, up to UINT_MAX.
+  /// (BM_StripeServe); ReliableChannel::serve_trace of make_streaming is
+  /// the same sweep through the same worker on one slot.  The sweeps are
+  /// computed, never stored: no trace is held for any N, up to UINT_MAX.
   unsigned streaming_passes = 0;
   std::uint64_t seed = 1;
   /// Worker threads (1 = serial reference path, 0 = hardware count).
@@ -311,6 +311,7 @@ struct FleetCheckpoint {
 
 class ServingFleet {
  public:
+  /// Builds one ReliableChannel per PC in config.pcs, owned by the fleet.
   ServingFleet(board::Vcu128Board& board, FleetConfig config);
   ~ServingFleet();
 
@@ -361,6 +362,14 @@ class ServingFleet {
   }
 
  private:
+  friend class ReliableChannel;  // serve_trace builds the one-slot fleet
+
+  /// One-slot fleet over a caller-owned channel, for ReliableChannel::
+  /// serve_trace: `trace` (beats modulo capacity) is one epoch of demand,
+  /// and payloads use `data_seed` as given.
+  ServingFleet(ReliableChannel& channel, const workload::AccessTrace& trace,
+               std::uint64_t data_seed);
+
   /// What a worker hands the barrier: an error, or the global ladder rung
   /// it parked on.  Shared by serving slots and stripe groups; each
   /// helper returns false when the worker must end its epoch.
@@ -476,10 +485,14 @@ class ServingFleet {
   /// Barrier bookkeeping: epoch deltas -> alert tick, health refresh,
   /// telemetry flush, epoch hook.  Serial, PC index order.
   void close_epoch(std::uint64_t epoch);
+  /// Sizes the per-slot state once channels_ (and demand_) are filled.
+  void init_slots();
 
   board::Vcu128Board& board_;
   FleetConfig config_;
-  std::vector<std::unique_ptr<ReliableChannel>> channels_;
+  std::uint64_t data_seed_;  // make_payload seed for every written beat
+  std::vector<std::unique_ptr<ReliableChannel>> owned_;  // public ctor only
+  std::vector<ReliableChannel*> channels_;  // serving slots, slot order
   std::vector<workload::DemandStream> demand_;  // built-in streams
   std::unique_ptr<StreamSource> streams_;
   RequestSource* source_ = nullptr;  // config_.source, else streams_

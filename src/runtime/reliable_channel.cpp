@@ -1072,186 +1072,6 @@ hbm::Beat make_payload(std::uint64_t seed, unsigned pc, std::uint64_t op) {
   return data;
 }
 
-Status ReliableChannel::cycle_and_restore() {
-  for (unsigned tries = 0;; ++tries) {
-    HBMVOLT_RETURN_IF_ERROR(board_.power_cycle());
-    const Status restored = restore_after_power_cycle();
-    if (restored.is_ok()) return restored;
-    if (restored.code() != StatusCode::kUnavailable || tries >= 4) {
-      return restored;
-    }
-    // A chaos crash landed mid-restore; cycle again (cooldown-limited,
-    // so this terminates).
-  }
-}
-
-Status ReliableChannel::serve_one(bool write_op, std::uint64_t logical,
-                                  const hbm::Beat& payload,
-                                  ServeReport* report) {
-  unsigned attempts = 0;
-  if (write_op) {
-    for (;;) {
-      const Status wrote = write(logical, payload);
-      if (wrote.is_ok()) break;
-      // A crashed stack (e.g. a chaos spurious crash) is rung 3
-      // territory: cycle, restore the journal, retry the op.
-      if (wrote.code() != StatusCode::kUnavailable || ++attempts > 4) {
-        return wrote;
-      }
-      HBMVOLT_RETURN_IF_ERROR(cycle_and_restore());
-    }
-    ++report->writes;
-    ++report->ops;
-    return Status::ok();
-  }
-  bool escalated = false;
-  for (;;) {
-    auto got = read(logical);
-    if (got.is_ok()) {
-      if (got.value() != journal_[logical]) ++report->corrupt_reads;
-      break;
-    }
-    // The full ladder (retire -> raise to nominal -> power-cycle) is
-    // bounded: a climb from deep undervolt to nominal is at most a few
-    // dozen 10 mV rungs, and everything above it is O(1).
-    if (++attempts > 64) return got.status();
-    escalated = true;
-    if (got.status().code() == StatusCode::kUnavailable) {
-      HBMVOLT_RETURN_IF_ERROR(cycle_and_restore());
-      continue;
-    }
-    if (got.status().code() != StatusCode::kDataLoss) return got.status();
-    HBMVOLT_RETURN_IF_ERROR(apply_ladder_serial());
-  }
-  ++report->reads;
-  ++report->ops;
-  if (escalated) ++report->escalated_reads;
-  return Status::ok();
-}
-
-Status ReliableChannel::apply_ladder_serial() {
-  auto rung = escalate();
-  if (!rung.is_ok()) return rung.status();
-  switch (rung.value()) {
-    case LadderRung::kCorrect:
-    case LadderRung::kRetire:
-      return Status::ok();
-    case LadderRung::kRaiseVoltage: {
-      const Millivolts nominal =
-          board_.config().regulator_config.vout_default;
-      Millivolts next{board_.hbm_voltage().value + config_.raise_step_mv};
-      if (next > nominal) next = nominal;
-      HBMVOLT_RETURN_IF_ERROR(board_.set_hbm_voltage(next));
-      on_global_action(LadderRung::kRaiseVoltage);
-      return Status::ok();
-    }
-    case LadderRung::kPowerCycle:
-      // The cycle restores nominal voltage; bring the data back.
-      return cycle_and_restore();
-    case LadderRung::kStripeRebuild:
-      return internal_error("escalate() never yields kStripeRebuild");
-  }
-  return Status::ok();
-}
-
-Result<ServeReport> ReliableChannel::serve(const workload::AccessTrace& trace,
-                                           std::uint64_t data_seed) {
-  ServeReport report;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const workload::TraceRecord& record = trace[i];
-    const std::uint64_t logical = record.beat % capacity();
-    // First touch of a beat is always a write: the journal is the read
-    // self-check's truth, so reads of never-written beats are undefined.
-    const bool write_op = record.write || !live_.get(logical);
-    const hbm::Beat payload =
-        write_op ? make_payload(data_seed, pc_global_, i) : hbm::Beat{};
-    HBMVOLT_RETURN_IF_ERROR(serve_one(write_op, logical, payload, &report));
-    // Consume a burned budget between ops, before a read trips on it.
-    if (budget_.burned() || escalation_pending_) {
-      HBMVOLT_RETURN_IF_ERROR(apply_ladder_serial());
-    }
-  }
-  flush_telemetry();
-  return report;
-}
-
-Result<ServeReport> ReliableChannel::serve_trace(
-    const workload::AccessTrace& trace, std::uint64_t data_seed) {
-  ServeReport report;
-  std::size_t i = 0;
-  while (i < trace.size()) {
-    const std::uint64_t first = trace[i].beat % capacity();
-    const bool write_op = trace[i].write || !live_.get(first);
-    // Extend a maximal run of consecutive-beat, same-direction records.
-    // Distinct ascending beats, so intra-run decisions cannot depend on
-    // intra-run effects; the coalescing itself is engine-independent.
-    std::size_t j = i + 1;
-    while (j < trace.size()) {
-      const std::uint64_t lj = trace[j].beat % capacity();
-      if (lj != first + (j - i)) break;
-      const bool wj = trace[j].write || !live_.get(lj);
-      if (wj != write_op) break;
-      ++j;
-    }
-    const std::uint64_t n = j - i;
-    bool bulk_done = false;
-    if (n >= 2) {
-      Status st = Status::ok();
-      if (write_op) {
-        trace_beats_.resize(n);
-        for (std::uint64_t k = 0; k < n; ++k) {
-          trace_beats_[k] = make_payload(data_seed, pc_global_, i + k);
-        }
-        st = write_range(first, n, trace_beats_.data());
-        if (st.is_ok()) {
-          report.writes += n;
-          report.ops += n;
-          bulk_done = true;
-        }
-      } else {
-        trace_beats_.resize(n);
-        st = read_range(first, n, trace_beats_.data());
-        if (st.is_ok()) {
-          for (std::uint64_t k = 0; k < n; ++k) {
-            if (trace_beats_[k] != journal_[first + k]) {
-              ++report.corrupt_reads;
-            }
-          }
-          report.reads += n;
-          report.ops += n;
-          bulk_done = true;
-        }
-      }
-      if (!bulk_done && st.code() != StatusCode::kDataLoss &&
-          st.code() != StatusCode::kUnavailable) {
-        return st;
-      }
-    }
-    if (!bulk_done) {
-      // Singleton, or a bulk call that hit the ladder: serve op by op so
-      // the full escalate-and-retry machinery applies.
-      for (std::uint64_t k = 0; k < n; ++k) {
-        const std::uint64_t logical = first + k;
-        const hbm::Beat payload = write_op
-                                      ? make_payload(data_seed, pc_global_,
-                                                     i + k)
-                                      : hbm::Beat{};
-        HBMVOLT_RETURN_IF_ERROR(
-            serve_one(write_op, logical, payload, &report));
-        if (budget_.burned() || escalation_pending_) {
-          HBMVOLT_RETURN_IF_ERROR(apply_ladder_serial());
-        }
-      }
-    } else if (budget_.burned() || escalation_pending_) {
-      // Bulk runs consume a burned budget at run boundaries.
-      HBMVOLT_RETURN_IF_ERROR(apply_ladder_serial());
-    }
-    i = j;
-  }
-  flush_telemetry();
-  return report;
-}
-
 void ReliableChannel::flush_telemetry() {
   auto* tel = telemetry::Telemetry::active();
   if (tel == nullptr) {

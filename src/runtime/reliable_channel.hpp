@@ -117,8 +117,9 @@ enum class LadderRung : unsigned {
 
 [[nodiscard]] const char* to_string(LadderRung rung) noexcept;
 
-/// Deterministic beat payload for op `op` of PC `pc` -- the data both
-/// serve() and the fleet write, and the journal verifies reads against.
+/// Deterministic beat payload for op `op` of PC `pc` -- the data the fleet
+/// worker (and so serve_trace) writes, and the journal verifies reads
+/// against.
 [[nodiscard]] hbm::Beat make_payload(std::uint64_t seed, unsigned pc,
                                      std::uint64_t op);
 
@@ -167,7 +168,7 @@ struct ChannelStats {
   std::uint64_t rebuilt_beats = 0;
 };
 
-/// Serial serving report (see serve()).
+/// Channel-level serving report (see serve_trace()).
 struct ServeReport {
   std::uint64_t ops = 0;
   std::uint64_t reads = 0;
@@ -340,19 +341,11 @@ class ReliableChannel {
   void capture(ChannelCheckpoint* out) const;
   void restore(const ChannelCheckpoint& ck);
 
-  /// Serial convenience driver: replays `trace` (beats taken modulo
-  /// capacity), self-checking every read against the journal and applying
-  /// the full ladder inline -- including the global rungs, which is only
-  /// legal because nothing else is using the board.  Fleets split the
-  /// loop instead (see fleet.hpp).
-  Result<ServeReport> serve(const workload::AccessTrace& trace,
-                            std::uint64_t data_seed = 1);
-
-  /// serve() with run coalescing: maximal stretches of consecutive-beat
-  /// same-direction records are served through read_range/write_range, so
-  /// streaming traces ride the bulk path.  Identical journal state and
-  /// report invariants (corrupt_reads == 0) as serve(); escalation falls
-  /// back to the per-op ladder for the affected run.
+  /// Replays `trace` (beats taken modulo capacity) through the fleet
+  /// worker as a one-slot ServingFleet (fleet.cpp): record k writes
+  /// make_payload(data_seed, pc_global(), k), every read is checked
+  /// against the journal, and global rungs (raise, power-cycle) apply at
+  /// the fleet barrier -- so nothing else may use the board meanwhile.
   Result<ServeReport> serve_trace(const workload::AccessTrace& trace,
                                   std::uint64_t data_seed = 1);
 
@@ -403,17 +396,6 @@ class ReliableChannel {
   friend class ServingFleet;
 
   static constexpr std::uint64_t kNoBlock = ~0ull;
-
-  /// One trace op with journal self-check; read escalations are handled
-  /// by apply_ladder_serial (serial mode only).
-  Status serve_one(bool write_op, std::uint64_t logical,
-                   const hbm::Beat& payload, ServeReport* report);
-  /// Applies whatever rung escalate() asks for, including the global
-  /// ones -- only legal when nothing else shares the board.
-  Status apply_ladder_serial();
-  /// Power-cycle + journal restore with a bounded retry: a chaos
-  /// spurious crash can land during the cycle's own voltage restore.
-  Status cycle_and_restore();
 
   /// Scrub one logical beat (the special-beat body of the patrol).
   Status scrub_one(std::uint64_t logical);
@@ -512,11 +494,8 @@ class ReliableChannel {
   std::vector<LadderEvent> ladder_trace_;
 
   // Range-engine scratch (high-water reuse, no per-call allocation).
-  // trace_beats_ is serve_trace's payload/read buffer -- distinct from
-  // scratch_beats_, which write_range's verify pass clobbers.
   std::vector<ecc::EccChannel::RangeBeatEvent> scratch_events_;
   std::vector<hbm::Beat> scratch_beats_;
-  std::vector<hbm::Beat> trace_beats_;
 };
 
 }  // namespace hbmvolt::runtime

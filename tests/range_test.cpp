@@ -821,8 +821,8 @@ TEST(ReliableRangeTest, RemappedBeatsAtRangeBoundaries) {
 
   const workload::AccessTrace trace =
       workload::make_uniform_random(cap, 2048, 0.25, 0x5EED);
-  auto ra = twin.range.serve(trace, 7);
-  auto rb = twin.perbeat.serve(trace, 7);
+  auto ra = twin.range.serve_trace(trace, 7);
+  auto rb = twin.perbeat.serve_trace(trace, 7);
   ASSERT_TRUE(ra.is_ok());
   ASSERT_TRUE(rb.is_ok());
   EXPECT_EQ(ra.value().corrupt_reads, 0u);
@@ -865,8 +865,8 @@ TEST(ReliableRangeTest, ReadRangeSpansParkedBeats) {
   const std::uint64_t cap = twin.range.capacity();
   const workload::AccessTrace trace =
       workload::make_uniform_random(cap, 2048, 0.25, 0xAB5EED);
-  auto ra = twin.range.serve(trace, 9);
-  auto rb = twin.perbeat.serve(trace, 9);
+  auto ra = twin.range.serve_trace(trace, 9);
+  auto rb = twin.perbeat.serve_trace(trace, 9);
   ASSERT_TRUE(ra.is_ok());
   ASSERT_TRUE(rb.is_ok());
   EXPECT_EQ(ra.value().corrupt_reads, 0u);
@@ -913,23 +913,6 @@ TEST(ReliableRangeTest, ServeTraceStreamingEquivalence) {
   EXPECT_EQ(ra.value().corrupt_reads, 0u);
   EXPECT_EQ(rb.value().corrupt_reads, 0u);
   twin.expect_equal("after streaming serve_trace");
-
-  // serve_trace == serve on a third universe: coalescing changes the
-  // mechanism and the scrub cadence policy, not the delivered bytes.
-  board::Vcu128Board board_serial(tiny_board());
-  ASSERT_TRUE(board_serial.set_hbm_voltage(Millivolts{950}).is_ok());
-  ReliableChannel serial(board_serial, kWeakPc,
-                         ChannelTwin::with_engine(config,
-                                                  ChannelEngine::kPerBeat));
-  auto rs = serial.serve(trace, 21);
-  ASSERT_TRUE(rs.is_ok());
-  EXPECT_EQ(rs.value().corrupt_reads, 0u);
-  for (std::uint64_t l = 0; l < twin.range.capacity(); ++l) {
-    ASSERT_EQ(twin.range.journal_live(l), serial.journal_live(l));
-    if (serial.journal_live(l)) {
-      ASSERT_EQ(twin.range.journal_beat(l), serial.journal_beat(l)) << l;
-    }
-  }
 }
 
 TEST(ReliableRangeTest, FleetFingerprintAcrossEnginesAndThreads) {

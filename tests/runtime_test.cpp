@@ -210,7 +210,7 @@ TEST(ReliableChannelTest, CleanServeAtNominalNeverEscalates) {
   ReliableChannel channel(board, 0);
   const auto trace = workload::make_uniform_random(
       channel.capacity(), 1024, 0.25, 11);
-  auto report = channel.serve(trace);
+  auto report = channel.serve_trace(trace);
   ASSERT_TRUE(report.is_ok()) << report.status().to_string();
   EXPECT_EQ(report.value().ops, 1024u);
   EXPECT_EQ(report.value().corrupt_reads, 0u);
@@ -235,7 +235,7 @@ TEST(ReliableChannelTest, EccAbsorbsSingleBitStuckCellsAt950) {
   ReliableChannel channel(board, kWeakPc, config);
   const auto trace = workload::make_uniform_random(
       channel.capacity(), 4096, 0.25, 13);
-  auto report = channel.serve(trace);
+  auto report = channel.serve_trace(trace);
   ASSERT_TRUE(report.is_ok()) << report.status().to_string();
   EXPECT_EQ(report.value().corrupt_reads, 0u);
   EXPECT_EQ(report.value().escalated_reads, 0u);
@@ -304,7 +304,7 @@ TEST(ReliableChannelTest, BudgetBurnRetiresHotRowsBeforeDataLoss) {
   ReliableChannel channel(board, kWeakPc, config);
   const auto trace = workload::make_uniform_random(
       channel.capacity(), 4096, 0.25, 17);
-  auto report = channel.serve(trace);
+  auto report = channel.serve_trace(trace);
   ASSERT_TRUE(report.is_ok()) << report.status().to_string();
   EXPECT_EQ(report.value().corrupt_reads, 0u);
   EXPECT_EQ(channel.stats().uncorrectable_blocked, 0u);
@@ -333,7 +333,7 @@ TEST(ReliableChannelTest, LadderEscapesUncorrectableWordsAt930) {
   ReliableChannel channel(board, kWeakPc, config);
   const auto trace = workload::make_uniform_random(
       channel.capacity(), 4096, 0.25, 19);
-  auto report = channel.serve(trace);
+  auto report = channel.serve_trace(trace);
   ASSERT_TRUE(report.is_ok()) << report.status().to_string();
   EXPECT_EQ(report.value().ops, 4096u);
   EXPECT_EQ(report.value().corrupt_reads, 0u);
@@ -385,13 +385,13 @@ TEST(ReliableChannelTest, OnlineReRetirementAfterWeakCellBurst) {
   ReliableChannel channel(board, 0, config);
   const auto warmup = workload::make_uniform_random(
       channel.capacity(), 1024, 0.25, 23);
-  ASSERT_TRUE(channel.serve(warmup).is_ok());
+  ASSERT_TRUE(channel.serve_trace(warmup).is_ok());
 
   board.injector().add_burst(0, 64, 64);  // dense enough to pair up
 
   const auto after = workload::make_uniform_random(
       channel.capacity(), 4096, 0.25, 29);
-  auto report = channel.serve(after);
+  auto report = channel.serve_trace(after);
   ASSERT_TRUE(report.is_ok()) << report.status().to_string();
   EXPECT_EQ(report.value().corrupt_reads, 0u);
   EXPECT_GT(channel.stats().rows_retired, 0u);
@@ -412,7 +412,7 @@ TEST(ReliableChannelTest, TelemetryCountersFlowAtSyncPoints) {
   ReliableChannel channel(board, kWeakPc, config);
   const auto trace = workload::make_uniform_random(
       channel.capacity(), 2048, 0.25, 31);
-  ASSERT_TRUE(channel.serve(trace).is_ok());
+  ASSERT_TRUE(channel.serve_trace(trace).is_ok());
   const std::string summary = telemetry.summary();
   EXPECT_NE(summary.find("runtime.reads"), std::string::npos);
   EXPECT_NE(summary.find("runtime.corrected_words"), std::string::npos);

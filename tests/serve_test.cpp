@@ -540,6 +540,53 @@ TEST(FleetWorkerTest, RestoreRejectsAnExternalSource) {
       << restored.to_string();
 }
 
+TEST(FleetWorkerTest, RestoreRejectsMalformedCheckpoints) {
+  // A checkpoint that does not fit the fleet it is restored onto is
+  // refused with invalid_argument before the board is touched: the fresh
+  // board keeps its nominal voltage.
+  runtime::FleetConfig config;
+  config.scheme = mitigate::MitigationKind::kStripe;
+  config.stripe_width = 4;  // 6 groups of 4 + parity, 2 spares
+  config.ops_per_pc = 256;
+  config.ops_per_epoch = 64;
+  config.halt_after_epochs = 1;
+  board::Vcu128Board board(tiny_board());
+  ASSERT_TRUE(board.set_hbm_voltage(Millivolts{950}).is_ok());
+  runtime::ServingFleet fleet(board, config);
+  ASSERT_TRUE(fleet.run().is_ok());
+  const runtime::FleetCheckpoint good = fleet.checkpoint();
+  ASSERT_EQ(good.groups.size(), 6u);
+
+  const auto restore = [&](const runtime::FleetCheckpoint& ck) {
+    board::Vcu128Board fresh(tiny_board());
+    const int nominal = fresh.hbm_voltage().value;
+    runtime::ServingFleet resumed(fresh, config);
+    const Status restored = resumed.restore(ck);
+    if (!restored.is_ok()) {
+      EXPECT_EQ(fresh.hbm_voltage().value, nominal) << restored.to_string();
+    }
+    return restored;
+  };
+  EXPECT_TRUE(restore(good).is_ok());
+
+  std::vector<std::pair<const char*, runtime::FleetCheckpoint>> bad;
+  bad.emplace_back("burst_extras empty", good);
+  bad.back().second.burst_extras.clear();
+  bad.emplace_back("killed PC out of range", good);
+  bad.back().second.killed_pcs.push_back(1u << 20);
+  bad.emplace_back("spare_next past the pool", good);
+  bad.back().second.spare_next = fleet.spares_left() + 1;
+  bad.emplace_back("rebuilding another group's member", good);
+  bad.back().second.groups[0].rebuilding = config.stripe_width;
+  bad.emplace_back("rebuilding out of range", good);
+  bad.back().second.groups[5].rebuilding = 1000;
+  bad.emplace_back("last PC's array words short", good);
+  bad.back().second.array_words.back().pop_back();
+  for (const auto& [what, ck] : bad) {
+    EXPECT_EQ(restore(ck).code(), StatusCode::kInvalidArgument) << what;
+  }
+}
+
 TEST(FleetWorkerTest, UnboundedStreamingPassesStoreNoTrace) {
   // 2^32 - 1 sweeps per PC: a stored trace would need terabytes, the
   // arithmetic sweep stores two integers.  The fleet builds, serves two
