@@ -5,6 +5,7 @@
 // on.
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -446,6 +447,53 @@ void BM_StripeServe(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(ops));
 }
 BENCHMARK(BM_StripeServe)->Arg(1200)->Arg(950)->Unit(benchmark::kMillisecond);
+
+// The fleet's threading tax (trended in CI, no threshold): the bare
+// SECDED streaming fleet over all 32 PCs at 950 mV -- one write sweep,
+// seven read sweeps per PC, 512-beat epochs -- on Arg workers.  Like
+// perfbench's serve_stream, each iteration is one session on a shared
+// board whose overlays are built before timing starts.  Timed in process
+// CPU, so items/s is beats per CPU second: with ideal scaling /4 reads
+// the same as /1, and the gap between them is what the fan-out, the
+// barriers and cross-core data movement cost.
+void BM_FleetStream(benchmark::State& state) {
+  const auto threads = static_cast<unsigned>(state.range(0));
+  constexpr unsigned kPasses = 8;
+  board::Vcu128Board board(bench::default_board_config());
+  (void)board.set_hbm_voltage(Millivolts{950});
+  const unsigned per_stack = board.geometry().pcs_per_stack();
+  for (unsigned pc = 0; pc < board.geometry().total_pcs(); ++pc) {
+    (void)board.stack(pc / per_stack).read_beat(pc % per_stack, 0);
+  }
+  std::uint64_t beats = 0;
+  std::uint64_t session = 0;
+  std::optional<runtime::ServingFleet> fleet;
+  for (auto _ : state) {
+    state.PauseTiming();
+    fleet.reset();
+    runtime::FleetConfig config;
+    config.scheme = mitigate::MitigationKind::kSecded;
+    config.streaming_passes = kPasses;
+    config.ops_per_epoch = 512;
+    config.threads = threads;
+    config.seed = 0x5E11E + session++;
+    fleet.emplace(board, std::move(config));
+    state.ResumeTiming();
+    auto report = fleet->run();
+    if (!report.is_ok()) {
+      state.SkipWithError("fleet run failed");
+      break;
+    }
+    beats += report.value().ops;
+  }
+  state.SetLabel(std::to_string(threads) + " workers");
+  state.SetItemsProcessed(static_cast<std::int64_t>(beats));
+}
+BENCHMARK(BM_FleetStream)
+    ->Arg(1)
+    ->Arg(4)
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Request-plane bookkeeping price (docs/serving.md, CI perf gate): one
 // single-threaded SECDED fleet on four PCs serves the same streaming work

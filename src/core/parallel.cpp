@@ -1,9 +1,11 @@
 #include "core/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <exception>
-#include <memory>
+#include <mutex>
+#include <string>
 #include <utility>
 
 #include "common/status.hpp"
@@ -11,10 +13,29 @@
 
 namespace hbmvolt::core {
 
+/// One worker's task queue: only its owner pops, any thread may push.
+struct ThreadPool::Mailbox {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::deque<std::function<void()>> tasks;
+  bool stop = false;
+};
+
+namespace {
+
+/// The pool whose worker loop runs on this thread (null elsewhere).
+thread_local const ThreadPool* t_worker_of = nullptr;
+
+}  // namespace
+
 ThreadPool::ThreadPool(unsigned threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;
+  }
+  mailboxes_.reserve(threads);
+  for (unsigned i = 0; i < threads; ++i) {
+    mailboxes_.push_back(std::make_unique<Mailbox>());
   }
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
@@ -23,26 +44,33 @@ ThreadPool::ThreadPool(unsigned threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
+  for (auto& box : mailboxes_) {
+    {
+      std::lock_guard<std::mutex> lock(box->mutex);
+      box->stop = true;
+    }
+    box->cv.notify_one();
   }
-  cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
+bool ThreadPool::on_worker() const noexcept { return t_worker_of == this; }
+
+void ThreadPool::submit(unsigned worker, std::function<void()> task) {
   HBMVOLT_REQUIRE(task != nullptr, "null task submitted to pool");
+  HBMVOLT_REQUIRE(worker < size(), "pool worker index out of range");
+  Mailbox& box = *mailboxes_[worker];
   {
-    std::lock_guard<std::mutex> lock(mutex_);
-    HBMVOLT_REQUIRE(!stop_, "pool is shutting down");
-    tasks_.push_back(std::move(task));
-    if (auto* tel = telemetry::Telemetry::active()) {
-      tel->gauge_set("pool.queue_depth",
-                     static_cast<std::int64_t>(tasks_.size()));
-    }
+    std::lock_guard<std::mutex> lock(box.mutex);
+    HBMVOLT_REQUIRE(!box.stop, "pool is shutting down");
+    box.tasks.push_back(std::move(task));
   }
-  cv_.notify_one();
+  const std::int64_t depth =
+      queued_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (auto* tel = telemetry::Telemetry::active()) {
+    tel->gauge_set("pool.queue_depth", depth);
+  }
+  box.cv.notify_one();
 }
 
 void ThreadPool::worker_loop(unsigned index) {
@@ -51,20 +79,21 @@ void ThreadPool::worker_loop(unsigned index) {
   // merge deterministically in worker-index order.
   telemetry::Telemetry::set_thread_track(
       static_cast<int>(index) + 1, "worker " + std::to_string(index));
+  t_worker_of = this;
+  Mailbox& box = *mailboxes_[index];
   for (;;) {
     std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stop_ and drained
-      task = std::move(tasks_.front());
-      tasks_.pop_front();
-      if (auto* tel = telemetry::Telemetry::active()) {
-        tel->gauge_set("pool.queue_depth",
-                       static_cast<std::int64_t>(tasks_.size()));
-      }
+      std::unique_lock<std::mutex> lock(box.mutex);
+      box.cv.wait(lock, [&box] { return box.stop || !box.tasks.empty(); });
+      if (box.tasks.empty()) return;  // stop and drained
+      task = std::move(box.tasks.front());
+      box.tasks.pop_front();
     }
+    const std::int64_t depth =
+        queued_.fetch_sub(1, std::memory_order_relaxed) - 1;
     if (auto* tel = telemetry::Telemetry::active()) {
+      tel->gauge_set("pool.queue_depth", depth);
       tel->count("pool.tasks");
     }
     task();
@@ -73,27 +102,27 @@ void ThreadPool::worker_loop(unsigned index) {
 
 namespace {
 
-/// State shared between the caller and the helper tasks of one fan-out.
-/// The caller outlives every helper (it blocks on `pending`), so helpers
-/// may reference the body through the raw pointer held here.
+/// State shared between the caller and the worker tasks of one fan-out.
+/// It lives on the caller's stack: a task's last touch is releasing
+/// `mutex` after its decrement of `pending`, and the caller returns only
+/// after observing `pending == 0` under that mutex.  So the exceptions
+/// workers stored are read and destroyed on the calling thread, after a
+/// synchronizing acquire.
 struct FanOut {
-  explicit FanOut(std::size_t count,
-                  const std::function<void(std::size_t)>& fn)
-      : body(&fn), errors(count) {}
+  FanOut(std::size_t count, std::size_t workers,
+         const std::function<void(std::size_t)>& fn)
+      : body(&fn), errors(count), pending(workers) {}
 
   const std::function<void(std::size_t)>* body;
-  std::atomic<std::size_t> next{0};
   std::vector<std::exception_ptr> errors;  // slot per index: no sharing
 
   std::mutex mutex;
   std::condition_variable done;
-  std::size_t pending = 0;
+  std::size_t pending;
 
-  /// Claims indices off the shared ticket until the range is exhausted.
-  void drain() {
-    const std::size_t count = errors.size();
-    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < count; i = next.fetch_add(1, std::memory_order_relaxed)) {
+  /// Runs the indices owned by worker `w` of `stride`: w, w + stride, ...
+  void run_owned(std::size_t w, std::size_t stride) {
+    for (std::size_t i = w; i < errors.size(); i += stride) {
       try {
         (*body)(i);
       } catch (...) {
@@ -115,9 +144,12 @@ void parallel_for_each(ThreadPool* pool, std::size_t count,
                        const std::function<void(std::size_t)>& body) {
   if (count == 0) return;
   telemetry::Span span("pool.fanout", static_cast<std::int64_t>(count));
-  if (pool == nullptr || pool->size() <= 1 || count == 1) {
+  if (pool == nullptr || pool->size() <= 1 || count == 1 ||
+      pool->on_worker()) {
     // Serial reference path: same run-all / lowest-index-throws semantics
-    // as the fan-out so behavior is identical at every thread count.
+    // as the fan-out so behavior is identical at every thread count.  A
+    // fan-out from inside one of the pool's tasks also lands here: its
+    // own mailbox would only run it after the running task returns.
     std::vector<std::exception_ptr> errors(count);
     for (std::size_t i = 0; i < count; ++i) {
       try {
@@ -130,28 +162,22 @@ void parallel_for_each(ThreadPool* pool, std::size_t count,
     return;
   }
 
-  auto shared = std::make_shared<FanOut>(count, body);
-  // The calling thread participates, so only size-1 helpers are needed at
-  // most (and never more than there are indices).
-  const std::size_t helpers =
-      std::min<std::size_t>(pool->size(), count) - 1;
-  shared->pending = helpers;
-  for (std::size_t h = 0; h < helpers; ++h) {
-    pool->submit([shared] {
-      shared->drain();
-      {
-        std::lock_guard<std::mutex> lock(shared->mutex);
-        --shared->pending;
-      }
-      shared->done.notify_one();
+  // Owner-computes: worker w runs every index i with i mod P == w, so an
+  // index lands on the same thread in every fan-out of the same width.
+  const std::size_t workers = std::min<std::size_t>(pool->size(), count);
+  FanOut fan(count, workers, body);
+  for (std::size_t w = 0; w < workers; ++w) {
+    pool->submit(static_cast<unsigned>(w), [&fan, w, workers] {
+      fan.run_owned(w, workers);
+      std::lock_guard<std::mutex> lock(fan.mutex);
+      if (--fan.pending == 0) fan.done.notify_one();
     });
   }
-  shared->drain();
   {
-    std::unique_lock<std::mutex> lock(shared->mutex);
-    shared->done.wait(lock, [&] { return shared->pending == 0; });
+    std::unique_lock<std::mutex> lock(fan.mutex);
+    fan.done.wait(lock, [&fan] { return fan.pending == 0; });
   }
-  rethrow_lowest(shared->errors);
+  rethrow_lowest(fan.errors);
 }
 
 }  // namespace hbmvolt::core

@@ -1,4 +1,5 @@
-// Deterministic fan-out engine for the sweep pipeline.
+// Deterministic fan-out engine for the sweep pipeline and the serving
+// fleet.
 //
 // The paper's platform runs all 32 AXI traffic generators concurrently
 // (one per pseudo-channel) at every voltage step; this pool is the host
@@ -15,17 +16,20 @@
 //    stream derived from the index (see stream_seed in common/rng.hpp),
 //    never from a shared generator.
 //
-// The pool is deliberately work-stealing-free: a shared atomic ticket is
-// all the scheduling the 32-wide fan-outs here need, and the simple
-// structure keeps the ThreadSanitizer lane clean.
+// Scheduling is owner-computes: index i of a fan-out always runs on pool
+// worker i mod P, P = min(size(), n), so the state behind an index (a
+// fleet slot's channel, journal and overlay) stays in one core's cache
+// across fan-outs, the way each traffic generator on the board is wired
+// to its own pseudo-channel.  No stealing, no pinning: each worker drains
+// its own mailbox, which keeps the ThreadSanitizer lane clean.
 
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -44,25 +48,30 @@ class ThreadPool {
     return static_cast<unsigned>(workers_.size());
   }
 
-  /// Enqueues a task for any worker.  Tasks must not throw (fan-outs wrap
+  /// Enqueues a task on worker `worker`'s mailbox; one worker runs its
+  /// tasks in submission order.  Tasks must not throw (fan-outs wrap
   /// their bodies; see parallel_for_each).
-  void submit(std::function<void()> task);
+  void submit(unsigned worker, std::function<void()> task);
+
+  /// True on one of this pool's worker threads.
+  [[nodiscard]] bool on_worker() const noexcept;
 
  private:
+  struct Mailbox;
   void worker_loop(unsigned index);
 
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> tasks_;
-  bool stop_ = false;
-  std::vector<std::thread> workers_;
+  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::atomic<std::int64_t> queued_{0};  // tasks waiting in any mailbox
+  std::vector<std::thread> workers_;     // last: the threads use the above
 };
 
-/// Runs body(0) .. body(count-1), each exactly once, distributed over the
-/// pool's workers plus the calling thread; returns after all complete.
+/// Runs body(0) .. body(count-1), each exactly once, and returns after all
+/// complete.  Index i runs on worker i mod min(pool->size(), count); the
+/// calling thread only waits.
 ///
-/// A null pool (or a single-thread pool) runs inline -- this is the serial
-/// reference path, and it executes the same code as the parallel one.
+/// A null pool, a single-thread pool, a one-index range, or a call from
+/// one of the pool's own workers runs inline on the calling thread -- the
+/// serial reference path, executing the same body as the pooled one.
 /// Exception semantics are identical at every thread count: all indices
 /// run to completion, and the exception thrown by the *lowest* failing
 /// index is rethrown afterwards.

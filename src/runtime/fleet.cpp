@@ -1,6 +1,7 @@
 #include "runtime/fleet.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 
 #include "common/log.hpp"
@@ -55,18 +56,15 @@ FleetConfig one_slot_config(const ReliableChannel& channel,
   return config;
 }
 
-/// `trace` with every beat taken modulo `capacity`.
-workload::AccessTrace wrap_to(const workload::AccessTrace& trace,
-                              std::uint64_t capacity) {
-  workload::AccessTrace wrapped;
-  wrapped.reserve(trace.size());
-  for (const workload::TraceRecord& record : trace) {
-    wrapped.append(record.write, record.beat % capacity);
-  }
-  return wrapped;
-}
-
 }  // namespace
+
+std::uint64_t count_mismatched_beats(const hbm::Beat* got,
+                                     const hbm::Beat* want, std::uint64_t n) {
+  if (n == 0 || std::memcmp(got, want, n * sizeof(hbm::Beat)) == 0) return 0;
+  std::uint64_t mismatched = 0;
+  for (std::uint64_t k = 0; k < n; ++k) mismatched += got[k] != want[k];
+  return mismatched;
+}
 
 /// The built-in per-PC streams as a RequestSource over the fleet's demand
 /// streams.  A request is a maximal run of consecutive beats in one
@@ -231,8 +229,9 @@ ServingFleet::ServingFleet(ReliableChannel& channel,
       data_seed_(data_seed),
       alerts_(resolve_rules(config_)) {
   channels_.push_back(&channel);
-  demand_.push_back(
-      workload::DemandStream::replay(wrap_to(trace, channel.capacity())));
+  workload::AccessTrace wrapped = trace;
+  wrapped.wrap_beats(channel.capacity());
+  demand_.push_back(workload::DemandStream::replay(std::move(wrapped)));
   init_slots();
 }
 
@@ -493,11 +492,8 @@ bool ServingFleet::serve_slot_epoch(std::size_t i) {
             f.model_ns += n * (channel.device_lost() ? kModelJournalNs
                                                      : kModelDeviceWriteNs);
           } else {
-            for (std::uint64_t k = 0; k < n; ++k) {
-              if (st.beats[k] != channel.journal_beat(logical + k)) {
-                ++st.report.corrupt_reads;
-              }
-            }
+            st.report.corrupt_reads += count_mismatched_beats(
+                st.beats.data(), &channel.journal_beat(logical), n);
             st.report.reads += n;
             f.model_ns += n * kModelDeviceReadNs;
           }

@@ -93,6 +93,14 @@ inline constexpr std::uint64_t kModelDeviceWriteNs = 1000;
 inline constexpr std::uint64_t kModelJournalNs = 400;
 inline constexpr std::uint64_t kModelEscalateNs = 5000;
 
+/// Beats of got[0, n) that differ from want[0, n): one compare over the
+/// whole run, and a per-beat count only when that compare finds a
+/// difference.  The worker checks every bulk read against the journal
+/// with it.
+[[nodiscard]] std::uint64_t count_mismatched_beats(const hbm::Beat* got,
+                                                   const hbm::Beat* want,
+                                                   std::uint64_t n);
+
 /// How a request left the worker.
 enum class ServeOutcome : unsigned {
   kServed = 0,  // device / stripe path, within its deadline

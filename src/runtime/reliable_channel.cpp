@@ -221,12 +221,8 @@ void ReliableChannel::account_scrub(std::uint64_t physical,
 
 Status ReliableChannel::settle_scrub_debt(std::uint64_t ops_before) {
   if (config_.scrub_interval_ops == 0) return Status::ok();
-  const std::uint64_t k = ops_ / config_.scrub_interval_ops -
-                          ops_before / config_.scrub_interval_ops;
-  for (std::uint64_t i = 0; i < k; ++i) {
-    HBMVOLT_RETURN_IF_ERROR(scrub_slice());
-  }
-  return Status::ok();
+  return scrub_slices(ops_ / config_.scrub_interval_ops -
+                      ops_before / config_.scrub_interval_ops);
 }
 
 // ---- Single-beat demand path ----
@@ -573,48 +569,72 @@ Status ReliableChannel::scrub_chunk(std::uint64_t logical,
   return Status::ok();
 }
 
-Status ReliableChannel::scrub_slice() {
-  if (device_lost_) return Status::ok();  // no silicon to patrol
+Status ReliableChannel::scrub_slice() { return scrub_slices(1); }
+
+Status ReliableChannel::scrub_slices(std::uint64_t slices) {
+  if (device_lost_ || slices == 0) return Status::ok();  // no silicon
   const std::uint64_t cap = capacity();
-  std::uint64_t remaining =
+  const std::uint64_t per_slice =
       std::min<std::uint64_t>(config_.scrub_batch_beats, cap);
   const std::uint64_t nblocks = block_count();
-  std::uint64_t skips = 0;
-  while (remaining > 0) {
-    const std::uint64_t block = scrub_cursor_ / kScrubBlockBeats;
-    const std::uint64_t block_start = block * kScrubBlockBeats;
-    const std::uint64_t block_end =
-        std::min(block_start + kScrubBlockBeats, cap);
-    if (scrub_cursor_ == block_start && clean_blocks_.get(block)) {
-      // One skip consumes the mark, so staleness is bounded to a round.
-      clean_blocks_.clear(block);
-      ++stats_.scrub_blocks_skipped;
-      scrub_cursor_ = block_end % cap;
-      scan_block_ = kNoBlock;
-      // Everything marked clean this round: don't spin through the whole
-      // map again within one slice.
-      if (++skips > nblocks) break;
-      continue;
-    }
-    const std::uint64_t chunk = std::min(block_end - scrub_cursor_, remaining);
-    if (scrub_cursor_ == block_start) {
-      scan_block_ = block;
-      scan_clean_ = true;
-    } else if (scan_block_ != block) {
-      // Mid-block entry with no scan in flight: this pass cannot prove
-      // the block clean.
-      scan_block_ = kNoBlock;
-    }
-    const std::uint64_t lo = scrub_cursor_;
-    HBMVOLT_RETURN_IF_ERROR(scrub_chunk(lo, chunk));
-    scrub_cursor_ = (lo + chunk) % cap;
-    remaining -= chunk;
-    if (scan_block_ == block && lo + chunk == block_end) {
-      if (scan_clean_) clean_blocks_.set(block);
-      scan_block_ = kNoBlock;
+  // Beats [pending, scrub_cursor_) are walked but not yet scrubbed.  A
+  // slice that stops mid-block leaves its chunk pending so the next slice
+  // extends it; the merged chunk is scrubbed at the block's end (before
+  // scan_clean_ is read) or when the walk ends, so it never crosses a
+  // block and every beat is scrubbed exactly as its own slice would.
+  std::uint64_t pending = kNoBlock;
+  const auto flush = [&](std::uint64_t end) -> Status {
+    if (pending == kNoBlock) return Status::ok();
+    const std::uint64_t lo = pending;
+    pending = kNoBlock;
+    const Status scrubbed = scrub_chunk(lo, end - lo);
+    // A failed scrub rewinds the cursor to the merged chunk's start.
+    if (!scrubbed.is_ok()) scrub_cursor_ = lo;
+    return scrubbed;
+  };
+  for (std::uint64_t slice = 0; slice < slices; ++slice) {
+    std::uint64_t remaining = per_slice;
+    std::uint64_t skips = 0;
+    while (remaining > 0) {
+      const std::uint64_t block = scrub_cursor_ / kScrubBlockBeats;
+      const std::uint64_t block_start = block * kScrubBlockBeats;
+      const std::uint64_t block_end =
+          std::min(block_start + kScrubBlockBeats, cap);
+      if (scrub_cursor_ == block_start && clean_blocks_.get(block)) {
+        // One skip consumes the mark, so staleness is bounded to a round.
+        clean_blocks_.clear(block);
+        ++stats_.scrub_blocks_skipped;
+        scrub_cursor_ = block_end % cap;
+        scan_block_ = kNoBlock;
+        // Everything marked clean this round: don't spin through the
+        // whole map again within one slice.
+        if (++skips > nblocks) break;
+        continue;
+      }
+      const std::uint64_t chunk =
+          std::min(block_end - scrub_cursor_, remaining);
+      if (scrub_cursor_ == block_start) {
+        scan_block_ = block;
+        scan_clean_ = true;
+      } else if (scan_block_ != block) {
+        // Mid-block entry with no scan in flight: this pass cannot prove
+        // the block clean.
+        scan_block_ = kNoBlock;
+      }
+      const std::uint64_t lo = scrub_cursor_;
+      if (pending == kNoBlock) pending = lo;
+      scrub_cursor_ = (lo + chunk) % cap;
+      remaining -= chunk;
+      if (lo + chunk == block_end) {
+        HBMVOLT_RETURN_IF_ERROR(flush(block_end));
+        if (scan_block_ == block) {
+          if (scan_clean_) clean_blocks_.set(block);
+          scan_block_ = kNoBlock;
+        }
+      }
     }
   }
-  return Status::ok();
+  return flush(scrub_cursor_);
 }
 
 Status ReliableChannel::patrol_all() {

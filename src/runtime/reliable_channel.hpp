@@ -263,6 +263,12 @@ class ReliableChannel {
   /// consumes the mark, so staleness is bounded to one patrol round).
   Status scrub_slice();
 
+  /// `slices` scrub_slice() calls settled in one walk: the same skip,
+  /// scan-clean and skip-cap rules per slice, with the chunks each slice
+  /// scans inside one clean-block merged into one scrub.  Ends in the
+  /// same state as the back-to-back calls.
+  Status scrub_slices(std::uint64_t slices);
+
   /// Emergency patrol: scrubs every live beat in one sweep, ignoring
   /// clean-block marks.  escalate() runs this whenever an uncorrectable
   /// word was seen, so a fault storm is mapped out (and retired) in one

@@ -53,29 +53,56 @@ void HdrHistogram::clear() {
   overflow_ = 0;
 }
 
-std::uint64_t HdrHistogram::quantile(double q) const {
-  if (count_ == 0) return 0;
+namespace {
+
+/// Exact rank of quantile q among `count` (> 0) samples: ceil(q * count),
+/// with q clamped to [0, 1] and the rank to [1, count].
+std::uint64_t rank_of(double q, std::uint64_t count) {
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
   std::uint64_t rank =
-      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count_)));
+      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count)));
   if (rank < 1) rank = 1;
-  if (rank > count_) rank = count_;
+  if (rank > count) rank = count;
+  return rank;
+}
+
+}  // namespace
+
+void HdrHistogram::values_at_ranks(const std::uint64_t* ranks,
+                                   std::uint64_t* out, std::size_t n) const {
+  // One cumulative walk answers every (ascending) rank.  Buckets below
+  // min()'s hold nothing, so the walk starts at min()'s bucket.
+  std::size_t k = 0;
   std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
+  for (std::size_t i = index_of(min_); i < counts_.size() && k < n; ++i) {
     cumulative += counts_[i];
-    if (cumulative >= rank) {
+    while (k < n && cumulative >= ranks[k]) {
       const std::uint64_t edge = value_at(i);
-      return edge < max_ ? edge : max_;
+      out[k++] = edge < max_ ? edge : max_;
     }
   }
-  // Rank lies in the overflow region; the only honest point value there
-  // is the observed maximum.
-  return max_;
+  // Ranks in the overflow region; the only honest point value there is
+  // the observed maximum.
+  for (; k < n; ++k) out[k] = max_;
+}
+
+std::uint64_t HdrHistogram::quantile(double q) const {
+  if (count_ == 0) return 0;
+  const std::uint64_t rank = rank_of(q, count_);
+  std::uint64_t value = 0;
+  values_at_ranks(&rank, &value, 1);
+  return value;
 }
 
 HdrHistogram::Quantiles HdrHistogram::quantiles() const {
-  return {quantile(0.50), quantile(0.90), quantile(0.99), quantile(0.999)};
+  if (count_ == 0) return {};
+  const std::uint64_t ranks[4] = {rank_of(0.50, count_), rank_of(0.90, count_),
+                                  rank_of(0.99, count_),
+                                  rank_of(0.999, count_)};
+  std::uint64_t values[4];
+  values_at_ranks(ranks, values, 4);
+  return {values[0], values[1], values[2], values[3]};
 }
 
 std::string format_duration_ns(std::uint64_t ns) {

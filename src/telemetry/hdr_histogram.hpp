@@ -97,6 +97,11 @@ class HdrHistogram {
   }
 
  private:
+  /// Values at `n` ascending ranks in [1, count()], as quantile() reports
+  /// them; requires count() > 0.
+  void values_at_ranks(const std::uint64_t* ranks, std::uint64_t* out,
+                       std::size_t n) const;
+
   std::uint64_t max_value_;
   std::vector<std::uint64_t> counts_;  // grown lazily to the touched index
   std::uint64_t count_ = 0;

@@ -15,6 +15,15 @@ void AccessTrace::append(bool write, std::uint64_t beat) {
   records_.push_back({write, static_cast<std::uint32_t>(beat)});
 }
 
+void AccessTrace::wrap_beats(std::uint64_t capacity) {
+  HBMVOLT_REQUIRE(capacity > 0, "cannot wrap a trace to zero beats");
+  for (TraceRecord& record : records_) {
+    if (record.beat >= capacity) {
+      record.beat = static_cast<std::uint32_t>(record.beat % capacity);
+    }
+  }
+}
+
 std::string AccessTrace::to_text() const {
   std::string out;
   out.reserve(records_.size() * 12);

@@ -34,6 +34,10 @@ class AccessTrace {
   /// appends without regrowing.
   void reserve(std::size_t records) { records_.reserve(records); }
 
+  /// Takes each beat at or past `capacity` (> 0) modulo `capacity`;
+  /// records already inside are left as they are.
+  void wrap_beats(std::uint64_t capacity);
+
   [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
   [[nodiscard]] bool empty() const noexcept { return records_.empty(); }
   [[nodiscard]] const TraceRecord& operator[](std::size_t i) const {

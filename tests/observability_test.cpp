@@ -125,6 +125,48 @@ TEST(HdrHistogramTest, QuantileBracketsExactRank) {
   EXPECT_EQ(h.max(), sorted.back());
 }
 
+// quantiles() answers its four ranks in one walk that starts at min()'s
+// bucket; every value must equal a full bucket walk from index 0 at that
+// rank, including ranks that land in the overflow region.
+TEST(HdrHistogramTest, QuantilesMatchFullBucketWalk) {
+  const auto reference = [](const HdrHistogram& h, double q) {
+    std::uint64_t rank = static_cast<std::uint64_t>(
+        std::ceil(q * static_cast<double>(h.count())));
+    if (rank < 1) rank = 1;
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < h.counts().size(); ++i) {
+      cumulative += h.counts()[i];
+      if (cumulative >= rank) {
+        return std::min(HdrHistogram::value_at(i), h.max());
+      }
+    }
+    return h.max();
+  };
+  const std::vector<std::uint64_t> values = sample_values(3000);
+  HdrHistogram shifted(1 << 20);
+  HdrHistogram merged(1 << 20);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    shifted.record(values[i] + 5000);
+    HdrHistogram one(1 << 20);
+    one.record_n(values[i] * 3 + 900, 1 + i % 3);
+    merged.merge(one);
+  }
+  for (int i = 0; i < 40; ++i) merged.record((1 << 20) + i);  // overflow
+  for (const HdrHistogram* h : {&shifted, &merged}) {
+    const HdrHistogram::Quantiles q = h->quantiles();
+    EXPECT_EQ(q.p50, reference(*h, 0.50));
+    EXPECT_EQ(q.p90, reference(*h, 0.90));
+    EXPECT_EQ(q.p99, reference(*h, 0.99));
+    EXPECT_EQ(q.p999, reference(*h, 0.999));
+    for (double p : {0.0, 0.25, 0.5, 0.99, 0.999, 1.0}) {
+      EXPECT_EQ(h->quantile(p), reference(*h, p)) << "q=" << p;
+    }
+  }
+  EXPECT_EQ(merged.quantiles().p999, merged.max()) << "rank in overflow";
+  const HdrHistogram::Quantiles empty = HdrHistogram().quantiles();
+  EXPECT_EQ(empty.p50 + empty.p90 + empty.p99 + empty.p999, 0u);
+}
+
 TEST(HdrHistogramTest, MergeIsGroupingInvariant) {
   // Any partition of the samples into per-thread histograms merges to the
   // same buckets -- the determinism claim behind per-worker recording.

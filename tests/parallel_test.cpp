@@ -5,6 +5,7 @@
 // reuse) and FaultMap::merge commutativity -- the property the parallel
 // aggregation path relies on.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <stdexcept>
@@ -69,6 +70,51 @@ TEST(ParallelForEachTest, PoolIsReusableAcrossFanOuts) {
     });
     EXPECT_EQ(sum.load(), 17 * 16 / 2);
   }
+}
+
+// Owner-computes scheduling: index i of a fan-out always runs on the
+// same pool worker, so per-index state stays on one core across fan-outs
+// (a fleet slot's channel between epochs), and every worker takes part.
+TEST(ParallelForEachTest, IndexOwnershipIsStableAcrossFanOuts) {
+  core::ThreadPool pool(4);
+  constexpr std::size_t kCount = 32;
+  std::vector<std::thread::id> owner(kCount);
+  core::parallel_for_each(&pool, kCount, [&](std::size_t i) {
+    owner[i] = std::this_thread::get_id();
+  });
+  std::vector<std::thread::id> workers(owner.begin(), owner.end());
+  std::sort(workers.begin(), workers.end());
+  workers.erase(std::unique(workers.begin(), workers.end()), workers.end());
+  EXPECT_EQ(workers.size(), pool.size()) << "a pool worker sat idle";
+  EXPECT_EQ(std::count(workers.begin(), workers.end(),
+                       std::this_thread::get_id()),
+            0)
+      << "the calling thread ran an index";
+
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::thread::id> ran(kCount);
+    core::parallel_for_each(&pool, kCount, [&](std::size_t i) {
+      ran[i] = std::this_thread::get_id();
+    });
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(ran[i], owner[i]) << "index " << i << " round " << round;
+    }
+  }
+}
+
+// A fan-out from inside a pool task runs inline on that worker instead of
+// queueing behind the task that issued it.
+TEST(ParallelForEachTest, NestedFanOutRunsInlineOnTheWorker) {
+  core::ThreadPool pool(2);
+  std::vector<int> inner_hits(8 * 4, 0);
+  core::parallel_for_each(&pool, 8, [&](std::size_t i) {
+    const std::thread::id outer = std::this_thread::get_id();
+    core::parallel_for_each(&pool, 4, [&](std::size_t j) {
+      EXPECT_EQ(std::this_thread::get_id(), outer);
+      ++inner_hits[i * 4 + j];
+    });
+  });
+  for (const int hits : inner_hits) EXPECT_EQ(hits, 1);
 }
 
 // All indices run even when some throw, and the lowest failing index's

@@ -944,5 +944,210 @@ TEST(ReliableRangeTest, FleetFingerprintAcrossEnginesAndThreads) {
   EXPECT_EQ(range_1, perbeat_4);
 }
 
+
+// ---------------------------------------------------------------------------
+// Patrol debt: k back-to-back scrub_slice() calls vs one scrub_slices(k) walk
+// ---------------------------------------------------------------------------
+
+/// test_tiny with 16 KiB PCs: several patrol blocks per channel.
+board::BoardConfig patrol_board() {
+  board::BoardConfig config = tiny_board();
+  config.geometry.bits_per_pc = 1ull << 17;
+  return config;
+}
+
+/// Twin channels on twin boards: `slices` settles a patrol debt with k
+/// scrub_slice() calls, `walk` with one scrub_slices(k).  Every other op
+/// runs on both, so any divergence is the walk's.
+struct PatrolTwin {
+  board::Vcu128Board board_slices;
+  board::Vcu128Board board_walk;
+  ReliableChannel slices;
+  ReliableChannel walk;
+  unsigned pc;
+
+  PatrolTwin(unsigned pc_global, const ReliableChannelConfig& config,
+             int mv)
+      : board_slices(patrol_board()),
+        board_walk(patrol_board()),
+        slices(board_slices, pc_global, config),
+        walk(board_walk, pc_global, config),
+        pc(pc_global) {
+    EXPECT_TRUE(board_slices.set_hbm_voltage(Millivolts{mv}).is_ok());
+    EXPECT_TRUE(board_walk.set_hbm_voltage(Millivolts{mv}).is_ok());
+  }
+
+  void settle(std::uint64_t k) {
+    for (std::uint64_t i = 0; i < k; ++i) {
+      ASSERT_TRUE(slices.scrub_slice().is_ok());
+    }
+    ASSERT_TRUE(walk.scrub_slices(k).is_ok());
+  }
+
+  /// Steps both channels one slice at a time until the patrol cursor sits
+  /// strictly inside a block, so the next debt starts mid-block.
+  void move_cursor_mid_block() {
+    for (int i = 0; i < 64 && slices.scrub_cursor() %
+                                      ReliableChannel::kScrubBlockBeats ==
+                                  0;
+         ++i) {
+      ASSERT_TRUE(slices.scrub_slice().is_ok());
+      ASSERT_TRUE(walk.scrub_slice().is_ok());
+    }
+    ASSERT_NE(slices.scrub_cursor() % ReliableChannel::kScrubBlockBeats, 0u);
+  }
+
+  std::vector<std::uint64_t> array_words(board::Vcu128Board& board) const {
+    const hbm::HbmGeometry& g = board.geometry();
+    std::vector<std::uint64_t> words(g.beats_per_pc() * 4);
+    EXPECT_TRUE(board.stack(pc / g.pcs_per_stack())
+                    .read_range_words(pc % g.pcs_per_stack(), 0,
+                                      g.beats_per_pc(), words.data())
+                    .is_ok());
+    return words;
+  }
+
+  /// Stats, ECC stats, budget, patrol cursor, scan state, clean-block map,
+  /// shadow checks and every word of the PC's array.
+  void expect_equal(const std::string& where) {
+    runtime::ChannelCheckpoint a;
+    runtime::ChannelCheckpoint b;
+    slices.capture(&a);
+    walk.capture(&b);
+    const ChannelStats& x = a.stats;
+    const ChannelStats& y = b.stats;
+    EXPECT_EQ(x.reads, y.reads) << where;
+    EXPECT_EQ(x.writes, y.writes) << where;
+    EXPECT_EQ(x.corrected_words, y.corrected_words) << where;
+    EXPECT_EQ(x.corrected_check_words, y.corrected_check_words) << where;
+    EXPECT_EQ(x.uncorrectable_blocked, y.uncorrectable_blocked) << where;
+    EXPECT_EQ(x.scrub_beats, y.scrub_beats) << where;
+    EXPECT_EQ(x.scrub_corrected, y.scrub_corrected) << where;
+    EXPECT_EQ(x.scrub_uncorrectable, y.scrub_uncorrectable) << where;
+    EXPECT_EQ(x.scrub_writebacks, y.scrub_writebacks) << where;
+    EXPECT_EQ(x.scrub_blocks_skipped, y.scrub_blocks_skipped) << where;
+    EXPECT_EQ(x.rows_retired, y.rows_retired) << where;
+    EXPECT_EQ(x.beats_migrated, y.beats_migrated) << where;
+    EXPECT_EQ(x.beats_parked, y.beats_parked) << where;
+    EXPECT_EQ(x.journal_served_reads, y.journal_served_reads) << where;
+    EXPECT_EQ(x.verify_caught, y.verify_caught) << where;
+    EXPECT_EQ(a.ecc_stats.words_read, b.ecc_stats.words_read) << where;
+    EXPECT_EQ(a.ecc_stats.words_clean, b.ecc_stats.words_clean) << where;
+    EXPECT_EQ(a.ecc_stats.corrected_data, b.ecc_stats.corrected_data)
+        << where;
+    EXPECT_EQ(a.ecc_stats.corrected_check, b.ecc_stats.corrected_check)
+        << where;
+    EXPECT_EQ(a.ecc_stats.uncorrectable, b.ecc_stats.uncorrectable) << where;
+    EXPECT_EQ(a.budget.words, b.budget.words) << where;
+    EXPECT_EQ(a.budget.corrected, b.budget.corrected) << where;
+    EXPECT_EQ(a.budget.uncorrectable, b.budget.uncorrectable) << where;
+    EXPECT_EQ(a.budget.windows_completed, b.budget.windows_completed)
+        << where;
+    EXPECT_EQ(a.budget.burns, b.budget.burns) << where;
+    EXPECT_EQ(a.scrub_cursor, b.scrub_cursor) << where;
+    EXPECT_EQ(a.scan_block, b.scan_block) << where;
+    EXPECT_EQ(a.scan_clean, b.scan_clean) << where;
+    EXPECT_EQ(a.escalation_pending, b.escalation_pending) << where;
+    EXPECT_EQ(a.offender_rows, b.offender_rows) << where;
+    EXPECT_EQ(a.row_events, b.row_events) << where;
+    ASSERT_EQ(a.clean_blocks.size(), b.clean_blocks.size()) << where;
+    for (std::uint64_t i = 0; i < a.clean_blocks.size(); ++i) {
+      EXPECT_EQ(a.clean_blocks.get(i), b.clean_blocks.get(i))
+          << where << " block " << i;
+    }
+    EXPECT_EQ(a.ecc_shadow, b.ecc_shadow) << where;
+    EXPECT_EQ(array_words(board_slices), array_words(board_walk)) << where;
+  }
+};
+
+class PatrolWalkTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Undervolted weak PC with a weak-cell burst and a small spare pool:
+// serving leaves remapped and parked beats, never-written beats (the
+// trace avoids the channel's tail), and stuck cells whose scrub
+// write-backs do not stick.  Debts start mid-block, and the long ones
+// wrap past a capacity that is not a multiple of the block size.
+TEST_P(PatrolWalkTest, MatchesBackToBackSlicesOnAServedChannel) {
+  ReliableChannelConfig config;
+  config.spare_fraction = 0.02;
+  config.scrub_batch_beats = GetParam();
+  PatrolTwin twin(kWeakPc, config, 930);
+  twin.board_slices.injector().add_burst(kWeakPc, 256, 256);
+  twin.board_walk.injector().add_burst(kWeakPc, 256, 256);
+  const std::uint64_t cap = twin.slices.capacity();
+  ASSERT_NE(cap % ReliableChannel::kScrubBlockBeats, 0u)
+      << "test premise: the walk must wrap past a partial last block";
+
+  constexpr std::uint64_t kUntouched = 100;
+  const workload::AccessTrace trace = workload::make_uniform_random(
+      cap - kUntouched, 8192, 0.25, 0x9A7801);
+  ASSERT_TRUE(twin.slices.serve_trace(trace, 5).is_ok());
+  ASSERT_TRUE(twin.walk.serve_trace(trace, 5).is_ok());
+  twin.expect_equal("after serve");
+  ASSERT_GT(twin.slices.stats().beats_migrated, 0u)
+      << "test premise: retirement must have remapped beats";
+  ASSERT_GT(twin.slices.parked_count(), 0u)
+      << "test premise: the burst must park beats";
+  ASSERT_FALSE(twin.slices.journal_live(cap - 1))
+      << "test premise: the channel's tail is never written";
+
+  const std::uint64_t writebacks = twin.slices.stats().scrub_writebacks;
+  for (const std::uint64_t k : {1u, 3u, 8u, 13u, 64u, 257u}) {
+    twin.move_cursor_mid_block();
+    const std::uint64_t from = twin.slices.scrub_cursor();
+    twin.settle(k);
+    twin.expect_equal("debt of " + std::to_string(k) + " slices from beat " +
+                      std::to_string(from));
+  }
+  EXPECT_GT(twin.slices.stats().scrub_writebacks, writebacks)
+      << "test premise: stuck cells must force patrol write-backs";
+}
+
+// A map the patrol itself proved all-clean: the first slice of the debt
+// skips every block (the skip cap's edge) before it scans, and later
+// slices keep consuming marks -- identically in the walk.  A bulk read
+// that marks blocks clean behind the cursor is settled the same way.
+TEST_P(PatrolWalkTest, MatchesBackToBackSlicesOnAnAllCleanMap) {
+  ReliableChannelConfig config;
+  config.scrub_interval_ops = 0;  // the test drives every slice
+  config.scrub_batch_beats = GetParam();
+  PatrolTwin twin(0, config, 1200);
+  const std::uint64_t cap = twin.slices.capacity();
+  const std::uint64_t blocks =
+      (cap + ReliableChannel::kScrubBlockBeats - 1) /
+      ReliableChannel::kScrubBlockBeats;
+  constexpr std::uint64_t kUntouched = 37;
+  std::vector<hbm::Beat> data(cap - kUntouched);
+  for (std::uint64_t l = 0; l < data.size(); ++l) data[l] = test_payload(l);
+  ASSERT_TRUE(twin.slices.write_range(0, data.size(), data.data()).is_ok());
+  ASSERT_TRUE(twin.walk.write_range(0, data.size(), data.data()).is_ok());
+  ASSERT_TRUE(twin.slices.patrol_all().is_ok());
+  ASSERT_TRUE(twin.walk.patrol_all().is_ok());
+  ASSERT_EQ(twin.slices.scrub_cursor(), 0u);
+
+  const std::uint64_t skipped = twin.slices.stats().scrub_blocks_skipped;
+  twin.settle(1);
+  EXPECT_EQ(twin.slices.stats().scrub_blocks_skipped - skipped, blocks)
+      << "test premise: one slice skips the whole map";
+  twin.expect_equal("one slice over an all-clean map");
+  twin.settle(7);
+  twin.expect_equal("7 slices");
+  twin.settle(150);
+  twin.expect_equal("150 slices");
+
+  std::vector<hbm::Beat> out(data.size());
+  ASSERT_TRUE(twin.slices.read_range(0, data.size(), out.data()).is_ok());
+  ASSERT_TRUE(twin.walk.read_range(0, data.size(), out.data()).is_ok());
+  twin.move_cursor_mid_block();
+  twin.settle(90);
+  twin.expect_equal("90 slices after a clean bulk read");
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchBeats, PatrolWalkTest,
+                         ::testing::Values(8u, 24u),
+                         [](const auto& info) {
+                           return "batch" + std::to_string(info.param);
+                         });
+
 }  // namespace
 }  // namespace hbmvolt

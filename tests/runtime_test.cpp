@@ -201,6 +201,38 @@ TEST(PayloadTest, DeterministicPerSeedPcAndOp) {
   EXPECT_NE(a, runtime::make_payload(7, 3, 42));
 }
 
+// The worker's run compare: one compare over the run, a per-beat count
+// only on a difference.  Every count equals the per-beat loop's.
+TEST(MismatchCountTest, RunCompareMatchesPerBeatLoop) {
+  constexpr std::uint64_t kRun = 512;
+  std::vector<hbm::Beat> want(kRun);
+  for (std::uint64_t k = 0; k < kRun; ++k) {
+    want[k] = runtime::make_payload(11, 2, k);
+  }
+  const auto per_beat = [&](const std::vector<hbm::Beat>& got) {
+    std::uint64_t n = 0;
+    for (std::uint64_t k = 0; k < kRun; ++k) n += got[k] != want[k];
+    return n;
+  };
+  const std::vector<std::vector<std::uint64_t>> cases = {
+      {}, {0}, {kRun / 2}, {kRun - 1}, {0, 200, kRun - 1}};
+  for (const auto& flipped : cases) {
+    std::vector<hbm::Beat> got = want;
+    for (const std::uint64_t k : flipped) got[k][k % 4] ^= 1ull << (k % 64);
+    EXPECT_EQ(runtime::count_mismatched_beats(got.data(), want.data(), kRun),
+              per_beat(got))
+        << flipped.size() << " flipped beats";
+    EXPECT_EQ(runtime::count_mismatched_beats(got.data(), want.data(), kRun),
+              flipped.size());
+  }
+  // A one-beat run and an empty run.
+  hbm::Beat one = want[0];
+  EXPECT_EQ(runtime::count_mismatched_beats(&one, want.data(), 1), 0u);
+  one[3] ^= 1;
+  EXPECT_EQ(runtime::count_mismatched_beats(&one, want.data(), 1), 1u);
+  EXPECT_EQ(runtime::count_mismatched_beats(&one, want.data(), 0), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // ReliableChannel: rung 0 (correct + scrub)
 // ---------------------------------------------------------------------------
