@@ -987,14 +987,14 @@ struct PatrolTwin {
   /// Steps both channels one slice at a time until the patrol cursor sits
   /// strictly inside a block, so the next debt starts mid-block.
   void move_cursor_mid_block() {
-    for (int i = 0; i < 64 && slices.scrub_cursor() %
-                                      ReliableChannel::kScrubBlockBeats ==
-                                  0;
-         ++i) {
+    const auto at_block_start = [this] {
+      return slices.scrub_cursor() % ReliableChannel::kScrubBlockBeats == 0;
+    };
+    for (int i = 0; i < 64 && at_block_start(); ++i) {
       ASSERT_TRUE(slices.scrub_slice().is_ok());
       ASSERT_TRUE(walk.scrub_slice().is_ok());
     }
-    ASSERT_NE(slices.scrub_cursor() % ReliableChannel::kScrubBlockBeats, 0u);
+    ASSERT_FALSE(at_block_start());
   }
 
   std::vector<std::uint64_t> array_words(board::Vcu128Board& board) const {
