@@ -19,10 +19,6 @@
 //   HBMVOLT_SOAK_SEED=N      workload seed (default 101)
 //   HBMVOLT_SOAK_VERIFY=1    re-run serially and require an identical
 //                            fingerprint (byte-reproducibility check)
-//   HBMVOLT_SOAK_ENGINE=S    bulk-operation engine: "range" (default,
-//                            the table-driven bulk path) or "perbeat"
-//                            (the one-beat-at-a-time reference); the
-//                            two produce identical fingerprints
 //   HBMVOLT_SOAK_SCHEME=S    mitigation scheme: "secded" (default),
 //                            "dected", or "stripe" (cross-PC erasure
 //                            stripe with online spare rebuild)
@@ -110,17 +106,6 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return value;
 }
 
-runtime::ChannelEngine env_engine() {
-  const char* text = std::getenv("HBMVOLT_SOAK_ENGINE");
-  if (text == nullptr || std::strcmp(text, "range") == 0) {
-    return runtime::ChannelEngine::kRange;
-  }
-  if (std::strcmp(text, "perbeat") == 0) {
-    return runtime::ChannelEngine::kPerBeat;
-  }
-  bad_knob("HBMVOLT_SOAK_ENGINE", text, "\"range\" or \"perbeat\"");
-}
-
 mitigate::MitigationKind env_scheme() {
   const char* text = std::getenv("HBMVOLT_SOAK_SCHEME");
   if (text == nullptr) return mitigate::MitigationKind::kSecded;
@@ -177,7 +162,6 @@ runtime::FleetConfig soak_fleet(std::uint64_t ops_per_pc, unsigned threads,
   config.seed = seed;
   config.threads = threads;
   config.channel.spare_fraction = 0.25;
-  config.channel.engine = env_engine();
   return config;
 }
 
@@ -344,10 +328,8 @@ int main() {
   telemetry::ScopedTelemetry scope(telemetry);
 
   std::printf("resilient serving soak: %llu ops/PC at %d mV, %u thread(s), "
-              "chaos x%.2f, %s engine, %s scheme, %llu tenant(s)\n",
+              "chaos x%.2f, %s scheme, %llu tenant(s)\n",
               static_cast<unsigned long long>(ops), mv, threads, chaos_rate,
-              env_engine() == runtime::ChannelEngine::kRange ? "range"
-                                                             : "perbeat",
               mitigate::to_string(env_scheme()),
               static_cast<unsigned long long>(tenant_count));
 

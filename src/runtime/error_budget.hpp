@@ -60,9 +60,8 @@ class ErrorBudget {
   /// window goes through the normal rate check (the window may still burn
   /// on *previously* accumulated corrections), and the remaining fully
   /// clean windows are fast-forwarded arithmetically.  This is what lets
-  /// the range engine account a multi-thousand-beat clean run without a
-  /// per-beat loop while staying fingerprint-identical to the per-beat
-  /// reference.
+  /// the range calls account a multi-thousand-beat clean run without a
+  /// per-beat loop while staying identical to per-op reads.
   void record_clean(std::uint64_t words);
 
   /// Consume a burn (or abandon the current window) after a ladder

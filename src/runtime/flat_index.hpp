@@ -11,8 +11,7 @@
 // requests split into long plain runs plus sparse exceptions.
 //
 // All operations are deterministic (sorted order, no hashing), which the
-// twin-universe fingerprint equivalence between the per-beat and range
-// engines relies on.
+// twin-universe equivalence between the per-op and range calls relies on.
 
 #pragma once
 

@@ -1039,6 +1039,19 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
       return invalid_argument("fleet checkpoint array size mismatch");
     }
   }
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    HBMVOLT_RETURN_IF_ERROR(channels_[i]->check_restorable(ck.channels[i]));
+    const PlacedRequest& pending = ck.slots[i].pending;
+    const std::uint64_t cap = channels_[i]->capacity();
+    if (pending.count > 0 &&
+        (pending.count > cap || pending.logical > cap - pending.count)) {
+      return invalid_argument("fleet checkpoint request outside its slot");
+    }
+  }
+  for (std::size_t g = 0; g < parity_channels_.size(); ++g) {
+    HBMVOLT_RETURN_IF_ERROR(
+        parity_channels_[g]->check_restorable(ck.parity[g]));
+  }
   base_epochs_ = ck.epochs;
   base_raises_ = ck.raises;
   base_power_cycles_ = ck.power_cycles;

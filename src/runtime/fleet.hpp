@@ -337,7 +337,10 @@ class ServingFleet {
   /// voltage, burst extras, PC kills, and raw array words, then every
   /// channel/slot/group state.  The fleet must have been constructed with
   /// the same config as the one that captured the checkpoint, and without
-  /// an external source (invalid_argument otherwise).
+  /// an external source (invalid_argument otherwise).  A checkpoint that
+  /// does not fit -- its shape, any channel's (check_restorable), or a
+  /// pending request outside its slot -- is refused before the board is
+  /// touched.
   Status restore(const FleetCheckpoint& ck);
 
   [[nodiscard]] mitigate::MitigationKind scheme() const noexcept {

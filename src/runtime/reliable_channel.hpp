@@ -43,15 +43,14 @@
 // migration spares, so retirement never shrinks the exposed capacity; it
 // consumes spares instead (runtime.spares_free gauges the headroom).
 //
-// Fast path (the range engine): read_range/write_range split a request at
-// the sparse exception set (parked or remapped beats -- a one-branch probe
-// in the common no-faults case, see flat_index.hpp) and serve the plain
-// runs through EccChannel's bulk decode/encode; patrol scrub runs the same
+// Fast path: read_range/write_range split a request at the sparse
+// exception set (parked or remapped beats -- a one-branch probe in the
+// common no-faults case, see flat_index.hpp) and serve the plain runs
+// through EccChannel's bulk decode/encode; patrol scrub runs the same
 // split and additionally skips blocks a previous pass (or a piggybacking
-// clean range read) proved clean.  The per-beat engine (ChannelEngine::
-// kPerBeat) executes the identical policy one beat at a time; fingerprints
-// are byte-identical between the two at any thread count, which
-// tests/range_test.cpp pins twin-universe style.
+// clean range read) proved clean.  The per-op read()/write() are the
+// reference: tests/range_test.cpp drives a second channel one beat at a
+// time and requires the same data, stats, budget and journal.
 
 #pragma once
 
@@ -69,15 +68,6 @@
 #include "workload/trace.hpp"
 
 namespace hbmvolt::runtime {
-
-/// Mechanism selector for the bulk operations (range I/O, patrol scrub,
-/// journal restore/refresh).  Policy -- accounting order, scrub cadence,
-/// clean-block marks -- is shared; only the execution strategy differs,
-/// and results are byte-identical (the twin-universe check).
-enum class ChannelEngine : unsigned {
-  kRange = 0,    // bulk runs through EccChannel::{decode,encode,scrub}_range
-  kPerBeat = 1,  // reference: one EccChannel beat call per beat
-};
 
 struct ReliableChannelConfig {
   ErrorBudgetConfig budget;
@@ -98,8 +88,6 @@ struct ReliableChannelConfig {
   /// paired up in it) must be caught while the journal still vouches for
   /// it -- not left armed for the next soft upset.
   bool verify_writes = true;
-  /// Bulk-operation mechanism (see ChannelEngine).
-  ChannelEngine engine = ChannelEngine::kRange;
   /// Per-word ECC codec (mitigate/scheme.hpp maps scheme names to this).
   ecc::WordCodec codec = ecc::WordCodec::kSecded;
 };
@@ -227,9 +215,6 @@ class ReliableChannel {
   }
   [[nodiscard]] std::uint64_t spares_free() const noexcept;
   [[nodiscard]] unsigned pc_global() const noexcept { return pc_global_; }
-  [[nodiscard]] ChannelEngine engine() const noexcept {
-    return config_.engine;
-  }
 
   Status write(std::uint64_t logical, const hbm::Beat& data);
 
@@ -263,10 +248,10 @@ class ReliableChannel {
   /// consumes the mark, so staleness is bounded to one patrol round).
   Status scrub_slice();
 
-  /// `slices` scrub_slice() calls settled in one walk: the same skip,
-  /// scan-clean and skip-cap rules per slice, with the chunks each slice
-  /// scans inside one clean-block merged into one scrub.  Ends in the
-  /// same state as the back-to-back calls.
+  /// `slices` scrub_slice() calls settled in one walk: the same skip and
+  /// scan-clean rules per slice, with the chunks each slice scans inside
+  /// one clean-block merged into one scrub.  Ends in the same state as the
+  /// back-to-back calls.
   Status scrub_slices(std::uint64_t slices);
 
   /// Emergency patrol: scrubs every live beat in one sweep, ignoring
@@ -343,8 +328,13 @@ class ReliableChannel {
   /// Checkpoint seam (see ChannelCheckpoint).  restore() re-points the
   /// channel at the checkpointed silicon (which may be an adopted spare)
   /// and assumes the caller already restored the board: voltage, killed
-  /// PCs, burst extras, and raw array words.
+  /// PCs, burst extras, and raw array words.  check_restorable() returns
+  /// invalid_argument for a checkpoint restore() would refuse (a PC off
+  /// the board, a scrub or spare cursor past its end, or a journal, live map,
+  /// remap, clean-block map or ECC shadow sized for another channel), so
+  /// callers can vet it first.
   void capture(ChannelCheckpoint* out) const;
+  [[nodiscard]] Status check_restorable(const ChannelCheckpoint& ck) const;
   void restore(const ChannelCheckpoint& ck);
 
   /// Replays `trace` (beats taken modulo capacity) through the fleet
@@ -406,10 +396,9 @@ class ReliableChannel {
   /// Scrub one logical beat (the special-beat body of the patrol).
   Status scrub_one(std::uint64_t logical);
   /// Scrub [logical, logical + count): splits at exceptions and liveness,
-  /// dispatches plain runs to the configured engine, and folds events into
-  /// the clean-block scan.
+  /// scrubs plain runs in bulk, and folds events into the clean-block scan.
   Status scrub_chunk(std::uint64_t logical, std::uint64_t count);
-  /// Plain identity-mapped live run through the engine.
+  /// Plain identity-mapped live run through EccChannel::scrub_range.
   Status scrub_plain_run(std::uint64_t logical, std::uint64_t count);
   void account_scrub(std::uint64_t physical, unsigned corrected_data,
                      unsigned corrected_check, unsigned uncorrectable,
@@ -421,14 +410,21 @@ class ReliableChannel {
                     unsigned corrected_check, unsigned uncorrectable);
   void account_verify(std::uint64_t physical, unsigned corrected,
                       unsigned corrected_check, unsigned uncorrectable);
+  /// account_verify without the budget record (journal rewrites).
+  void account_rewrite(std::uint64_t physical, unsigned corrected,
+                       unsigned uncorrectable);
+  /// One device beat read into *out; kDataLoss when uncorrectable.
+  Status read_device_beat(std::uint64_t physical, hbm::Beat* out);
+  /// One device beat write, read back when verify_writes is set.
+  Status write_device_beat(std::uint64_t physical, const hbm::Beat& data);
 
   /// Settles the patrol cadence after a bulk call: one slice per
   /// scrub_interval_ops boundary crossed since `ops_before`.
   Status settle_scrub_debt(std::uint64_t ops_before);
 
   /// Rewrites every live beat from the journal (the refresh/restore body);
-  /// with `verify`, read-back accounting matches refresh_from_journal's
-  /// per-beat reference (row events + verify_caught, no budget records).
+  /// with `verify`, each read-back notes row events and verify_caught but
+  /// records nothing in the budget.
   Status rewrite_live_runs(bool verify);
   Status rewrite_plain_run(std::uint64_t logical, std::uint64_t count,
                            bool verify);
@@ -484,9 +480,9 @@ class ReliableChannel {
   std::uint64_t scrub_cursor_ = 0;
   bool escalation_pending_ = false;
 
-  // Clean-block bookkeeping for the patrol skip (policy state, shared by
-  // both engines): a block is marked when a contiguous pass over it saw
-  // zero scrub events, or a bulk read decoded it entirely clean.
+  // Clean-block bookkeeping for the patrol skip: a block is marked when a
+  // contiguous pass over it saw zero scrub events, or a bulk read decoded
+  // it entirely clean.
   BitVec clean_blocks_;
   std::uint64_t scan_block_ = kNoBlock;
   bool scan_clean_ = false;
@@ -499,7 +495,7 @@ class ReliableChannel {
   telemetry::HdrHistogram write_latency_;
   std::vector<LadderEvent> ladder_trace_;
 
-  // Range-engine scratch (high-water reuse, no per-call allocation).
+  // Bulk-path scratch (high-water reuse, no per-call allocation).
   std::vector<ecc::EccChannel::RangeBeatEvent> scratch_events_;
   std::vector<hbm::Beat> scratch_beats_;
 };

@@ -17,8 +17,8 @@
 // plus one halt -> checkpoint -> restore row per scheme, each carrying the
 // fleet, data and tenant fingerprints and the served op counts.
 // channel_serve.txt pins ReliableChannel::serve_trace: one row per
-// (PC, voltage, traffic, engine) case with the report counters, the
-// channel stats, a ladder-trace digest and a journal digest.
+// (PC, voltage, traffic) case with the report counters, the channel
+// stats, a ladder-trace digest and a journal digest.
 
 #include <cstdio>
 #include <cstdlib>
@@ -352,13 +352,12 @@ struct ChannelCell {
 /// One ReliableChannel::serve_trace run on a fresh test_tiny board: the
 /// report counters, the ChannelStats fields the fleet fingerprint folds,
 /// the ladder trace and the journal, each as one row.
-std::string channel_row(const ChannelCell& cell, runtime::ChannelEngine engine) {
+std::string channel_row(const ChannelCell& cell) {
   board::Vcu128Board board(tiny_board());
   EXPECT_TRUE(board.set_hbm_voltage(Millivolts{cell.mv}).is_ok());
   if (cell.burst) board.injector().add_burst(cell.pc, 64, 64);
   runtime::ReliableChannelConfig config;
   config.spare_fraction = cell.spare;
-  config.engine = engine;
   runtime::ReliableChannel channel(board, cell.pc, config);
   const workload::AccessTrace trace =
       cell.streaming
@@ -391,13 +390,12 @@ std::string channel_row(const ChannelCell& cell, runtime::ChannelEngine engine) 
   char buffer[640];
   std::snprintf(
       buffer, sizeof(buffer),
-      "%s pc=%u mv=%d %s spare=%.2f burst=%d | ops=%llu reads=%llu "
+      "pc=%u mv=%d %s spare=%.2f burst=%d | ops=%llu reads=%llu "
       "writes=%llu corrupt=%llu escalated=%llu | corr=%llu/%llu unc=%llu "
       "retired=%llu migrated=%llu jmig=%llu parked=%llu verify=%llu "
       "refresh=%llu jserved=%llu recon=%llu rebuilt=%llu scrub=%llu/%llu/"
       "%llu/%llu | ladder=%zu:%016llx final_mv=%d | journal=%016llx\n",
-      engine == runtime::ChannelEngine::kRange ? "range" : "perbeat", cell.pc,
-      cell.mv, cell.streaming ? "streaming" : "uniform", cell.spare,
+      cell.pc, cell.mv, cell.streaming ? "streaming" : "uniform", cell.spare,
       cell.burst ? 1 : 0, u(report.ops), u(report.reads), u(report.writes),
       u(report.corrupt_reads), u(report.escalated_reads),
       u(cs.corrected_words), u(cs.corrected_check_words),
@@ -422,12 +420,7 @@ TEST(ChannelGoldenTest, ServeTraceMatches) {
       {kWeakPc, 1200, false, 0.0, true},
   };
   std::string rows;
-  for (const ChannelCell& cell : cells) {
-    for (const auto engine :
-         {runtime::ChannelEngine::kRange, runtime::ChannelEngine::kPerBeat}) {
-      rows += channel_row(cell, engine);
-    }
-  }
+  for (const ChannelCell& cell : cells) rows += channel_row(cell);
   check_golden("channel_serve.txt", rows);
 }
 

@@ -1,15 +1,18 @@
 // Range-path equivalence suite: the table-driven SECDED/DECTED codecs,
 // EccChannel's bulk encode/decode/scrub, and ReliableChannel's range
-// engine.
+// calls.
 //
 // The discipline is the repo's usual twin-universe one: the fast path
-// (ChannelEngine::kRange -- bulk decodes, flat exception sets, clean-block
-// scrub skipping) and the reference path (ChannelEngine::kPerBeat -- one
-// EccChannel call per beat) execute the same POLICY and must produce
-// byte-identical results: delivered data, journals, ChannelStats, budget
-// history, ladder traces, parked sets, fleet fingerprints.  Anything the
-// fast path gets to skip, it must account exactly as if it had not.
+// (read_range / write_range -- bulk decodes, flat exception sets,
+// clean-block marks) and the reference (the channel's own per-op read()
+// and write(), one beat at a time in ascending order, on a second board)
+// execute the same POLICY and must produce byte-identical results:
+// delivered data, status codes, journals, ChannelStats, budget history,
+// ladder traces, parked sets.  Anything the fast path gets to skip, it
+// must account exactly as if it had not.  The patrol walk is pinned the
+// same way against back-to-back scrub_slice() calls.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,7 +38,6 @@ namespace {
 using ecc::DecodeStatus;
 using ecc::EccChannel;
 using ecc::WordCodec;
-using runtime::ChannelEngine;
 using runtime::ChannelStats;
 using runtime::FleetConfig;
 using runtime::ReliableChannel;
@@ -657,36 +659,61 @@ TEST(EccRangePadTest, DectedPadBitsDecodeCleanOnPackedPath) {
 }
 
 // ---------------------------------------------------------------------------
-// ReliableChannel: range engine vs per-beat engine (twin universes)
+// ReliableChannel: range calls vs the per-op API (twin universes)
 // ---------------------------------------------------------------------------
 
+/// Per-op reference for write_range: write() each beat in ascending order.
+Status write_each(ReliableChannel& channel, std::uint64_t logical,
+                  std::uint64_t count, const hbm::Beat* data) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const Status wrote = channel.write(logical + i, data[i]);
+    if (!wrote.is_ok()) return wrote;
+  }
+  return Status::ok();
+}
+
+/// Per-op reference for read_range: read() each beat in ascending order,
+/// stopping at the first failure, as read_range stops accounting there.
+Status read_each(ReliableChannel& channel, std::uint64_t logical,
+                 std::uint64_t count, hbm::Beat* out) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    auto got = channel.read(logical + i);
+    if (!got.is_ok()) return got.status();
+    out[i] = got.value();
+  }
+  return Status::ok();
+}
+
+/// Two channels on two boards: `range` is driven with write_range /
+/// read_range, `perop` with write() / read() one beat at a time.  The
+/// patrol is off in both, because its cadence (settled at the end of a
+/// range call, between beats per op) is the one difference the range
+/// contract allows.
 struct ChannelTwin {
   board::Vcu128Board board_range;
-  board::Vcu128Board board_perbeat;
+  board::Vcu128Board board_perop;
   ReliableChannel range;
-  ReliableChannel perbeat;
+  ReliableChannel perop;
 
   ChannelTwin(unsigned pc, ReliableChannelConfig config,
               int start_mv = 1200)
       : board_range(tiny_board()),
-        board_perbeat(tiny_board()),
-        range(board_range, pc, with_engine(config, ChannelEngine::kRange)),
-        perbeat(board_perbeat, pc,
-                with_engine(config, ChannelEngine::kPerBeat)) {
+        board_perop(tiny_board()),
+        range(board_range, pc, without_patrol(config)),
+        perop(board_perop, pc, without_patrol(config)) {
     EXPECT_TRUE(board_range.set_hbm_voltage(Millivolts{start_mv}).is_ok());
-    EXPECT_TRUE(board_perbeat.set_hbm_voltage(Millivolts{start_mv}).is_ok());
+    EXPECT_TRUE(board_perop.set_hbm_voltage(Millivolts{start_mv}).is_ok());
   }
 
-  static ReliableChannelConfig with_engine(ReliableChannelConfig config,
-                                           ChannelEngine engine) {
-    config.engine = engine;
+  static ReliableChannelConfig without_patrol(ReliableChannelConfig config) {
+    config.scrub_interval_ops = 0;
     return config;
   }
 
   /// Full-state comparison: everything the twin-universe contract pins.
   void expect_equal(const char* where) const {
     const ChannelStats& a = range.stats();
-    const ChannelStats& b = perbeat.stats();
+    const ChannelStats& b = perop.stats();
     EXPECT_EQ(a.reads, b.reads) << where;
     EXPECT_EQ(a.writes, b.writes) << where;
     EXPECT_EQ(a.corrected_words, b.corrected_words) << where;
@@ -708,35 +735,67 @@ struct ChannelTwin {
     EXPECT_EQ(a.raises, b.raises) << where;
     EXPECT_EQ(a.power_cycles, b.power_cycles) << where;
     EXPECT_EQ(range.budget().windows_completed(),
-              perbeat.budget().windows_completed())
+              perop.budget().windows_completed())
         << where;
-    EXPECT_EQ(range.budget().window_words(), perbeat.budget().window_words())
+    EXPECT_EQ(range.budget().window_words(), perop.budget().window_words())
         << where;
-    EXPECT_EQ(range.budget().burns(), perbeat.budget().burns()) << where;
-    EXPECT_EQ(range.parked_count(), perbeat.parked_count()) << where;
-    EXPECT_EQ(range.spares_free(), perbeat.spares_free()) << where;
-    EXPECT_EQ(range.ladder_trace().size(), perbeat.ladder_trace().size())
+    EXPECT_EQ(range.budget().window_corrected(),
+              perop.budget().window_corrected())
+        << where;
+    EXPECT_EQ(range.budget().burns(), perop.budget().burns()) << where;
+    EXPECT_EQ(range.escalation_pending(), perop.escalation_pending())
+        << where;
+    EXPECT_EQ(range.parked_count(), perop.parked_count()) << where;
+    EXPECT_EQ(range.spares_free(), perop.spares_free()) << where;
+    EXPECT_EQ(range.ladder_trace().size(), perop.ladder_trace().size())
         << where;
     for (std::size_t i = 0; i < range.ladder_trace().size() &&
-                            i < perbeat.ladder_trace().size();
+                            i < perop.ladder_trace().size();
          ++i) {
-      EXPECT_EQ(range.ladder_trace()[i].rung, perbeat.ladder_trace()[i].rung);
+      EXPECT_EQ(range.ladder_trace()[i].rung, perop.ladder_trace()[i].rung);
       EXPECT_EQ(range.ladder_trace()[i].voltage.value,
-                perbeat.ladder_trace()[i].voltage.value);
-      EXPECT_EQ(range.ladder_trace()[i].op, perbeat.ladder_trace()[i].op);
+                perop.ladder_trace()[i].voltage.value);
+      EXPECT_EQ(range.ladder_trace()[i].op, perop.ladder_trace()[i].op);
     }
-    ASSERT_EQ(range.capacity(), perbeat.capacity());
+    ASSERT_EQ(range.capacity(), perop.capacity());
     for (std::uint64_t l = 0; l < range.capacity(); ++l) {
-      ASSERT_EQ(range.journal_live(l), perbeat.journal_live(l)) << where;
-      ASSERT_EQ(range.parked(l), perbeat.parked(l)) << where;
+      ASSERT_EQ(range.journal_live(l), perop.journal_live(l)) << where;
+      ASSERT_EQ(range.parked(l), perop.parked(l)) << where;
       if (range.journal_live(l)) {
-        ASSERT_EQ(range.journal_beat(l), perbeat.journal_beat(l))
+        ASSERT_EQ(range.journal_beat(l), perop.journal_beat(l))
             << where << " beat " << l;
       }
     }
     EXPECT_EQ(board_range.hbm_voltage().value,
-              board_perbeat.hbm_voltage().value)
+              board_perop.hbm_voltage().value)
         << where;
+  }
+
+  /// Reads every `width`-beat window at every offset: read_range on
+  /// `range`, per-op reads on `perop`.  Same status per window, and on
+  /// success the same beats, each equal to its journal copy.  Returns the
+  /// number of failed windows.
+  std::uint64_t sweep_windows(std::uint64_t width) {
+    const std::uint64_t cap = range.capacity();
+    std::vector<hbm::Beat> out_a(width), out_b(width);
+    std::uint64_t failed = 0;
+    for (std::uint64_t lo = 0; lo < cap; ++lo) {
+      const std::uint64_t n = std::min(width, cap - lo);
+      const Status sa = range.read_range(lo, n, out_a.data());
+      const Status sb = read_each(perop, lo, n, out_b.data());
+      EXPECT_EQ(sa.code(), sb.code()) << "offset " << lo;
+      if (!sa.is_ok() || !sb.is_ok()) {
+        ++failed;
+        continue;
+      }
+      for (std::uint64_t i = 0; i < n; ++i) {
+        EXPECT_EQ(out_a[i], out_b[i]) << "beat " << lo + i;
+        if (range.journal_live(lo + i)) {
+          EXPECT_EQ(out_a[i], range.journal_beat(lo + i)) << "beat " << lo + i;
+        }
+      }
+    }
+    return failed;
   }
 };
 
@@ -755,60 +814,45 @@ TEST(ReliableRangeTest, EmptyRemapFastPathMatchesPerBeat) {
   std::vector<hbm::Beat> data(cap);
   for (std::uint64_t l = 0; l < cap; ++l) data[l] = test_payload(l);
   ASSERT_TRUE(twin.range.write_range(0, cap, data.data()).is_ok());
-  ASSERT_TRUE(twin.perbeat.write_range(0, cap, data.data()).is_ok());
+  ASSERT_TRUE(write_each(twin.perop, 0, cap, data.data()).is_ok());
   twin.expect_equal("after write_range");
 
   std::vector<hbm::Beat> out_a(cap), out_b(cap);
   ASSERT_TRUE(twin.range.read_range(0, cap, out_a.data()).is_ok());
-  ASSERT_TRUE(twin.perbeat.read_range(0, cap, out_b.data()).is_ok());
+  ASSERT_TRUE(read_each(twin.perop, 0, cap, out_b.data()).is_ok());
   for (std::uint64_t l = 0; l < cap; ++l) {
     ASSERT_EQ(out_a[l], data[l]) << "beat " << l;
     ASSERT_EQ(out_b[l], data[l]) << "beat " << l;
   }
   twin.expect_equal("after read_range");
-
-  // Single-beat API agrees with the bulk result.
-  for (std::uint64_t l = 0; l < cap; l += 7) {
-    auto got = twin.range.read(l);
-    ASSERT_TRUE(got.is_ok());
-    EXPECT_EQ(got.value(), data[l]);
-  }
 }
 
 TEST(ReliableRangeTest, UndervoltedRangesMatchPerBeatAtEveryOffset) {
+  // Down to 910 mV on the weak PC, where some windows hit an
+  // uncorrectable word: read_range must fail on exactly the windows the
+  // per-op reads fail on, having accounted exactly the same beats.
   ReliableChannelConfig config;
   config.spare_fraction = 0.25;
-  ChannelTwin twin(kWeakPc, config, 950);
-  const std::uint64_t cap = twin.range.capacity();
+  for (const int mv : {950, 930, 910}) {
+    SCOPED_TRACE(std::to_string(mv) + " mV");
+    ChannelTwin twin(kWeakPc, config, mv);
+    const std::uint64_t cap = twin.range.capacity();
 
-  std::vector<hbm::Beat> data(cap);
-  for (std::uint64_t l = 0; l < cap; ++l) data[l] = test_payload(l);
-  ASSERT_TRUE(twin.range.write_range(0, cap, data.data()).is_ok());
-  ASSERT_TRUE(twin.perbeat.write_range(0, cap, data.data()).is_ok());
+    std::vector<hbm::Beat> data(cap);
+    for (std::uint64_t l = 0; l < cap; ++l) data[l] = test_payload(l);
+    const Status wa = twin.range.write_range(0, cap, data.data());
+    const Status wb = write_each(twin.perop, 0, cap, data.data());
+    ASSERT_EQ(wa.code(), wb.code()) << wa.to_string();
+    twin.expect_equal("after write_range");
 
-  // Sweep every offset with a prime-ish length so ranges start and end on
-  // every beat (including any corrected/remapped one).
-  std::vector<hbm::Beat> out_a(cap), out_b(cap);
-  for (std::uint64_t lo = 0; lo < cap; ++lo) {
-    const std::uint64_t n = std::min<std::uint64_t>(13, cap - lo);
-    const Status sa = twin.range.read_range(lo, n, out_a.data());
-    const Status sb = twin.perbeat.read_range(lo, n, out_b.data());
-    ASSERT_EQ(sa.code(), sb.code()) << "offset " << lo;
-    if (!sa.is_ok()) continue;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out_a[i], data[lo + i]) << "beat " << lo + i;
-      ASSERT_EQ(out_b[i], data[lo + i]) << "beat " << lo + i;
+    // A prime-ish length so windows start and end on every beat
+    // (including any corrected one).
+    const std::uint64_t failed = twin.sweep_windows(13);
+    twin.expect_equal("after offset sweep");
+    if (mv == 910) {
+      EXPECT_GT(failed, 0u) << "test premise: 910 mV must fail some windows";
     }
   }
-  twin.expect_equal("after offset sweep");
-
-  // Manual patrol slices drive the clean-block machinery identically.
-  for (int slice = 0; slice < 32; ++slice) {
-    ASSERT_TRUE(twin.range.scrub_slice().is_ok());
-    ASSERT_TRUE(twin.perbeat.scrub_slice().is_ok());
-  }
-  twin.expect_equal("after patrol slices");
-  EXPECT_GT(twin.range.stats().scrub_beats, 0u);
 }
 
 TEST(ReliableRangeTest, RemappedBeatsAtRangeBoundaries) {
@@ -822,7 +866,7 @@ TEST(ReliableRangeTest, RemappedBeatsAtRangeBoundaries) {
   const workload::AccessTrace trace =
       workload::make_uniform_random(cap, 2048, 0.25, 0x5EED);
   auto ra = twin.range.serve_trace(trace, 7);
-  auto rb = twin.perbeat.serve_trace(trace, 7);
+  auto rb = twin.perop.serve_trace(trace, 7);
   ASSERT_TRUE(ra.is_ok());
   ASSERT_TRUE(rb.is_ok());
   EXPECT_EQ(ra.value().corrupt_reads, 0u);
@@ -834,18 +878,7 @@ TEST(ReliableRangeTest, RemappedBeatsAtRangeBoundaries) {
 
   // Every offset x length-4 window: remapped beats land on the first
   // beat, an interior beat, and the last beat of some range.
-  std::vector<hbm::Beat> out_a(4), out_b(4);
-  for (std::uint64_t lo = 0; lo + 4 <= cap; ++lo) {
-    const Status sa = twin.range.read_range(lo, 4, out_a.data());
-    const Status sb = twin.perbeat.read_range(lo, 4, out_b.data());
-    ASSERT_EQ(sa.code(), sb.code()) << "offset " << lo;
-    if (!sa.is_ok()) continue;
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      if (!twin.range.journal_live(lo + i)) continue;
-      ASSERT_EQ(out_a[i], twin.range.journal_beat(lo + i)) << lo + i;
-      ASSERT_EQ(out_b[i], out_a[i]) << lo + i;
-    }
-  }
+  twin.sweep_windows(4);
   twin.expect_equal("after boundary sweep");
 }
 
@@ -860,13 +893,13 @@ TEST(ReliableRangeTest, ReadRangeSpansParkedBeats) {
   // up into uncorrectable (parkable) words, sparse enough that no word
   // collects the 3 mismatches SECDED would silently miscorrect.
   twin.board_range.injector().add_burst(kWeakPc, 64, 64);
-  twin.board_perbeat.injector().add_burst(kWeakPc, 64, 64);
+  twin.board_perop.injector().add_burst(kWeakPc, 64, 64);
 
   const std::uint64_t cap = twin.range.capacity();
   const workload::AccessTrace trace =
       workload::make_uniform_random(cap, 2048, 0.25, 0xAB5EED);
   auto ra = twin.range.serve_trace(trace, 9);
-  auto rb = twin.perbeat.serve_trace(trace, 9);
+  auto rb = twin.perop.serve_trace(trace, 9);
   ASSERT_TRUE(ra.is_ok());
   ASSERT_TRUE(rb.is_ok());
   EXPECT_EQ(ra.value().corrupt_reads, 0u);
@@ -875,12 +908,12 @@ TEST(ReliableRangeTest, ReadRangeSpansParkedBeats) {
   ASSERT_GT(twin.range.parked_count(), 0u)
       << "test premise: the burst must park at least one beat";
 
-  // Bulk reads spanning parked beats serve them from the journal (and
-  // count them), identically in both engines.
+  // A bulk read spanning parked beats serves them from the journal (and
+  // counts them), exactly as per-op reads do.
   const std::uint64_t served_before = twin.range.stats().journal_served_reads;
   std::vector<hbm::Beat> out_a(cap), out_b(cap);
   const Status sa = twin.range.read_range(0, cap, out_a.data());
-  const Status sb = twin.perbeat.read_range(0, cap, out_b.data());
+  const Status sb = read_each(twin.perop, 0, cap, out_b.data());
   ASSERT_EQ(sa.code(), sb.code());
   if (sa.is_ok()) {
     for (std::uint64_t l = 0; l < cap; ++l) {
@@ -895,8 +928,8 @@ TEST(ReliableRangeTest, ReadRangeSpansParkedBeats) {
 
 TEST(ReliableRangeTest, ServeTraceStreamingEquivalence) {
   // Streaming trace = maximal contiguous runs: the bulk path carries
-  // nearly every op.  Same journal, stats, and report as the per-beat
-  // engine, with the headline invariant intact.
+  // nearly every op, with the headline invariant intact.  The state it
+  // leaves then reads back the same through read_range and per-op reads.
   ReliableChannelConfig config;
   config.spare_fraction = 0.25;
   ChannelTwin twin(kWeakPc, config, 950);
@@ -904,19 +937,21 @@ TEST(ReliableRangeTest, ServeTraceStreamingEquivalence) {
       workload::make_streaming(twin.range.capacity(), 4);
 
   auto ra = twin.range.serve_trace(trace, 21);
-  auto rb = twin.perbeat.serve_trace(trace, 21);
+  auto rb = twin.perop.serve_trace(trace, 21);
   ASSERT_TRUE(ra.is_ok());
   ASSERT_TRUE(rb.is_ok());
-  EXPECT_EQ(ra.value().ops, rb.value().ops);
-  EXPECT_EQ(ra.value().reads, rb.value().reads);
-  EXPECT_EQ(ra.value().writes, rb.value().writes);
+  EXPECT_EQ(ra.value().ops, trace.size());
+  EXPECT_EQ(ra.value().reads + ra.value().writes, ra.value().ops);
   EXPECT_EQ(ra.value().corrupt_reads, 0u);
   EXPECT_EQ(rb.value().corrupt_reads, 0u);
   twin.expect_equal("after streaming serve_trace");
+
+  EXPECT_EQ(twin.sweep_windows(twin.range.capacity()), 0u);
+  twin.expect_equal("after full-capacity reads");
 }
 
-TEST(ReliableRangeTest, FleetFingerprintAcrossEnginesAndThreads) {
-  const auto run_fleet = [](ChannelEngine engine, unsigned threads) {
+TEST(ReliableRangeTest, FleetFingerprintAcrossThreads) {
+  const auto run_fleet = [](unsigned threads) {
     board::Vcu128Board board(tiny_board());
     EXPECT_TRUE(board.set_hbm_voltage(Millivolts{950}).is_ok());
     FleetConfig config;
@@ -926,7 +961,6 @@ TEST(ReliableRangeTest, FleetFingerprintAcrossEnginesAndThreads) {
     config.seed = 77;
     config.threads = threads;
     config.channel.spare_fraction = 0.25;
-    config.channel.engine = engine;
     ServingFleet fleet(board, config);
     auto report = fleet.run();
     EXPECT_TRUE(report.is_ok());
@@ -934,16 +968,10 @@ TEST(ReliableRangeTest, FleetFingerprintAcrossEnginesAndThreads) {
     return report.is_ok() ? report.value().fingerprint : 0;
   };
 
-  const std::uint64_t range_1 = run_fleet(ChannelEngine::kRange, 1);
-  const std::uint64_t range_4 = run_fleet(ChannelEngine::kRange, 4);
-  const std::uint64_t perbeat_1 = run_fleet(ChannelEngine::kPerBeat, 1);
-  const std::uint64_t perbeat_4 = run_fleet(ChannelEngine::kPerBeat, 4);
-  EXPECT_NE(range_1, 0u);
-  EXPECT_EQ(range_1, range_4);
-  EXPECT_EQ(range_1, perbeat_1);
-  EXPECT_EQ(range_1, perbeat_4);
+  const std::uint64_t serial = run_fleet(1);
+  EXPECT_NE(serial, 0u);
+  EXPECT_EQ(serial, run_fleet(4));
 }
-
 
 // ---------------------------------------------------------------------------
 // Patrol debt: k back-to-back scrub_slice() calls vs one scrub_slices(k) walk
@@ -1104,7 +1132,7 @@ TEST_P(PatrolWalkTest, MatchesBackToBackSlicesOnAServedChannel) {
 }
 
 // A map the patrol itself proved all-clean: the first slice of the debt
-// skips every block (the skip cap's edge) before it scans, and later
+// skips every block (one lap of consumed marks) before it scans, and later
 // slices keep consuming marks -- identically in the walk.  A bulk read
 // that marks blocks clean behind the cursor is settled the same way.
 TEST_P(PatrolWalkTest, MatchesBackToBackSlicesOnAnAllCleanMap) {

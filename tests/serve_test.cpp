@@ -582,6 +582,30 @@ TEST(FleetWorkerTest, RestoreRejectsMalformedCheckpoints) {
   bad.back().second.groups[5].rebuilding = 1000;
   bad.emplace_back("last PC's array words short", good);
   bad.back().second.array_words.back().pop_back();
+  // Channel checkpoints are vetted before the board is touched too, the
+  // parity channels' as well as the serving slots'.
+  bad.emplace_back("journal short", good);
+  bad.back().second.channels[0].journal.pop_back();
+  bad.emplace_back("live map short", good);
+  runtime::BitVec& live = bad.back().second.channels[1].live;
+  live.assign(live.size() - 1, false);
+  bad.emplace_back("parity remap short", good);
+  bad.back().second.parity[0].remap.pop_back();
+  bad.emplace_back("clean-block map long", good);
+  runtime::BitVec& clean = bad.back().second.channels[2].clean_blocks;
+  clean.assign(clean.size() + 1, false);
+  bad.emplace_back("channel PC off the board", good);
+  bad.back().second.channels[3].pc_global = 1u << 20;
+  bad.emplace_back("scrub cursor past capacity", good);
+  bad.back().second.parity[1].scrub_cursor = good.parity[1].journal.size();
+  bad.emplace_back("spare cursor past the spare pool", good);
+  bad.back().second.channels[4].spare_cursor =
+      good.channels[4].spares.size() + 1;
+  // A built-in request past its slot would abort in the worker.
+  bad.emplace_back("pending request past capacity", good);
+  runtime::PlacedRequest& pending = bad.back().second.slots[0].pending;
+  pending.count = 4;
+  pending.logical = good.channels[0].journal.size() - 2;
   for (const auto& [what, ck] : bad) {
     EXPECT_EQ(restore(ck).code(), StatusCode::kInvalidArgument) << what;
   }
