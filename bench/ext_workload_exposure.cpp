@@ -71,7 +71,8 @@ int main() {
       "probability 1/2 -- while the skewed workload's exposure depends on\n"
       "whether its hot set overlaps a fault cluster at all.  Fig 6's\n"
       "tolerable-rate axis is therefore a *worst case* over workloads;\n"
-      "footprint-aware placement (see mitigate::RemappedChannel) converts\n"
+      "footprint-aware placement (runtime::ReliableChannel's row\n"
+      "retire-and-remap rung keeps data off faulty rows) converts\n"
       "unused capacity directly into undervolting headroom.\n");
   (void)board.set_hbm_voltage(Millivolts{1200});
   return 0;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/parallel.hpp"
-
 namespace hbmvolt::axi {
 
 TgStats RunResult::totals() const noexcept {
@@ -52,15 +50,14 @@ void StackController::reset_ports() {
   for (const auto& port : ports_) port->reset_stats();
 }
 
-RunResult StackController::run(const TgCommand& command,
-                               core::ThreadPool* pool) {
-  return run_ports(command, enabled_port_list(), pool);
+RunResult StackController::run(const TgCommand& command) {
+  return run_ports(command, enabled_port_list());
 }
 
 RunResult StackController::run_on_port(unsigned index,
                                        const TgCommand& command) {
   HBMVOLT_REQUIRE(index < ports_.size(), "port index out of range");
-  return run_ports(command, {index}, nullptr);
+  return run_ports(command, {index});
 }
 
 std::vector<unsigned> StackController::enabled_port_list() const {
@@ -127,19 +124,15 @@ RunResult StackController::assemble_result(const std::vector<unsigned>& ports,
 }
 
 RunResult StackController::run_ports(const TgCommand& command,
-                                     const std::vector<unsigned>& ports,
-                                     core::ThreadPool* pool) {
+                                     const std::vector<unsigned>& ports) {
   route_ports(ports);
   std::vector<TgStats> deltas(ports.size());
-  std::vector<std::uint8_t> unavailable(ports.size(), 0);
-  core::parallel_for_each(pool, ports.size(), [&](std::size_t i) {
+  bool responding = true;
+  for (std::size_t i = 0; i < ports.size(); ++i) {
     bool nak = false;
     deltas[i] = run_routed_port(ports[i], command, &nak);
-    unavailable[i] = nak ? 1 : 0;
-  });
-  const bool responding =
-      std::none_of(unavailable.begin(), unavailable.end(),
-                   [](std::uint8_t nak) { return nak != 0; });
+    if (nak) responding = false;
+  }
   return assemble_result(ports, deltas, responding);
 }
 

@@ -16,10 +16,6 @@
 #include "common/units.hpp"
 #include "hbm/stack.hpp"
 
-namespace hbmvolt::core {
-class ThreadPool;
-}
-
 namespace hbmvolt::axi {
 
 /// Outcome of broadcasting one macro command over the enabled ports.
@@ -61,12 +57,11 @@ class StackController {
   /// Clears all TG statistics (Algorithm 1's reset_axi_ports()).
   void reset_ports();
 
-  /// Broadcasts `command` to every enabled port.  Each port targets the
-  /// PC the switching network routes it to.  With a pool, the enabled
-  /// ports run concurrently (the paper's 32-TGs-at-once access model);
-  /// results are byte-identical to the serial path because each port owns
-  /// its slot and aggregation happens afterwards in port order.
-  RunResult run(const TgCommand& command, core::ThreadPool* pool = nullptr);
+  /// Broadcasts `command` to every enabled port, in ascending port order.
+  /// Each port targets the PC the switching network routes it to.  The
+  /// board runs both stacks' ports concurrently through the split-phase
+  /// API below.
+  RunResult run(const TgCommand& command);
 
   /// Runs a command on one specific port only (per-PC tests, Fig 5).
   RunResult run_on_port(unsigned index, const TgCommand& command);
@@ -103,8 +98,7 @@ class StackController {
 
  private:
   RunResult run_ports(const TgCommand& command,
-                      const std::vector<unsigned>& ports,
-                      core::ThreadPool* pool);
+                      const std::vector<unsigned>& ports);
 
   hbm::HbmStack& stack_;
   SwitchNetwork switch_;

@@ -5,30 +5,6 @@
 
 namespace hbmvolt::chaos {
 
-const char* to_string(FaultKind kind) noexcept {
-  switch (kind) {
-    case FaultKind::kPmbusNack:
-      return "pmbus_nack";
-    case FaultKind::kWireCorrupt:
-      return "wire_corrupt";
-    case FaultKind::kInaDropout:
-      return "ina_dropout";
-    case FaultKind::kAxiFail:
-      return "axi_fail";
-    case FaultKind::kSpuriousCrash:
-      return "spurious_crash";
-    case FaultKind::kWeakCellBurst:
-      return "weak_cell_burst";
-    case FaultKind::kBitRot:
-      return "bit_rot";
-    case FaultKind::kPcKill:
-      return "pc_kill";
-    case FaultKind::kTenantSurge:
-      return "tenant_surge";
-  }
-  return "unknown";
-}
-
 double ChaosSchedule::rate(FaultKind kind) const noexcept {
   switch (kind) {
     case FaultKind::kPmbusNack:
@@ -131,14 +107,6 @@ ChaosInjector::~ChaosInjector() {
   board_.bus().set_transaction_hook(nullptr);
   board_.bus().set_wire_corruptor(nullptr);
   board_.set_axi_fault_hook(nullptr);
-}
-
-std::uint64_t ChaosInjector::total_injected() const noexcept {
-  std::uint64_t total = 0;
-  for (const auto& count : injected_) {
-    total += count.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 void ChaosInjector::note(FaultKind kind) {

@@ -68,8 +68,6 @@ enum class FaultKind : unsigned {
 };
 inline constexpr unsigned kFaultKindCount = 9;
 
-[[nodiscard]] const char* to_string(FaultKind kind) noexcept;
-
 struct ChaosConfig {
   std::uint64_t seed = 0xC4A05;
   /// Per-event injection probabilities, one per transient fault kind.
@@ -157,7 +155,6 @@ class ChaosInjector {
     return injected_[static_cast<unsigned>(kind)].load(
         std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t total_injected() const noexcept;
 
   /// Fault-storm entry point, called by the resilient runtime once per
   /// (PC, scrub/serve tick).  The fire decision is a pure function of

@@ -177,20 +177,6 @@ Result<double> IniFile::get_double_or(const std::string& section,
   return get_double(section, key);
 }
 
-Result<std::int64_t> IniFile::get_int_or(const std::string& section,
-                                         const std::string& key,
-                                         std::int64_t fallback) const {
-  if (!has(section, key)) return fallback;
-  return get_int(section, key);
-}
-
-Result<bool> IniFile::get_bool_or(const std::string& section,
-                                  const std::string& key,
-                                  bool fallback) const {
-  if (!has(section, key)) return fallback;
-  return get_bool(section, key);
-}
-
 void IniFile::set(const std::string& section, const std::string& key,
                   std::string value) {
   sections_[section][key] = std::move(value);

@@ -57,12 +57,6 @@ class IniFile {
   [[nodiscard]] Result<double> get_double_or(const std::string& section,
                                              const std::string& key,
                                              double fallback) const;
-  [[nodiscard]] Result<std::int64_t> get_int_or(const std::string& section,
-                                                const std::string& key,
-                                                std::int64_t fallback) const;
-  [[nodiscard]] Result<bool> get_bool_or(const std::string& section,
-                                         const std::string& key,
-                                         bool fallback) const;
 
   void set(const std::string& section, const std::string& key,
            std::string value);

@@ -127,12 +127,4 @@ Result<GovernorResult> UndervoltGovernor::run() {
   return result;
 }
 
-Result<Millivolts> UndervoltGovernor::raise_one_step() {
-  const Millivolts v_nom = board_.config().regulator_config.vout_default;
-  Millivolts next{board_.hbm_voltage().value + config_.step_mv};
-  if (next > v_nom) next = v_nom;
-  HBMVOLT_RETURN_IF_ERROR(board_.set_hbm_voltage(next));
-  return next;
-}
-
 }  // namespace hbmvolt::core

@@ -74,11 +74,6 @@ class UndervoltGovernor {
   /// voltage.
   Result<GovernorResult> run();
 
-  /// Raises the board one `step_mv` above its current setpoint, capped at
-  /// nominal -- the degradation ladder's "raise voltage" rung (see
-  /// src/runtime/).  Returns the new setpoint.
-  Result<Millivolts> raise_one_step();
-
  private:
   /// One probe at the current voltage: write/read the probe slice on
   /// every PC, return measured fault rate (or crash).

@@ -101,14 +101,8 @@ Status VoltageSweep::run_resumable(
       // callers normally stop their grids at V_critical).
       continue;
     }
-    if (auto* tel = telemetry::Telemetry::active()) {
-      const std::uint64_t start = tel->clock().now_ns();
-      body(v);
-      tel->count("sweep.steps");
-      tel->observe("sweep.step_us", (tel->clock().now_ns() - start) / 1000);
-    } else {
-      body(v);
-    }
+    body(v);
+    if (auto* tel = telemetry::Telemetry::active()) tel->count("sweep.steps");
     if (on_step && !on_step(v)) {
       // Halt *without* the restore below: the caller is simulating the
       // process dying here, and a resumed run must find board-independent

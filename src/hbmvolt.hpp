@@ -66,7 +66,6 @@
 #include "ecc/ecc_channel.hpp"
 #include "ecc/secded.hpp"
 #include "memtest/march.hpp"
-#include "mitigate/remap.hpp"
 #include "mitigate/row_retirement.hpp"
 
 // Resilient serving runtime (scrubbing, error budgets, the ladder).

@@ -26,21 +26,6 @@ RetirementMap RetirementMap::build_filtered(faults::FaultInjector& injector,
   return map;
 }
 
-RetirementMap RetirementMap::build_for_pc(faults::FaultInjector& injector,
-                                          unsigned pc_global, Millivolts v) {
-  RetirementMap map(injector.model().geometry());
-  map.voltage_ = v;
-  map.retired_.resize(map.geometry_.total_pcs());
-  HBMVOLT_REQUIRE(pc_global < map.geometry_.total_pcs(),
-                  "PC index out of range");
-
-  const Millivolts restore = injector.voltage();
-  injector.set_voltage(v);
-  map.retire_overlay(pc_global, injector.overlay(pc_global));
-  injector.set_voltage(restore);
-  return map;
-}
-
 void RetirementMap::retire_overlay(unsigned pc_global,
                                    const faults::FaultOverlay& overlay,
                                    unsigned min_faults_per_row) {
@@ -92,11 +77,6 @@ std::uint64_t RetirementMap::rows_retired_total() const {
 double RetirementMap::capacity_fraction() const {
   const auto total = static_cast<double>(rows_per_pc() * retired_.size());
   return 1.0 - static_cast<double>(rows_retired_total()) / total;
-}
-
-double RetirementMap::pc_capacity_fraction(unsigned pc_global) const {
-  return 1.0 - static_cast<double>(rows_retired(pc_global)) /
-                   static_cast<double>(rows_per_pc());
 }
 
 }  // namespace hbmvolt::mitigate

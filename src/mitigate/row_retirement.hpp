@@ -35,10 +35,6 @@ class RetirementMap {
                                       Millivolts v,
                                       unsigned min_faults_per_row);
 
-  /// Builds for a single PC (other PCs left unretired).
-  static RetirementMap build_for_pc(faults::FaultInjector& injector,
-                                    unsigned pc_global, Millivolts v);
-
   [[nodiscard]] Millivolts voltage() const noexcept { return voltage_; }
 
   [[nodiscard]] bool row_retired(unsigned pc_global, unsigned bank,
@@ -54,9 +50,6 @@ class RetirementMap {
 
   /// Fraction of the device's capacity that survives retirement.
   [[nodiscard]] double capacity_fraction() const;
-
-  /// Per-PC surviving capacity fraction.
-  [[nodiscard]] double pc_capacity_fraction(unsigned pc_global) const;
 
  private:
   explicit RetirementMap(const hbm::HbmGeometry& geometry)

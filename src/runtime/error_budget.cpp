@@ -2,18 +2,6 @@
 
 namespace hbmvolt::runtime {
 
-const char* to_string(BudgetVerdict verdict) noexcept {
-  switch (verdict) {
-    case BudgetVerdict::kHealthy:
-      return "healthy";
-    case BudgetVerdict::kCorrectedBurn:
-      return "corrected_burn";
-    case BudgetVerdict::kUncorrectableBurn:
-      return "uncorrectable_burn";
-  }
-  return "unknown";
-}
-
 BudgetVerdict ErrorBudget::record(std::uint64_t words, std::uint64_t corrected,
                                   std::uint64_t uncorrectable) {
   if (burned()) return verdict_;  // latched until the ladder resets us

@@ -30,8 +30,6 @@ enum class BudgetVerdict {
   kUncorrectableBurn,  // uncorrectable words over tolerance
 };
 
-[[nodiscard]] const char* to_string(BudgetVerdict verdict) noexcept;
-
 /// Plain-data snapshot of a budget's window accounting, for fleet
 /// checkpoint/restore (see fleet.hpp).
 struct ErrorBudgetState {

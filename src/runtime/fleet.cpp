@@ -778,6 +778,25 @@ Result<FleetReport> ServingFleet::run() {
     max_epochs +=
         channels_[0]->capacity() / config_.rebuild_beats_per_epoch + 1;
   }
+  // The report's totals, summed in PC index order: a halted run reports
+  // them exactly as a completed one does.
+  const auto fold_counts = [this, &report] {
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+      const ServeReport& served = states_[i].report;
+      const ChannelStats& cs = channels_[i]->stats();
+      report.ops += served.ops;
+      report.reads += served.reads;
+      report.writes += served.writes;
+      report.corrupt_reads += served.corrupt_reads;
+      report.escalated_reads += served.escalated_reads;
+      report.reconstructed_reads += cs.reconstructed_reads;
+      report.rebuilt_beats += cs.rebuilt_beats;
+    }
+    for (const auto& parity : parity_channels_) {
+      report.rebuilt_beats += parity->stats().rebuilt_beats;
+    }
+    report.final_voltage = board_.hbm_voltage();
+  };
 
   for (;;) {
     bool all_done = source_->exhausted();
@@ -866,20 +885,14 @@ Result<FleetReport> ServingFleet::run() {
       base_epochs_ = report.epochs;
       base_raises_ = report.raises;
       base_power_cycles_ = report.power_cycles;
-      for (const PcState& st : states_) {
-        report.ops += st.report.ops;
-        report.reads += st.report.reads;
-        report.writes += st.report.writes;
-        report.corrupt_reads += st.report.corrupt_reads;
-        report.escalated_reads += st.report.escalated_reads;
-      }
-      report.final_voltage = board_.hbm_voltage();
+      fold_counts();
       report.halted = true;
       return report;
     }
   }
 
   // Fold the run into the report, in PC index order.
+  fold_counts();
   std::uint64_t fp = mix_seed(config_.seed, 0xF17);
   std::uint64_t dfp = mix_seed(config_.seed, 0xDA7AF17);
   auto fold_channel = [&fp](const ReliableChannel& channel) {
@@ -914,14 +927,6 @@ Result<FleetReport> ServingFleet::run() {
   for (std::size_t i = 0; i < states_.size(); ++i) {
     const PcState& st = states_[i];
     const ReliableChannel& channel = *channels_[i];
-    report.ops += st.report.ops;
-    report.reads += st.report.reads;
-    report.writes += st.report.writes;
-    report.corrupt_reads += st.report.corrupt_reads;
-    report.escalated_reads += st.report.escalated_reads;
-    report.reconstructed_reads += channel.stats().reconstructed_reads;
-    report.rebuilt_beats += channel.stats().rebuilt_beats;
-
     fp = mix_seed(fp, config_.pcs[i]);
     fp = mix_seed(fp, st.report.reads);
     fp = mix_seed(fp, st.report.writes);
@@ -945,12 +950,9 @@ Result<FleetReport> ServingFleet::run() {
     }
   }
   for (std::size_t g = 0; g < parity_channels_.size(); ++g) {
-    const ReliableChannel& parity = *parity_channels_[g];
-    report.rebuilt_beats += parity.stats().rebuilt_beats;
     fp = mix_seed(fp, 0x9A817 + g);
-    fold_channel(parity);
+    fold_channel(*parity_channels_[g]);
   }
-  report.final_voltage = board_.hbm_voltage();
   fp = mix_seed(fp, static_cast<std::uint64_t>(report.final_voltage.value));
   fp = mix_seed(fp, report.raises);
   fp = mix_seed(fp, report.power_cycles);

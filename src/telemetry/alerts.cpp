@@ -33,16 +33,6 @@ const EpochSample& EpochRing::recent(std::size_t i) const {
   return ring_[(newest + ring_.size() - i) % ring_.size()];
 }
 
-const char* to_string(AlertSignal signal) noexcept {
-  switch (signal) {
-    case AlertSignal::kCorrectedRate: return "corrected_rate";
-    case AlertSignal::kJournalServedRate: return "journal_served_rate";
-    case AlertSignal::kReconstructedRate: return "reconstructed_rate";
-    case AlertSignal::kShedRate: return "shed_rate";
-  }
-  return "unknown";
-}
-
 AlertEngine::AlertEngine(std::vector<AlertRule> rules,
                          std::size_t ring_capacity)
     : rules_(std::move(rules)),

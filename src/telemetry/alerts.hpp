@@ -78,8 +78,6 @@ enum class AlertSignal : unsigned {
   kShedRate = 3,           // shed requests / (admitted + shed)
 };
 
-[[nodiscard]] const char* to_string(AlertSignal signal) noexcept;
-
 struct AlertRule {
   std::string name;
   AlertSignal signal = AlertSignal::kCorrectedRate;

@@ -1,8 +1,8 @@
 // Mergeable log-linear (HDR-style) histogram for latency quantiles.
 //
-// The fixed-bucket Histogram in metrics.hpp asks the caller to guess the
-// interesting decades up front; this one covers [0, max_value] with
-// bounded *relative* error instead.  Values below kSubBucketCount are
+// A fixed-bucket histogram asks the caller to guess the interesting
+// decades up front; this one covers [0, max_value] with bounded
+// *relative* error instead.  Values below kSubBucketCount are
 // counted exactly (linear region); every power-of-two octave above it is
 // split into kSubBucketCount sub-buckets, so a bucket is never wider than
 // 1/kSubBucketCount of its value (~3.1% at 32 sub-buckets).  Quantiles

@@ -3,61 +3,6 @@
 #include "common/status.hpp"
 
 namespace hbmvolt::telemetry {
-namespace {
-
-std::string join_bounds(const std::vector<std::uint64_t>& bounds) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(bounds[i]);
-  }
-  out += ']';
-  return out;
-}
-
-}  // namespace
-
-Histogram::Histogram(std::vector<std::uint64_t> bounds)
-    : bounds_(std::move(bounds)),
-      buckets_(new std::atomic<std::uint64_t>[bounds_.size() + 1]) {
-  HBMVOLT_REQUIRE(!bounds_.empty(), "histogram needs at least one bound");
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    HBMVOLT_REQUIRE(bounds_[i - 1] < bounds_[i],
-                    "histogram bounds must ascend");
-  }
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i] = 0;
-}
-
-std::vector<std::uint64_t> Histogram::bucket_counts() const {
-  std::vector<std::uint64_t> counts(bounds_.size() + 1);
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-  }
-  return counts;
-}
-
-double HistogramSnapshot::quantile(double q) const {
-  if (count == 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double rank = q * static_cast<double>(count);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    const double in_bucket = static_cast<double>(buckets[i]);
-    if (in_bucket > 0.0 && cumulative + in_bucket >= rank) {
-      if (i >= bounds.size()) {
-        // Overflow bucket: no upper edge to interpolate toward.
-        return static_cast<double>(bounds.back());
-      }
-      const double lower = i == 0 ? 0.0 : static_cast<double>(bounds[i - 1]);
-      const double upper = static_cast<double>(bounds[i]);
-      const double fraction = (rank - cumulative) / in_bucket;
-      return lower + fraction * (upper - lower);
-    }
-    cumulative += in_bucket;
-  }
-  return static_cast<double>(bounds.back());
-}
 
 CounterFamily::CounterFamily(std::string label_key, std::size_t slots)
     : label_key_(std::move(label_key)),
@@ -103,13 +48,6 @@ HdrHistogram HdrFamily::slot(std::size_t label) const {
   return slots_[label];
 }
 
-HdrHistogram HdrFamily::merged() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  HdrHistogram out(max_value_);
-  for (const HdrHistogram& slot : slots_) out.merge(slot);
-  return out;
-}
-
 std::string family_slot_name(std::string_view name, std::string_view label_key,
                              std::size_t label) {
   std::string out(name);
@@ -119,10 +57,6 @@ std::string family_slot_name(std::string_view name, std::string_view label_key,
   out += std::to_string(label);
   out += '}';
   return out;
-}
-
-std::vector<std::uint64_t> MetricRegistry::default_bounds() {
-  return {1, 10, 100, 1000, 10000, 100000, 1000000, 10000000};
 }
 
 Counter& MetricRegistry::counter(std::string_view name) {
@@ -141,37 +75,6 @@ Gauge& MetricRegistry::gauge(std::string_view name) {
   if (it == gauges_.end()) {
     it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
   }
-  return *it->second;
-}
-
-Histogram& MetricRegistry::histogram(std::string_view name) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = histograms_.find(name);
-    if (it != histograms_.end()) return *it->second;
-  }
-  return histogram(name, default_bounds());
-}
-
-Histogram& MetricRegistry::histogram(std::string_view name,
-                                     std::vector<std::uint64_t> bounds) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it != histograms_.end()) {
-    if (it->second->bounds() != bounds) {
-      const std::string what =
-          "histogram '" + std::string(name) +
-          "' re-registered with different bounds: existing " +
-          join_bounds(it->second->bounds()) + " vs requested " +
-          join_bounds(bounds);
-      HBMVOLT_REQUIRE(false, what.c_str());
-    }
-    return *it->second;
-  }
-  it = histograms_
-           .emplace(std::string(name),
-                    std::make_unique<Histogram>(std::move(bounds)))
-           .first;
   return *it->second;
 }
 
@@ -249,17 +152,6 @@ std::vector<GaugeSnapshot> MetricRegistry::gauge_values() const {
   out.reserve(gauges_.size());
   for (const auto& [name, gauge] : gauges_) {
     out.push_back({name, gauge->value(), gauge->max()});
-  }
-  return out;
-}
-
-std::vector<HistogramSnapshot> MetricRegistry::histogram_values() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<HistogramSnapshot> out;
-  out.reserve(histograms_.size());
-  for (const auto& [name, histogram] : histograms_) {
-    out.push_back({name, histogram->bounds(), histogram->bucket_counts(),
-                   histogram->count(), histogram->sum()});
   }
   return out;
 }

@@ -1,8 +1,9 @@
-// Named metric primitives: atomic counters, gauges, and fixed-bucket
-// histograms, owned by a MetricRegistry.  Registration (name lookup) takes
-// a mutex; updates through the returned handle are lock-free atomics, so
-// the sweep hot paths pay one indexed fetch_add per *bulk* event (beats
-// are counted per range, never per beat -- see docs/observability.md).
+// Named metric primitives: atomic counters, gauges, and labeled counter /
+// gauge / HDR-histogram families, owned by a MetricRegistry.  Registration
+// (name lookup) takes a mutex; updates through the returned handle are
+// lock-free atomics, so the sweep hot paths pay one indexed fetch_add per
+// *bulk* event (beats are counted per range, never per beat -- see
+// docs/observability.md).
 
 #pragma once
 
@@ -60,40 +61,6 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
   std::atomic<std::int64_t> max_{0};
   std::atomic<bool> touched_{false};
-};
-
-/// Fixed upper-bound buckets: bucket i counts observations v with
-/// bounds[i-1] < v <= bounds[i]; the extra last bucket counts overflow
-/// (v > bounds.back()).  Bounds are fixed at registration.
-class Histogram {
- public:
-  explicit Histogram(std::vector<std::uint64_t> bounds);
-
-  void observe(std::uint64_t v) noexcept {
-    std::size_t i = 0;
-    while (i < bounds_.size() && v > bounds_[i]) ++i;
-    buckets_[i].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] const std::vector<std::uint64_t>& bounds() const noexcept {
-    return bounds_;
-  }
-  /// bounds().size() + 1 entries; the last is the overflow bucket.
-  [[nodiscard]] std::vector<std::uint64_t> bucket_counts() const;
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::vector<std::uint64_t> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
 };
 
 /// Labeled counter family: one name, one label key, a fixed number of
@@ -157,9 +124,8 @@ class HdrFamily {
   [[nodiscard]] std::uint64_t max_value() const noexcept {
     return max_value_;
   }
-  /// Copy of one slot / the index-order merge of all slots (lock held).
+  /// Copy of one slot (lock held).
   [[nodiscard]] HdrHistogram slot(std::size_t label) const;
-  [[nodiscard]] HdrHistogram merged() const;
 
  private:
   mutable std::mutex mutex_;
@@ -172,21 +138,6 @@ struct GaugeSnapshot {
   std::string name;
   std::int64_t value = 0;
   std::int64_t max = 0;
-};
-
-struct HistogramSnapshot {
-  std::string name;
-  std::vector<std::uint64_t> bounds;
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-
-  /// Bucket-interpolated quantile: finds the bucket holding rank q*count
-  /// and interpolates linearly inside it (overflow bucket reports the top
-  /// bound -- the histogram has no upper edge there).  Coarser than the
-  /// HDR exact-rank quantile; exported alongside it for every fixed-bucket
-  /// histogram.
-  [[nodiscard]] double quantile(double q) const;
 };
 
 struct CounterFamilySnapshot {
@@ -234,15 +185,6 @@ class MetricRegistry {
  public:
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// Existing histogram, or a new one with the default duration bounds.
-  Histogram& histogram(std::string_view name);
-  /// Explicit bounds.  First registration fixes them; re-registering the
-  /// same name with different bounds aborts (HBMVOLT_REQUIRE) naming both
-  /// bound sets -- a silent mismatch used to hand the caller buckets it
-  /// never asked for.
-  Histogram& histogram(std::string_view name,
-                       std::vector<std::uint64_t> bounds);
-
   /// Labeled families.  First registration fixes (label_key, slots[,
   /// max_value]); re-registering with a different shape aborts.
   CounterFamily& counter_family(std::string_view name,
@@ -254,14 +196,9 @@ class MetricRegistry {
       std::string_view name, std::string_view label_key, std::size_t slots,
       std::uint64_t max_value = HdrHistogram::kDefaultMaxValue);
 
-  /// Default bounds for duration-style histograms, in microseconds:
-  /// 1us .. 10s decades.
-  [[nodiscard]] static std::vector<std::uint64_t> default_bounds();
-
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
   counter_values() const;
   [[nodiscard]] std::vector<GaugeSnapshot> gauge_values() const;
-  [[nodiscard]] std::vector<HistogramSnapshot> histogram_values() const;
   [[nodiscard]] std::vector<CounterFamilySnapshot> counter_family_values()
       const;
   [[nodiscard]] std::vector<GaugeFamilySnapshot> gauge_family_values() const;
@@ -271,7 +208,6 @@ class MetricRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::unique_ptr<CounterFamily>, std::less<>>
       counter_families_;
   std::map<std::string, std::unique_ptr<GaugeFamily>, std::less<>>

@@ -179,16 +179,6 @@ std::string Telemetry::summary() const {
                      std::to_string(gauge.value) + " (max " +
                          std::to_string(gauge.max) + ")"});
   }
-  for (const auto& histogram : metrics_.histogram_values()) {
-    metrics.add_row({histogram.name, "histogram",
-                     "n=" + std::to_string(histogram.count) +
-                         " sum=" + std::to_string(histogram.sum) +
-                         " p50=" + format_double(histogram.quantile(0.50), 1) +
-                         " p90=" + format_double(histogram.quantile(0.90), 1) +
-                         " p99=" + format_double(histogram.quantile(0.99), 1) +
-                         " p999=" +
-                         format_double(histogram.quantile(0.999), 1)});
-  }
   // Families: one row per live slot plus a bare-name total/merged row, so
   // the un-labeled name keeps meaning what it always did.
   for (const auto& family : metrics_.counter_family_values()) {
@@ -247,26 +237,6 @@ std::string Telemetry::to_jsonl() const {
     out += "{\"type\":\"gauge\",\"name\":" + json_quoted(gauge.name) +
            ",\"value\":" + std::to_string(gauge.value) +
            ",\"max\":" + std::to_string(gauge.max) + "}\n";
-  }
-  for (const auto& histogram : metrics_.histogram_values()) {
-    out += "{\"type\":\"histogram\",\"name\":" + json_quoted(histogram.name) +
-           ",\"bounds\":[";
-    for (std::size_t i = 0; i < histogram.bounds.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(histogram.bounds[i]);
-    }
-    out += "],\"counts\":[";
-    for (std::size_t i = 0; i < histogram.buckets.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(histogram.buckets[i]);
-    }
-    out += "],\"count\":" + std::to_string(histogram.count) +
-           ",\"sum\":" + std::to_string(histogram.sum) +
-           ",\"p50\":" + format_double(histogram.quantile(0.50), 3) +
-           ",\"p90\":" + format_double(histogram.quantile(0.90), 3) +
-           ",\"p99\":" + format_double(histogram.quantile(0.99), 3) +
-           ",\"p999\":" + format_double(histogram.quantile(0.999), 3) +
-           "}\n";
   }
   for (const auto& family : metrics_.counter_family_values()) {
     for (std::size_t i = 0; i < family.values.size(); ++i) {

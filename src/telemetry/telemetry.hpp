@@ -95,17 +95,14 @@ class Telemetry {
   void gauge_set(std::string_view name, std::int64_t v) {
     metrics_.gauge(name).set(v);
   }
-  void observe(std::string_view name, std::uint64_t value) {
-    metrics_.histogram(name).observe(value);
-  }
 
   // ---- Sinks.  Call after all recording threads have joined. ----
 
   /// Human-readable table: span aggregates + every metric.
   [[nodiscard]] std::string summary() const;
-  /// JSONL event stream: one {"type":"span"|"counter"|"gauge"|"histogram"
-  /// |"hdr"} object per line; family slots appear as "name{key=label}"
-  /// entries next to a bare-name total/merged line.
+  /// JSONL event stream: one {"type":"span"|"counter"|"gauge"|"hdr"}
+  /// object per line; family slots appear as "name{key=label}" entries
+  /// next to a bare-name total/merged line.
   [[nodiscard]] std::string to_jsonl() const;
   /// Chrome trace-event JSON ("X" complete events, one tid per worker
   /// track); open in chrome://tracing or https://ui.perfetto.dev.

@@ -10,7 +10,6 @@
 #include "ecc/ecc_channel.hpp"
 #include "faults/fault_overlay.hpp"
 #include "hbm/stack.hpp"
-#include "mitigate/remap.hpp"
 #include "mitigate/row_retirement.hpp"
 #include "mitigate/scheme.hpp"
 
@@ -93,89 +92,10 @@ TEST_F(RetirementTest, ClusteringMakesRetirementCheap) {
   EXPECT_LT(clustered.rows_retired_total(), spread.rows_retired_total());
 }
 
-TEST_F(RetirementTest, SinglePcBuildTouchesOnlyThatPc) {
-  const auto map = RetirementMap::build_for_pc(injector_, 18, Millivolts{920});
-  EXPECT_GT(map.rows_retired(18), 0u);
-  for (unsigned pc = 0; pc < geometry_.total_pcs(); ++pc) {
-    if (pc != 18) {
-      EXPECT_EQ(map.rows_retired(pc), 0u) << pc;
-    }
-  }
-  EXPECT_LT(map.pc_capacity_fraction(18), 1.0);
-  EXPECT_DOUBLE_EQ(map.pc_capacity_fraction(0), 1.0);
-}
-
 TEST_F(RetirementTest, RestoresInjectorVoltage) {
   injector_.set_voltage(Millivolts{1000});
   (void)RetirementMap::build(injector_, Millivolts{880});
   EXPECT_EQ(injector_.voltage().value, 1000);
-}
-
-// ------------------------------------------------------ RemappedChannel
-
-class RemapTest : public RetirementTest {
- protected:
-  RemapTest() : stack_(geometry_, 1, injector_, 9) {}
-
-  void set_voltage(Millivolts v) {
-    injector_.set_voltage(v);
-    stack_.on_voltage_change(v);
-  }
-
-  hbm::HbmStack stack_;  // stack 1: hosts the weak PC18 (local 2)
-};
-
-TEST_F(RemapTest, IdentityWhenNothingRetired) {
-  const auto retirement = RetirementMap::build(injector_, Millivolts{1000});
-  mitigate::RemappedChannel channel(stack_, 2, retirement);
-  EXPECT_EQ(channel.usable_beats(), geometry_.beats_per_pc());
-  EXPECT_DOUBLE_EQ(channel.capacity_fraction(), 1.0);
-  EXPECT_EQ(channel.physical_beat(17).value(), 17u);
-}
-
-TEST_F(RemapTest, SkipsRetiredRowsAndStaysContiguous) {
-  const Millivolts v{915};
-  const auto retirement = RetirementMap::build(injector_, v);
-  mitigate::RemappedChannel channel(stack_, 2, retirement);  // PC18
-  const unsigned pc_global = stack_.global_pc(2);
-  ASSERT_GT(retirement.rows_retired(pc_global), 0u);
-  EXPECT_LT(channel.usable_beats(), geometry_.beats_per_pc());
-
-  // Every logical beat maps to a non-retired physical beat; the mapping
-  // is strictly increasing (contiguous compaction).
-  std::uint64_t previous = 0;
-  for (std::uint64_t logical = 0; logical < channel.usable_beats();
-       ++logical) {
-    const std::uint64_t physical = channel.physical_beat(logical).value();
-    EXPECT_FALSE(retirement.beat_retired(pc_global, physical));
-    if (logical > 0) {
-      EXPECT_GT(physical, previous);
-    }
-    previous = physical;
-  }
-}
-
-TEST_F(RemapTest, RemappedSpaceIsFaultFreeUnderUndervolt) {
-  const Millivolts v{915};
-  const auto retirement = RetirementMap::build(injector_, v);
-  set_voltage(v);
-  mitigate::RemappedChannel channel(stack_, 2, retirement);
-  for (std::uint64_t logical = 0; logical < channel.usable_beats();
-       ++logical) {
-    ASSERT_TRUE(channel.write_beat(logical, hbm::kBeatAllOnes).is_ok());
-    auto data = channel.read_beat(logical);
-    ASSERT_TRUE(data.is_ok());
-    EXPECT_EQ(data.value(), hbm::kBeatAllOnes) << logical;
-  }
-}
-
-TEST_F(RemapTest, OutOfRangeLogicalBeatRejected) {
-  const auto retirement = RetirementMap::build(injector_, Millivolts{915});
-  mitigate::RemappedChannel channel(stack_, 2, retirement);
-  EXPECT_EQ(channel.physical_beat(channel.usable_beats()).status().code(),
-            StatusCode::kOutOfRange);
-  EXPECT_FALSE(
-      channel.write_beat(channel.usable_beats(), hbm::kBeatAllOnes).is_ok());
 }
 
 // --------------------------------------------------------- TG patterns

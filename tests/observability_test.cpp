@@ -237,28 +237,6 @@ TEST(HdrHistogramTest, EmptyAndClear) {
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-bucket interpolated quantiles
-// ---------------------------------------------------------------------------
-
-TEST(HistogramQuantileTest, InterpolatesWithinBucket) {
-  telemetry::HistogramSnapshot snap;
-  snap.bounds = {10, 20, 30};
-  snap.buckets = {0, 10, 0, 0};  // ten samples in (10, 20]
-  snap.count = 10;
-  // Rank q*10 interpolated across the (10, 20] bucket.
-  EXPECT_DOUBLE_EQ(snap.quantile(0.5), 15.0);
-  EXPECT_DOUBLE_EQ(snap.quantile(1.0), 20.0);
-}
-
-TEST(HistogramQuantileTest, OverflowBucketReportsTopBound) {
-  telemetry::HistogramSnapshot snap;
-  snap.bounds = {10, 20};
-  snap.buckets = {0, 0, 5};  // all overflow
-  snap.count = 5;
-  EXPECT_DOUBLE_EQ(snap.quantile(0.5), 20.0);
-}
-
-// ---------------------------------------------------------------------------
 // Labeled metric families
 // ---------------------------------------------------------------------------
 

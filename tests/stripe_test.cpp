@@ -182,9 +182,11 @@ TEST(StripeTest, CheckpointMidRebuildResumesByteIdentically) {
 
   // Step the same run one epoch at a time until a checkpoint catches the
   // group 0 rebuild in flight, then "kill" the process: all that survives
-  // is the FleetCheckpoint.
+  // is the FleetCheckpoint.  Every halted report must already carry the
+  // stripe counts a completed run reports.
   runtime::FleetCheckpoint mid_rebuild;
   bool captured = false;
+  std::uint64_t halted_rebuilt = 0;
   {
     board::Vcu128Board board(tiny_board());
     ASSERT_TRUE(board.set_hbm_voltage(Millivolts{950}).is_ok());
@@ -195,7 +197,21 @@ TEST(StripeTest, CheckpointMidRebuildResumesByteIdentically) {
     for (;;) {
       auto result = fleet.run();
       ASSERT_TRUE(result.is_ok()) << result.status().to_string();
-      if (!result.value().halted) break;
+      const runtime::FleetReport& report = result.value();
+      if (!report.halted) break;
+      std::uint64_t reconstructed = 0;
+      std::uint64_t rebuilt = 0;
+      for (std::size_t i = 0; i < fleet.channels(); ++i) {
+        reconstructed += fleet.channel(i).stats().reconstructed_reads;
+        rebuilt += fleet.channel(i).stats().rebuilt_beats;
+      }
+      for (std::size_t g = 0; g < fleet.groups(); ++g) {
+        rebuilt += fleet.parity_channel(g).stats().rebuilt_beats;
+      }
+      ASSERT_EQ(report.reconstructed_reads, reconstructed)
+          << "epoch " << report.epochs;
+      ASSERT_EQ(report.rebuilt_beats, rebuilt) << "epoch " << report.epochs;
+      halted_rebuilt = report.rebuilt_beats;
       if (!captured) {
         runtime::FleetCheckpoint ck = fleet.checkpoint();
         const std::uint64_t cap = fleet.channel(0).capacity();
@@ -208,6 +224,7 @@ TEST(StripeTest, CheckpointMidRebuildResumesByteIdentically) {
     }
   }
   ASSERT_TRUE(captured) << "no epoch caught the rebuild mid-flight";
+  EXPECT_GT(halted_rebuilt, 0u);
 
   // Resume on a fresh board + fleet and run to completion.
   board::Vcu128Board board(tiny_board());

@@ -18,6 +18,7 @@
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "core/voltage_sweep.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace hbmvolt::telemetry {
@@ -25,7 +26,7 @@ namespace {
 
 // ------------------------------------------------------------- registry
 
-TEST(MetricRegistryTest, CounterGaugeHistogramBasics) {
+TEST(MetricRegistryTest, CounterGaugeBasics) {
   MetricRegistry registry;
   registry.counter("a").add();
   registry.counter("a").add(4);
@@ -47,46 +48,6 @@ TEST(MetricRegistryTest, CounterGaugeHistogramBasics) {
   EXPECT_EQ(counters[2].first, "z");
 }
 
-TEST(MetricRegistryTest, HistogramBucketEdges) {
-  MetricRegistry registry;
-  Histogram& h = registry.histogram("h", {10, 20});
-  // Bucket i counts bounds[i-1] < v <= bounds[i]; last bucket = overflow.
-  h.observe(0);
-  h.observe(10);  // boundary lands in bucket 0
-  h.observe(11);
-  h.observe(20);  // boundary lands in bucket 1
-  h.observe(21);
-  h.observe(1000);  // overflow
-
-  const auto buckets = h.bucket_counts();
-  ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_EQ(buckets[0], 2u);
-  EXPECT_EQ(buckets[1], 2u);
-  EXPECT_EQ(buckets[2], 2u);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.sum(), 0u + 10 + 11 + 20 + 21 + 1000);
-}
-
-TEST(MetricRegistryTest, HistogramFirstRegistrationFixesBounds) {
-  MetricRegistry registry;
-  registry.histogram("h", {10, 20});
-  // Same bounds: fine.  The no-bounds overload returns the existing
-  // histogram without a check (Telemetry::observe's path).
-  Histogram& again = registry.histogram("h", {10, 20});
-  EXPECT_EQ(again.bounds(), (std::vector<std::uint64_t>{10, 20}));
-  EXPECT_EQ(registry.histogram("h").bounds(),
-            (std::vector<std::uint64_t>{10, 20}));
-}
-
-TEST(MetricRegistryDeathTest, HistogramBoundsMismatchAborts) {
-  MetricRegistry registry;
-  registry.histogram("h", {10, 20});
-  // A silent mismatch used to hand the caller buckets it never asked
-  // for; now it fails fast naming both bound sets.
-  EXPECT_DEATH(registry.histogram("h", {5}),
-               "existing \\[10,20\\] vs requested \\[5\\]");
-}
-
 TEST(MetricRegistryTest, ConcurrentUpdatesMatchSerialTotal) {
   MetricRegistry registry;
   constexpr unsigned kThreads = 8;
@@ -98,21 +59,16 @@ TEST(MetricRegistryTest, ConcurrentUpdatesMatchSerialTotal) {
       // Registration races with updates on purpose: every thread looks
       // the metrics up by name on each iteration.
       for (unsigned i = 0; i < kIters; ++i) {
-        registry.counter("hits").add();
-        registry.histogram("lat", {100}).observe(i % 7);
+        registry.counter("hits").add(i % 7);
       }
     });
   }
   for (auto& thread : threads) thread.join();
 
-  EXPECT_EQ(registry.counter("hits").value(),
-            std::uint64_t{kThreads} * kIters);
-  const Histogram& h = registry.histogram("lat", {100});
-  EXPECT_EQ(h.count(), std::uint64_t{kThreads} * kIters);
   // sum of (i % 7) over one thread's iterations, times the thread count.
   std::uint64_t serial_sum = 0;
   for (unsigned i = 0; i < kIters; ++i) serial_sum += i % 7;
-  EXPECT_EQ(h.sum(), serial_sum * kThreads);
+  EXPECT_EQ(registry.counter("hits").value(), serial_sum * kThreads);
 }
 
 // ---------------------------------------------------- spans and install
@@ -306,10 +262,13 @@ TEST(SinkTest, JsonlRoundTripsEveryRecordType) {
   }
   telemetry.count("beats", 12345678901234ull);
   telemetry.gauge_set("queue", 4);
-  telemetry.observe("lat_us", 15);
+  HdrHistogram lat;
+  lat.record(15);
+  telemetry.metrics().hdr_family("lat", "pc", 1).merge_into(0, lat);
 
+  // The hdr family writes its slot line, then its bare-name merged line.
   const auto lines = lines_of(telemetry.to_jsonl());
-  ASSERT_EQ(lines.size(), 4u);
+  ASSERT_EQ(lines.size(), 5u);
   std::map<std::string, std::map<std::string, std::string>> by_type;
   for (const std::string& line : lines) {
     auto fields = parse_flat_json(line);
@@ -323,8 +282,9 @@ TEST(SinkTest, JsonlRoundTripsEveryRecordType) {
   EXPECT_EQ(by_type.at("counter").at("value"), "12345678901234");
   EXPECT_EQ(by_type.at("gauge").at("value"), "4");
   EXPECT_EQ(by_type.at("gauge").at("max"), "4");
-  EXPECT_EQ(by_type.at("histogram").at("count"), "1");
-  EXPECT_EQ(by_type.at("histogram").at("sum"), "15");
+  EXPECT_EQ(by_type.at("hdr").at("name"), "lat");
+  EXPECT_EQ(by_type.at("hdr").at("count"), "1");
+  EXPECT_EQ(by_type.at("hdr").at("sum"), "15");
 }
 
 TEST(SinkTest, SummaryListsSpansAndMetrics) {
@@ -375,6 +335,33 @@ std::string campaign_figures(bool telemetry_on, unsigned threads) {
   const auto& r = result.value();
   return core::to_csv_fig2(r.power) + core::to_csv_fig4(r.fault_map) +
          core::to_csv_fig5(r.fault_map);
+}
+
+// The sweep.step span is the only per-step timing (perfbench reads its
+// median as core.sweep_step_ms_p50): every grid point the sweep visits
+// opens one, whether its body ran (sweep.steps) or the stack crashed
+// (sweep.crashes).
+TEST(SweepTelemetryTest, OneStepSpanPerVisitedGridPoint) {
+  board::Vcu128Board board(tiny_board());
+  Telemetry telemetry({.enabled = true});
+  ScopedTelemetry scoped(telemetry);
+  core::VoltageSweep sweep(board, {Millivolts{830}, Millivolts{790}, 10},
+                           core::CrashPolicy::kPowerCycleAndContinue);
+  unsigned bodies = 0;
+  ASSERT_TRUE(sweep.run([&](Millivolts) { ++bodies; }).is_ok());
+
+  std::map<std::string, std::uint64_t> counters;
+  for (const auto& [name, value] : telemetry.metrics().counter_values()) {
+    counters[name] = value;
+  }
+  std::uint64_t step_spans = 0;
+  for (const SpanStat& stat : telemetry.span_stats()) {
+    if (stat.name == "sweep.step") step_spans = stat.count;
+  }
+  EXPECT_EQ(bodies, 3u);  // 830, 820, 810; 800 and 790 crash
+  EXPECT_EQ(counters["sweep.steps"], bodies);
+  EXPECT_EQ(counters["sweep.crashes"], 2u);
+  EXPECT_EQ(step_spans, counters["sweep.steps"] + counters["sweep.crashes"]);
 }
 
 TEST(TelemetryNeutralityTest, FiguresByteIdenticalWithTelemetryOnOrOff) {
