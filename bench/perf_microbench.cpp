@@ -1,6 +1,7 @@
 // Performance microbenchmarks (google-benchmark): the hot paths of the
 // simulator itself -- beat reads with sparse/dense overlays, overlay
-// construction, weak-cell order construction, and the Feistel PRP.
+// construction and growth over a descent, weak-cell order construction,
+// and the Feistel PRP.
 // These guard the "full sweep in seconds" property the fig benches rely
 // on.
 
@@ -75,6 +76,31 @@ void BM_OverlayBuildDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OverlayBuildDense);
+
+// A campaign's overlay work on one PC: the weakest default PC through
+// FaultInjector from 980 to 810 mV in 10 mV steps, reading the overlay at
+// each step.  The weak-cell order is built once, outside the timed loop;
+// each iteration starts from the empty guardband overlay.
+void BM_OverlayDescend(benchmark::State& state) {
+  const faults::FaultModel model(bench_geometry(), faults::FaultModelConfig{});
+  unsigned pc = 0;
+  for (unsigned p = 1; p < model.geometry().total_pcs(); ++p) {
+    if (model.onset_voltage(p).value > model.onset_voltage(pc).value) pc = p;
+  }
+  faults::FaultInjector injector(model);
+  benchmark::DoNotOptimize(&injector.order(pc));
+  for (auto _ : state) {
+    state.PauseTiming();
+    injector.set_voltage(Millivolts{1200});
+    benchmark::DoNotOptimize(injector.overlay(pc).total_count());
+    state.ResumeTiming();
+    for (int mv = 980; mv >= 810; mv -= 10) {
+      injector.set_voltage(Millivolts{mv});
+      benchmark::DoNotOptimize(injector.overlay(pc).total_count());
+    }
+  }
+}
+BENCHMARK(BM_OverlayDescend)->Unit(benchmark::kMillisecond);
 
 void BM_ReadBeat(benchmark::State& state) {
   const auto geometry = bench_geometry();

@@ -4,6 +4,7 @@
 #include <bit>
 
 #include "common/status.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace hbmvolt::faults {
 namespace {
@@ -20,36 +21,58 @@ FaultOverlay FaultOverlay::build(const WeakCellOrder& order,
                                  std::uint64_t count_sa0,
                                  std::uint64_t count_sa1) {
   FaultOverlay overlay;
+  overlay.extend(order, count_sa0, count_sa1);
+  return overlay;
+}
+
+void FaultOverlay::extend(const WeakCellOrder& order, std::uint64_t count_sa0,
+                          std::uint64_t count_sa1) {
   count_sa0 = std::min(count_sa0, order.size(StuckPolarity::kStuckAt0));
   count_sa1 = std::min(count_sa1, order.size(StuckPolarity::kStuckAt1));
-  overlay.count_sa0_ = count_sa0;
-  overlay.count_sa1_ = count_sa1;
-  if (count_sa0 + count_sa1 == 0) return overlay;
-
-  if (should_use_dense(count_sa0 + count_sa1, order.bits())) {
-    overlay.mask_.assign(order.bits() / 64, 0);
-    overlay.value_.assign(order.bits() / 64, 0);
-    std::vector<std::uint32_t> cells;
-    cells.reserve(static_cast<std::size_t>(std::max(count_sa0, count_sa1)));
-    for (const auto polarity :
-         {StuckPolarity::kStuckAt0, StuckPolarity::kStuckAt1}) {
+  HBMVOLT_REQUIRE(count_sa0 >= count_sa0_ && count_sa1 >= count_sa1_,
+                  "an overlay only grows; rebuild it to shrink");
+  if (!dense() && should_use_dense(count_sa0 + count_sa1, order.bits())) {
+    make_dense(order.bits());
+  }
+  std::vector<std::uint32_t> cells;
+  for (const auto polarity :
+       {StuckPolarity::kStuckAt0, StuckPolarity::kStuckAt1}) {
+    const bool one = polarity == StuckPolarity::kStuckAt1;
+    const std::uint64_t from = count(polarity);
+    const std::uint64_t to = one ? count_sa1 : count_sa0;
+    if (dense()) {
       cells.clear();
-      order.weakest(polarity, overlay.count(polarity), cells);
+      order.ranks(polarity, from, to, cells);
       for (const std::uint32_t cell : cells) {
         const std::uint64_t bit = 1ull << (cell % 64);
-        overlay.mask_[cell / 64] |= bit;
-        if (polarity == StuckPolarity::kStuckAt1) {
-          overlay.value_[cell / 64] |= bit;
-        }
+        mask_[cell / 64] |= bit;
+        if (one) value_[cell / 64] |= bit;
       }
+    } else {
+      // Sort the new cells and merge them behind the sorted old ones.
+      std::vector<std::uint32_t>& list = one ? sparse_sa1_ : sparse_sa0_;
+      const auto old_size = static_cast<std::ptrdiff_t>(list.size());
+      order.ranks(polarity, from, to, list);
+      std::sort(list.begin() + old_size, list.end());
+      std::inplace_merge(list.begin(), list.begin() + old_size, list.end());
     }
-  } else {
-    order.weakest(StuckPolarity::kStuckAt0, count_sa0, overlay.sparse_sa0_);
-    order.weakest(StuckPolarity::kStuckAt1, count_sa1, overlay.sparse_sa1_);
-    std::sort(overlay.sparse_sa0_.begin(), overlay.sparse_sa0_.end());
-    std::sort(overlay.sparse_sa1_.begin(), overlay.sparse_sa1_.end());
   }
-  return overlay;
+  count_sa0_ = count_sa0;
+  count_sa1_ = count_sa1;
+}
+
+void FaultOverlay::make_dense(std::uint64_t bits) {
+  mask_.assign(bits / 64, 0);
+  value_.assign(bits / 64, 0);
+  for (const std::uint32_t cell : sparse_sa0_) {
+    mask_[cell / 64] |= 1ull << (cell % 64);
+  }
+  for (const std::uint32_t cell : sparse_sa1_) {
+    mask_[cell / 64] |= 1ull << (cell % 64);
+    value_[cell / 64] |= 1ull << (cell % 64);
+  }
+  sparse_sa0_ = {};
+  sparse_sa1_ = {};
 }
 
 void FaultOverlay::apply(std::uint64_t beat, hbm::Beat& data) const noexcept {
@@ -285,7 +308,7 @@ void FaultInjector::add_burst(unsigned pc_global, std::uint64_t extra_sa0,
   HBMVOLT_REQUIRE(pc_global < overlays_.size(), "PC index out of range");
   burst_extras_[pc_global * 2 + 0] += extra_sa0;
   burst_extras_[pc_global * 2 + 1] += extra_sa1;
-  overlays_[pc_global].reset();
+  overlays_[pc_global].stale = true;
 }
 
 std::uint64_t FaultInjector::burst_extra(unsigned pc_global,
@@ -298,13 +321,14 @@ std::uint64_t FaultInjector::burst_extra(unsigned pc_global,
 void FaultInjector::set_voltage(Millivolts v) {
   if (v == voltage_) return;
   voltage_ = v;
-  for (auto& overlay : overlays_) overlay.reset();
+  for (auto& slot : overlays_) slot.stale = true;
 }
 
 const WeakCellOrder& FaultInjector::order(unsigned pc_global) {
   HBMVOLT_REQUIRE(pc_global < orders_.size(), "PC index out of range");
   auto& slot = orders_[pc_global];
   if (!slot) {
+    telemetry::Span span("faults.order_build", pc_global);
     slot = std::make_unique<WeakCellOrder>(
         model_.geometry(), model_.pc_seed(pc_global), weak_config_);
   }
@@ -313,24 +337,39 @@ const WeakCellOrder& FaultInjector::order(unsigned pc_global) {
 
 const FaultOverlay& FaultInjector::overlay(unsigned pc_global) {
   HBMVOLT_REQUIRE(pc_global < overlays_.size(), "PC index out of range");
-  auto& slot = overlays_[pc_global];
-  if (!slot) {
-    const std::uint64_t k0 =
-        model_.stuck_count(pc_global, StuckPolarity::kStuckAt0, voltage_) +
-        burst_extras_[pc_global * 2 + 0];
-    const std::uint64_t k1 =
-        model_.stuck_count(pc_global, StuckPolarity::kStuckAt1, voltage_) +
-        burst_extras_[pc_global * 2 + 1];
-    if (k0 + k1 == 0) {
-      // Guardband fast path: cache an empty overlay without materializing
-      // the weak-cell order.
-      slot = std::make_unique<FaultOverlay>();
-    } else {
-      slot = std::make_unique<FaultOverlay>(
-          FaultOverlay::build(order(pc_global), k0, k1));
-    }
+  OverlaySlot& slot = overlays_[pc_global];
+  if (slot.stale) refresh(pc_global);
+  return slot.overlay;
+}
+
+void FaultInjector::refresh(unsigned pc_global) {
+  OverlaySlot& slot = overlays_[pc_global];
+  slot.stale = false;
+  const std::uint64_t k0 =
+      model_.stuck_count(pc_global, StuckPolarity::kStuckAt0, voltage_) +
+      burst_extras_[pc_global * 2 + 0];
+  const std::uint64_t k1 =
+      model_.stuck_count(pc_global, StuckPolarity::kStuckAt1, voltage_) +
+      burst_extras_[pc_global * 2 + 1];
+  if (k0 + k1 == 0) {
+    // Guardband fast path: no stuck cells, so the weak-cell order is never
+    // materialized.
+    if (!slot.overlay.empty()) slot.overlay = FaultOverlay();
+    return;
   }
-  return *slot;
+  const WeakCellOrder& cells = order(pc_global);
+  const std::uint64_t c0 =
+      std::min(k0, cells.size(StuckPolarity::kStuckAt0));
+  const std::uint64_t c1 =
+      std::min(k1, cells.size(StuckPolarity::kStuckAt1));
+  FaultOverlay& overlay = slot.overlay;
+  const std::uint64_t have0 = overlay.count(StuckPolarity::kStuckAt0);
+  const std::uint64_t have1 = overlay.count(StuckPolarity::kStuckAt1);
+  if (c0 == have0 && c1 == have1) return;
+  telemetry::Span span("faults.overlay_build", pc_global);
+  // A raise shrinks the stuck set: start over from an empty overlay.
+  if (c0 < have0 || c1 < have1) overlay = FaultOverlay();
+  overlay.extend(cells, c0, c1);
 }
 
 }  // namespace hbmvolt::faults

@@ -1,13 +1,20 @@
 // Stuck-at fault overlay applied to reads of an undervolted PC, and the
-// FaultInjector that builds/caches one overlay per PC at the current
-// supply voltage.
+// FaultInjector that keeps one overlay per PC at the current supply
+// voltage.
 //
-// An overlay is the materialized set of stuck cells at one voltage.  Two
+// An overlay is the materialized set of stuck cells at one voltage: the
+// first count_sa0/count_sa1 cells of each polarity's weak-cell order.  Two
 // representations:
 //   * sparse -- two sorted cell-index vectors (one per polarity); beats
 //     are patched via binary search.  Used when few cells are stuck.
 //   * dense  -- stuck-mask and stuck-value bitmaps; beats are patched with
 //     four word operations.  Used deep in the unsafe region.
+//
+// Stuck sets only grow as voltage falls (or a weak-cell burst lands), so an
+// overlay grows in place: extend() adds the cells of ranks [k, k') of each
+// polarity, and converts a sparse overlay to dense once it crosses the
+// switch.  The injector rebuilds an overlay only when a count shrinks,
+// after a voltage raise.
 
 #pragma once
 
@@ -30,10 +37,17 @@ class FaultOverlay {
   FaultOverlay() = default;
 
   /// Materializes the first `count_sa0`/`count_sa1` cells of each polarity
-  /// order, selected with WeakCellOrder::weakest (counts are clamped to the
-  /// order sizes).
+  /// order (counts are clamped to the order sizes).
   static FaultOverlay build(const WeakCellOrder& order,
                             std::uint64_t count_sa0, std::uint64_t count_sa1);
+
+  /// Grows the overlay to the first `count_sa0`/`count_sa1` cells of each
+  /// polarity order (clamped to the order sizes), adding only the cells it
+  /// lacks.  The result equals build(order, count_sa0, count_sa1),
+  /// representation included.  `order` must be the one the overlay was
+  /// built from, and neither clamped count may be below count().
+  void extend(const WeakCellOrder& order, std::uint64_t count_sa0,
+              std::uint64_t count_sa1);
 
   /// Patches one 256-bit beat in place.
   void apply(std::uint64_t beat, hbm::Beat& data) const noexcept;
@@ -89,6 +103,9 @@ class FaultOverlay {
       const std::function<void(std::uint64_t, StuckPolarity)>& fn) const;
 
  private:
+  /// Moves the sparse cells into freshly allocated bitmaps of `bits` bits.
+  void make_dense(std::uint64_t bits);
+
   // Sparse form: sorted stuck-cell indices per polarity.
   std::vector<std::uint32_t> sparse_sa0_;
   std::vector<std::uint32_t> sparse_sa1_;
@@ -102,17 +119,24 @@ class FaultOverlay {
 
 /// Owns the per-PC weak-cell orders and the per-PC overlays at the current
 /// voltage.  Shared by both HBM stacks (it spans all 32 PCs).
+///
+/// set_voltage() and add_burst() only mark overlays stale.  The next
+/// overlay(pc) recomputes that PC's clamped stuck counts: equal counts
+/// reuse the overlay, grown counts extend it in place, and a shrunk count
+/// (after a raise) rebuilds it.  Each stuck cell is therefore placed once
+/// per descent.  An overlay's address never changes.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultModel model, WeakCellConfig weak_config = {});
 
   [[nodiscard]] const FaultModel& model() const noexcept { return model_; }
 
-  /// Current supply voltage; changing it invalidates cached overlays.
+  /// Current supply voltage; changing it marks every overlay stale.
   void set_voltage(Millivolts v);
   [[nodiscard]] Millivolts voltage() const noexcept { return voltage_; }
 
-  /// Overlay for a PC at the current voltage (built and cached on demand).
+  /// Overlay for a PC at the current voltage (brought up to date on
+  /// demand; a fresh one costs a single flag test).
   const FaultOverlay& overlay(unsigned pc_global);
 
   /// Weak-cell order for a PC (built lazily; stable across voltages).
@@ -124,8 +148,8 @@ class FaultInjector {
   /// VT-shift burst (see chaos fault storms).  Raising the supply voltage
   /// still shrinks the total stuck set (the burst extends the prefix, it
   /// does not pin specific cells), and row retirement can remove burst
-  /// rows.  Only this PC's cached overlay is invalidated, so concurrent
-  /// workers touching *other* PCs are unaffected.
+  /// rows.  Only this PC's overlay is marked stale, so concurrent workers
+  /// touching *other* PCs are unaffected.
   void add_burst(unsigned pc_global, std::uint64_t extra_sa0,
                  std::uint64_t extra_sa1);
 
@@ -134,15 +158,23 @@ class FaultInjector {
                                           StuckPolarity polarity) const;
 
  private:
+  struct OverlaySlot {
+    FaultOverlay overlay;
+    /// The voltage or burst extras changed since the overlay was sized.
+    bool stale = true;
+  };
+
+  /// Brings a stale overlay to the PC's current stuck counts.
+  void refresh(unsigned pc_global);
+
   FaultModel model_;
   WeakCellConfig weak_config_;
   Millivolts voltage_{1200};
   std::vector<std::unique_ptr<WeakCellOrder>> orders_;
-  std::vector<std::unique_ptr<FaultOverlay>> overlays_;  // null = stale
+  std::vector<OverlaySlot> overlays_;
   /// Per-PC burst extras appended to the voltage-derived stuck prefix
   /// (index = pc_global * 2 + polarity).
   std::vector<std::uint64_t> burst_extras_;
-  FaultOverlay empty_;
 };
 
 }  // namespace hbmvolt::faults

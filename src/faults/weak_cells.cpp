@@ -1,11 +1,45 @@
 #include "faults/weak_cells.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "common/status.hpp"
 
 namespace hbmvolt::faults {
+namespace {
+
+// The two hashes per cell are integer-exact, so wider vector units give
+// the same tags faster: on x86-64 the tagging loop is compiled for
+// AVX-512 and AVX2 as well, and the loader picks the widest the host runs.
+// Not under ThreadSanitizer: the clone resolver runs before the TSan
+// runtime is up, and the process crashes at load.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__SANITIZE_THREAD__)
+#define HBMVOLT_TAG_CLONES \
+  __attribute__((         \
+      target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define HBMVOLT_TAG_CLONES
+#endif
+
+/// Writes the bucket tag of every cell in [lo, hi): polarity in the top
+/// tag bit, then the top `bucket_bits` of the key shifted right by
+/// `shift`.
+HBMVOLT_TAG_CLONES void tag_cells(std::uint16_t* tags, std::uint64_t lo,
+                                  std::uint64_t hi, std::uint64_t key_seed,
+                                  unsigned shift, std::uint64_t polarity_seed,
+                                  std::uint64_t share1_threshold,
+                                  unsigned bucket_bits) {
+  const std::uint64_t stuck1_tag = std::uint64_t{1} << bucket_bits;
+  for (std::uint64_t cell = lo; cell < hi; ++cell) {
+    const std::uint64_t key = splitmix64(key_seed ^ cell) >> shift;
+    const bool stuck1 = splitmix64(polarity_seed ^ cell) < share1_threshold;
+    tags[cell] = static_cast<std::uint16_t>((stuck1 ? stuck1_tag : 0) +
+                                            (key >> (64 - bucket_bits)));
+  }
+}
+
+}  // namespace
 
 WeakCellOrder::WeakCellOrder(const hbm::HbmGeometry& geometry,
                              std::uint64_t pc_seed,
@@ -43,35 +77,34 @@ WeakCellOrder::WeakCellOrder(const hbm::HbmGeometry& geometry,
     }
   }
 
-  // Group cells by (polarity, top key bits) with a counting sort: the
-  // first pass sizes the buckets, the second scatters the cells, so each
-  // bucket lists its cells in ascending order.
+  // Group cells by (polarity, top key bits) with a counting sort that
+  // hashes every cell once.  The hashing pass only records each cell's
+  // bucket tag: counting inside it (a read-modify-write of a random
+  // bucket per cell) roughly doubled its time.  The buckets are sized
+  // from the tags, and the cells scattered from them, so each bucket
+  // lists its cells in ascending order.
+  static_assert(2 * kBuckets <= 65536, "bucket tags are 16-bit");
   const std::uint64_t polarity_seed = mix_seed(pc_seed, 0x9012A);
   const auto share1_threshold = static_cast<std::uint64_t>(
       config.stuck_at_one_share * 18446744073709551615.0);
-  const auto for_each_bucketed = [&](auto&& fn) {
-    for (std::uint64_t beat = 0; beat < beats; ++beat) {
-      const unsigned shift = beat_in_cluster_[beat] ? cluster_key_shift_ : 0;
-      const std::uint64_t end = std::min(n, (beat + 1) * bits_per_beat);
-      for (std::uint64_t cell = beat * bits_per_beat; cell < end; ++cell) {
-        const std::uint64_t key = splitmix64(key_seed_ ^ cell) >> shift;
-        const bool stuck1 = splitmix64(polarity_seed ^ cell) < share1_threshold;
-        fn((stuck1 ? kBuckets : 0) + (key >> (64 - kBucketBits)), cell);
-      }
-    }
-  };
-
+  // Both arrays are written in full before they are read, so neither is
+  // zero-filled first.
+  const auto tags = std::make_unique_for_overwrite<std::uint16_t[]>(n);
+  for (std::uint64_t beat = 0; beat < beats; ++beat) {
+    tag_cells(tags.get(), beat * bits_per_beat,
+              std::min(n, (beat + 1) * bits_per_beat), key_seed_,
+              beat_in_cluster_[beat] ? cluster_key_shift_ : 0, polarity_seed,
+              share1_threshold, kBucketBits);
+  }
   offsets_.assign(2 * kBuckets + 1, 0);
-  for_each_bucketed([&](std::size_t bucket, std::uint64_t) {
-    ++offsets_[bucket + 1];
-  });
+  for (std::uint64_t cell = 0; cell < n; ++cell) ++offsets_[tags[cell] + 1];
   for (std::size_t b = 0; b < 2 * kBuckets; ++b) offsets_[b + 1] += offsets_[b];
 
   std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  cells_.resize(static_cast<std::size_t>(n));
-  for_each_bucketed([&](std::size_t bucket, std::uint64_t cell) {
-    cells_[cursor[bucket]++] = static_cast<std::uint32_t>(cell);
-  });
+  cells_ = std::make_unique_for_overwrite<std::uint32_t[]>(n);
+  for (std::uint64_t cell = 0; cell < n; ++cell) {
+    cells_[cursor[tags[cell]]++] = static_cast<std::uint32_t>(cell);
+  }
 }
 
 std::uint64_t WeakCellOrder::key(std::uint64_t cell) const noexcept {
@@ -85,24 +118,42 @@ std::uint64_t WeakCellOrder::size(StuckPolarity polarity) const noexcept {
              : offsets_[kBuckets];
 }
 
-void WeakCellOrder::weakest(StuckPolarity polarity, std::uint64_t k,
-                            std::vector<std::uint32_t>& out) const {
-  k = std::min(k, size(polarity));
-  if (k == 0) return;
+void WeakCellOrder::ranks(StuckPolarity polarity, std::uint64_t lo,
+                          std::uint64_t hi,
+                          std::vector<std::uint32_t>& out) const {
+  hi = std::min(hi, size(polarity));
+  if (lo >= hi) return;
   const auto first =
       offsets_.begin() + (polarity == StuckPolarity::kStuckAt1 ? kBuckets : 0);
-  const std::uint64_t target = *first + k;
-  // The bucket holding rank k-1 ends at the first offset >= target; every
-  // bucket before it lies wholly inside the prefix.
-  const auto end = std::lower_bound(first + 1, first + kBuckets + 1, target);
-  const std::uint64_t lo = *(end - 1);
-  const std::uint64_t hi = *end;
-  out.reserve(out.size() + static_cast<std::size_t>(k));
-  out.insert(out.end(), cells_.begin() + static_cast<std::ptrdiff_t>(*first),
-             cells_.begin() + static_cast<std::ptrdiff_t>(lo));
+  const auto last = first + kBuckets;
+  const std::uint64_t begin = *first + lo;
+  const std::uint64_t end = *first + hi;
+  out.reserve(out.size() + static_cast<std::size_t>(hi - lo));
+  // The bucket holding position `begin` ends at the first offset past it;
+  // the one holding `end - 1` ends at the first offset >= end.
+  const auto lo_end = std::upper_bound(first + 1, last + 1, begin);
+  const auto hi_end = std::lower_bound(lo_end, last + 1, end);
+  if (lo_end == hi_end) {
+    split_bucket(*(lo_end - 1), *lo_end, begin, end, out);
+    return;
+  }
+  split_bucket(*(lo_end - 1), *lo_end, begin, *lo_end, out);
+  // Buckets strictly between the two ends lie wholly inside the range.
+  out.insert(out.end(), cells_.get() + *lo_end, cells_.get() + *(hi_end - 1));
+  split_bucket(*(hi_end - 1), *hi_end, *(hi_end - 1), end, out);
+}
 
-  // Split the straddled bucket: take its `target - lo` smallest cells by
-  // (key, cell).
+void WeakCellOrder::split_bucket(std::uint64_t lo, std::uint64_t hi,
+                                 std::uint64_t from, std::uint64_t to,
+                                 std::vector<std::uint32_t>& out) const {
+  if (from == lo && to == hi) {
+    out.insert(out.end(), cells_.get() + lo, cells_.get() + hi);
+    return;
+  }
+  // Partition the bucket by (key, cell) at the far end of the wanted
+  // positions, then at the near end within the cells below it, and take
+  // the cells between the two cuts.  Cutting the far end first keeps the
+  // second cut small when the range sits at the weak end of a bucket.
   struct Keyed {
     std::uint64_t key;
     std::uint32_t cell;
@@ -112,13 +163,14 @@ void WeakCellOrder::weakest(StuckPolarity polarity, std::uint64_t k,
   for (std::uint64_t i = lo; i < hi; ++i) {
     keyed.push_back({key(cells_[i]), cells_[i]});
   }
-  const auto nth = keyed.begin() + static_cast<std::ptrdiff_t>(target - lo);
-  std::nth_element(keyed.begin(), nth, keyed.end(),
-                   [](const Keyed& a, const Keyed& b) {
-                     return a.key < b.key ||
-                            (a.key == b.key && a.cell < b.cell);
-                   });
-  for (auto it = keyed.begin(); it != nth; ++it) out.push_back(it->cell);
+  const auto by_key = [](const Keyed& a, const Keyed& b) {
+    return a.key < b.key || (a.key == b.key && a.cell < b.cell);
+  };
+  const auto a = keyed.begin() + static_cast<std::ptrdiff_t>(from - lo);
+  const auto b = keyed.begin() + static_cast<std::ptrdiff_t>(to - lo);
+  if (to != hi) std::nth_element(keyed.begin(), b, keyed.end(), by_key);
+  if (from != lo) std::nth_element(keyed.begin(), a, b, by_key);
+  for (auto it = a; it != b; ++it) out.push_back(it->cell);
 }
 
 }  // namespace hbmvolt::faults

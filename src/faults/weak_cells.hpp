@@ -10,17 +10,23 @@
 // the first K cells of each polarity's (key, cell) order -- monotone in
 // voltage by construction.
 //
-// That order is never materialized.  Consumers need the *set* of the K
-// weakest cells, not their ranks, so construction only groups each
-// polarity's cells into buckets by the top bits of their key (one counting
-// pass, one scatter pass), and weakest() selects on demand: every bucket
-// below the one that straddles K, plus the smallest remaining cells of that
-// bucket.  Keys are recomputed from the seed when a bucket is split, never
-// stored.
+// That order is never materialized.  Consumers need *sets* of cells by
+// rank, not the ranks themselves, so construction only groups each
+// polarity's cells into buckets by the top bits of their key.  It hashes
+// every cell once, in a pass that only records each cell's bucket tag
+// (vectorized where the host allows); the buckets are then sized from the
+// tags and the cells scattered from them.  With kBucketBits = 10 the
+// scatter writes 2 x 1024 streams, which stay in cache.  Nothing but the
+// grouped cells and the bucket offsets outlives construction.
+// ranks() then selects on demand: the cells of every bucket wholly
+// inside a rank range, plus the matching cells of the (at most two)
+// buckets that straddle its ends.  Keys are recomputed from the seed when
+// a bucket is split, never stored.
 
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "faults/fault_model.hpp"
@@ -55,11 +61,18 @@ class WeakCellOrder {
   /// Number of cells of the given polarity.
   [[nodiscard]] std::uint64_t size(StuckPolarity polarity) const noexcept;
 
+  /// Appends the cells of ranks [lo, hi) of the given polarity's
+  /// (key, cell) order to `out`, in no particular order.  Both ends are
+  /// clamped to size(); an empty range appends nothing.
+  void ranks(StuckPolarity polarity, std::uint64_t lo, std::uint64_t hi,
+             std::vector<std::uint32_t>& out) const;
+
   /// Appends the `k` weakest cells of the given polarity to `out`, in no
-  /// particular order (`k` is clamped to size()).  The result is exactly
-  /// the set of the first `k` cells of the polarity's (key, cell) order.
+  /// particular order: ranks [0, k).
   void weakest(StuckPolarity polarity, std::uint64_t k,
-               std::vector<std::uint32_t>& out) const;
+               std::vector<std::uint32_t>& out) const {
+    ranks(polarity, 0, k, out);
+  }
 
   [[nodiscard]] const std::vector<ClusterWindow>& clusters() const noexcept {
     return clusters_;
@@ -74,14 +87,21 @@ class WeakCellOrder {
     return geometry_.bits_per_pc;
   }
 
-  /// Top key bits that pick a cell's bucket within its polarity.
-  static constexpr unsigned kBucketBits = 12;
+  /// Top key bits that pick a cell's bucket within its polarity.  The
+  /// selected sets do not depend on it; it only trades scatter locality
+  /// (fewer, cache-resident streams) against the size of a split bucket.
+  static constexpr unsigned kBucketBits = 10;
 
  private:
   static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
 
   /// The cell's strength key (lower = weaker).
   [[nodiscard]] std::uint64_t key(std::uint64_t cell) const noexcept;
+
+  /// Appends the cells at positions [from, to) of the bucket that spans
+  /// cells_[lo, hi) once it is ordered by (key, cell).
+  void split_bucket(std::uint64_t lo, std::uint64_t hi, std::uint64_t from,
+                    std::uint64_t to, std::vector<std::uint32_t>& out) const;
 
   hbm::HbmGeometry geometry_;
   std::vector<ClusterWindow> clusters_;
@@ -91,7 +111,7 @@ class WeakCellOrder {
   /// either entirely inside or entirely outside them.
   std::vector<std::uint8_t> beat_in_cluster_;
   /// Cells grouped by (polarity, bucket), ascending within a bucket.
-  std::vector<std::uint32_t> cells_;
+  std::unique_ptr<std::uint32_t[]> cells_;
   /// Bucket `b` of polarity `p` (0 = stuck-at-0) spans cells_ from
   /// offsets_[p * kBuckets + b] to offsets_[p * kBuckets + b + 1].  64-bit
   /// because a PC may hold exactly 2^32 cells.

@@ -5,12 +5,15 @@
 #include <bit>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "board/vcu128.hpp"
 #include "common/rng.hpp"
+#include "core/fault_characterizer.hpp"
 #include "faults/fault_map.hpp"
 #include "faults/fault_model.hpp"
 #include "faults/fault_overlay.hpp"
@@ -403,10 +406,13 @@ struct ReferenceOrder {
   }
 };
 
-TEST(WeakCellOrderTest, WeakestMatchesSortedReference) {
+/// Runs `fn(order, ref, label)` over the grid both order tests walk: two
+/// geometries, clustering on and off, key shifts 5 and 40, and a balanced
+/// and a lopsided polarity share.
+template <typename Fn>
+void for_each_order_case(Fn&& fn) {
   HbmGeometry mid = HbmGeometry::test_tiny();
   mid.bits_per_pc = 1ull << 17;
-  Xoshiro256 rng(7);
   for (const HbmGeometry& g : {HbmGeometry::test_tiny(), mid}) {
     for (const unsigned clusters : {6u, 0u}) {
       // Shift 40 drives every cluster cell into the first bucket, so the
@@ -419,53 +425,156 @@ TEST(WeakCellOrderTest, WeakestMatchesSortedReference) {
           config.stuck_at_one_share = share;
           const WeakCellOrder order(g, 42, config);
           const ReferenceOrder ref(g, 42, config, order.clusters());
-          for (int p = 0; p < 2; ++p) {
-            const auto polarity =
-                p == 1 ? StuckPolarity::kStuckAt1 : StuckPolarity::kStuckAt0;
-            const std::uint64_t size = ref.order[p].size();
-            ASSERT_EQ(order.size(polarity), size);
-            std::vector<std::uint64_t> ks = {0, 1, size, size + 7};
-            // Ranks where the bucket changes, +-1, for the first buckets.
-            unsigned boundaries = 0;
-            for (std::uint64_t i = 1; i < size && boundaries < 24; ++i) {
-              const unsigned bits = 64 - WeakCellOrder::kBucketBits;
-              if (ref.keys[p][i] >> bits != ref.keys[p][i - 1] >> bits) {
-                ks.insert(ks.end(), {i - 1, i, i + 1});
-                ++boundaries;
-              }
-            }
-            for (int r = 0; r < 32; ++r) ks.push_back(rng.bounded(size + 1));
-            for (const std::uint64_t k : ks) {
-              std::vector<std::uint32_t> cells;
-              order.weakest(polarity, k, cells);
-              ASSERT_TRUE(ref.is_prefix_set(p, k, cells))
-                  << "bits " << g.bits_per_pc << " clusters " << clusters
-                  << " shift " << shift << " share " << share
-                  << " polarity " << p << " k " << k;
-            }
-          }
-
-          // Overlays on both sides of the sparse/dense switch (a stuck
-          // set larger than 1/64 of the cells goes dense).
-          const std::uint64_t switch_at = g.bits_per_pc / 64;
-          for (const std::uint64_t total : {switch_at, switch_at + 1}) {
-            const std::uint64_t k1 =
-                std::min<std::uint64_t>(total / 3, ref.order[1].size());
-            const std::uint64_t k0 = total - k1;
-            const auto overlay = FaultOverlay::build(order, k0, k1);
-            ASSERT_EQ(overlay.dense(), total > switch_at);
-            std::vector<std::uint32_t> seen[2];
-            overlay.for_each([&](std::uint64_t bit, StuckPolarity polarity) {
-              seen[polarity == StuckPolarity::kStuckAt1 ? 1 : 0].push_back(
-                  static_cast<std::uint32_t>(bit));
-            });
-            EXPECT_TRUE(ref.is_prefix_set(0, k0, seen[0])) << "total " << total;
-            EXPECT_TRUE(ref.is_prefix_set(1, k1, seen[1])) << "total " << total;
-          }
+          fn(order, ref,
+             "bits " + std::to_string(g.bits_per_pc) + " clusters " +
+                 std::to_string(clusters) + " shift " +
+                 std::to_string(shift) + " share " + std::to_string(share));
         }
       }
     }
   }
+}
+
+/// A key's bucket within its polarity.
+std::uint64_t bucket_of(std::uint64_t key) {
+  return key >> (64 - WeakCellOrder::kBucketBits);
+}
+
+TEST(WeakCellOrderTest, WeakestMatchesSortedReference) {
+  Xoshiro256 rng(7);
+  for_each_order_case([&](const WeakCellOrder& order, const ReferenceOrder& ref,
+                          const std::string& label) {
+    const std::uint64_t bits = order.bits();
+    for (int p = 0; p < 2; ++p) {
+      const auto polarity =
+          p == 1 ? StuckPolarity::kStuckAt1 : StuckPolarity::kStuckAt0;
+      const std::uint64_t size = ref.order[p].size();
+      ASSERT_EQ(order.size(polarity), size);
+      std::vector<std::uint64_t> ks = {0, 1, size, size + 7};
+      // Ranks where the bucket changes, +-1, for the first buckets.
+      unsigned boundaries = 0;
+      for (std::uint64_t i = 1; i < size && boundaries < 24; ++i) {
+        if (bucket_of(ref.keys[p][i]) != bucket_of(ref.keys[p][i - 1])) {
+          ks.insert(ks.end(), {i - 1, i, i + 1});
+          ++boundaries;
+        }
+      }
+      for (int r = 0; r < 32; ++r) ks.push_back(rng.bounded(size + 1));
+      for (const std::uint64_t k : ks) {
+        std::vector<std::uint32_t> cells;
+        order.weakest(polarity, k, cells);
+        ASSERT_TRUE(ref.is_prefix_set(p, k, cells))
+            << label << " polarity " << p << " k " << k;
+      }
+    }
+
+    // Overlays on both sides of the sparse/dense switch (a stuck set
+    // larger than 1/64 of the cells goes dense).
+    const std::uint64_t switch_at = bits / 64;
+    for (const std::uint64_t total : {switch_at, switch_at + 1}) {
+      const std::uint64_t k1 =
+          std::min<std::uint64_t>(total / 3, ref.order[1].size());
+      const std::uint64_t k0 = total - k1;
+      const auto overlay = FaultOverlay::build(order, k0, k1);
+      ASSERT_EQ(overlay.dense(), total > switch_at);
+      std::vector<std::uint32_t> seen[2];
+      overlay.for_each([&](std::uint64_t bit, StuckPolarity polarity) {
+        seen[polarity == StuckPolarity::kStuckAt1 ? 1 : 0].push_back(
+            static_cast<std::uint32_t>(bit));
+      });
+      EXPECT_TRUE(ref.is_prefix_set(0, k0, seen[0]))
+          << label << " total " << total;
+      EXPECT_TRUE(ref.is_prefix_set(1, k1, seen[1]))
+          << label << " total " << total;
+    }
+  });
+}
+
+TEST(WeakCellOrderTest, RanksSplitThePrefix) {
+  Xoshiro256 rng(11);
+  unsigned empty_bucket_cases = 0;
+  unsigned one_bucket_cases = 0;
+  for_each_order_case([&](const WeakCellOrder& order, const ReferenceOrder& ref,
+                          const std::string& label) {
+    for (int p = 0; p < 2; ++p) {
+      const auto polarity =
+          p == 1 ? StuckPolarity::kStuckAt1 : StuckPolarity::kStuckAt0;
+      const std::uint64_t size = ref.order[p].size();
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges = {
+          {0, 0},        {size / 2, size / 2}, {size, size},
+          {0, size + 7}, {size, size + 7},     {size + 3, size + 9}};
+      // The first rank of each non-empty bucket, in order.
+      std::vector<std::uint64_t> starts = {0};
+      for (std::uint64_t i = 1; i < size; ++i) {
+        if (bucket_of(ref.keys[p][i]) != bucket_of(ref.keys[p][i - 1])) {
+          starts.push_back(i);
+        }
+      }
+      starts.push_back(size);
+      unsigned boundaries = 0;
+      unsigned empties = 0;
+      for (std::size_t j = 1; j + 1 < starts.size(); ++j) {
+        const std::uint64_t b = starts[j];
+        // Whether an empty bucket lies between rank b-1 and rank b.
+        const bool gap = bucket_of(ref.keys[p][b]) >
+                         bucket_of(ref.keys[p][b - 1]) + 1;
+        if (gap ? empties >= 8 : boundaries >= 24) continue;
+        ++(gap ? empties : boundaries);
+        empty_bucket_cases += gap ? 1 : 0;
+        ranges.insert(ranges.end(), {{b - 1, b + 1},
+                                     {b, b + 1},
+                                     {b - 1, b},
+                                     {b + 1, b + 1},
+                                     {starts[j - 1], b},
+                                     {b, size + 7}});
+        // Both ends inside one bucket, off its edges.
+        if (starts[j + 1] - b >= 3) {
+          ranges.emplace_back(b + 1, starts[j + 1] - 1);
+          ++one_bucket_cases;
+        }
+      }
+      for (int r = 0; r < 32; ++r) {
+        const std::uint64_t x = rng.bounded(size + 1);
+        const std::uint64_t y = rng.bounded(size + 1);
+        ranges.emplace_back(std::min(x, y), std::max(x, y));
+      }
+
+      // 1 = in weakest(lo), 2 = in ranks(lo, hi); cleared after each range.
+      std::vector<std::uint8_t> mark(order.bits(), 0);
+      for (const auto& [lo, hi] : ranges) {
+        const auto where = [&, lo = lo, hi = hi] {
+          return label + " polarity " + std::to_string(p) + " lo " +
+                 std::to_string(lo) + " hi " + std::to_string(hi);
+        };
+        std::vector<std::uint32_t> head;
+        std::vector<std::uint32_t> middle;
+        std::vector<std::uint32_t> whole;
+        order.weakest(polarity, lo, head);
+        order.ranks(polarity, lo, hi, middle);
+        order.weakest(polarity, hi, whole);
+        ASSERT_EQ(middle.size(), std::min(hi, size) - std::min(lo, size))
+            << where();
+        for (const std::uint32_t cell : head) mark[cell] = 1;
+        for (const std::uint32_t cell : middle) {
+          ASSERT_EQ(mark[cell], 0) << "repeated or not disjoint: " << where();
+          mark[cell] = 2;
+          ASSERT_EQ(int{ref.stuck1[cell]}, p) << where();
+          ASSERT_GE(ref.rank[cell], lo) << where();
+          ASSERT_LT(ref.rank[cell], hi) << where();
+        }
+        // Disjoint, so the union is exactly weakest(hi) iff the sizes
+        // match and every cell of weakest(hi) is marked.
+        ASSERT_EQ(head.size() + middle.size(), whole.size()) << where();
+        for (const std::uint32_t cell : whole) {
+          ASSERT_NE(mark[cell], 0) << where();
+        }
+        for (const std::uint32_t cell : head) mark[cell] = 0;
+        for (const std::uint32_t cell : middle) mark[cell] = 0;
+      }
+    }
+  });
+  EXPECT_GT(empty_bucket_cases, 0u);
+  EXPECT_GT(one_bucket_cases, 0u);
 }
 
 // ---------------------------------------------------------- FaultOverlay
@@ -712,6 +821,78 @@ TEST(FaultInjectorTest, OverlayMatchesModelCounts) {
                              pc, StuckPolarity::kStuckAt0, Millivolts{mv}),
                          injector.order(pc).size(StuckPolarity::kStuckAt0)))
           << "pc " << pc << " at " << mv;
+    }
+  }
+}
+
+/// Expects `got` and `want` to hold the same cells in the same
+/// representation, visited in the same order.
+void expect_same_overlay(const FaultOverlay& got, const FaultOverlay& want,
+                         const std::string& where) {
+  EXPECT_EQ(got.dense(), want.dense()) << where;
+  EXPECT_EQ(got.count(StuckPolarity::kStuckAt0),
+            want.count(StuckPolarity::kStuckAt0)) << where;
+  EXPECT_EQ(got.count(StuckPolarity::kStuckAt1),
+            want.count(StuckPolarity::kStuckAt1)) << where;
+  const auto cells = [](const FaultOverlay& overlay) {
+    std::vector<std::pair<std::uint64_t, StuckPolarity>> out;
+    overlay.for_each([&](std::uint64_t bit, StuckPolarity polarity) {
+      out.emplace_back(bit, polarity);
+    });
+    return out;
+  };
+  EXPECT_TRUE(cells(got) == cells(want)) << where;
+}
+
+TEST(FaultInjectorTest, ExtendedOverlayEqualsFreshBuild) {
+  // Every PC of a tiny board, and the weak PC 18 of a default one.
+  struct Case {
+    HbmGeometry geometry;
+    std::vector<unsigned> pcs;
+  };
+  std::vector<unsigned> all_pcs(HbmGeometry::test_tiny().total_pcs());
+  for (unsigned pc = 0; pc < all_pcs.size(); ++pc) all_pcs[pc] = pc;
+  for (const Case& c : {Case{HbmGeometry::test_tiny(), all_pcs},
+                        Case{HbmGeometry::simulation_default(), {18u}}}) {
+    board::BoardConfig config;
+    config.geometry = c.geometry;
+    board::Vcu128Board board(config);
+    FaultInjector& injector = board.injector();
+    core::FaultCharacterizer characterizer(board);
+    const auto check = [&](const std::string& step) {
+      for (const unsigned pc : c.pcs) {
+        const std::uint64_t k0 =
+            injector.model().stuck_count(pc, StuckPolarity::kStuckAt0,
+                                         injector.voltage()) +
+            injector.burst_extra(pc, StuckPolarity::kStuckAt0);
+        const std::uint64_t k1 =
+            injector.model().stuck_count(pc, StuckPolarity::kStuckAt1,
+                                         injector.voltage()) +
+            injector.burst_extra(pc, StuckPolarity::kStuckAt1);
+        const FaultOverlay& got = injector.overlay(pc);
+        expect_same_overlay(got,
+                            FaultOverlay::build(injector.order(pc), k0, k1),
+                            "bits " + std::to_string(c.geometry.bits_per_pc) +
+                                " pc " + std::to_string(pc) + " " + step);
+      }
+    };
+    for (int mv = 1200; mv >= 800; mv -= 10) {
+      injector.set_voltage(Millivolts{mv});
+      check("descend " + std::to_string(mv));
+    }
+    injector.set_voltage(Millivolts{900});
+    check("raise to 900");
+    for (const unsigned pc : c.pcs) injector.add_burst(pc, 40, 60);
+    check("burst");
+    for (const unsigned pc : c.pcs) {
+      characterizer.clustering(pc, Millivolts{850});
+    }
+    check("clustering round trip");
+    // Descend again, reading every other step, so one refresh spans two
+    // voltage steps.
+    for (int mv = 890; mv >= 800; mv -= 10) {
+      injector.set_voltage(Millivolts{mv});
+      if (mv % 20 == 0) check("second descent " + std::to_string(mv));
     }
   }
 }
