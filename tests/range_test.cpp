@@ -926,6 +926,42 @@ TEST(ReliableRangeTest, ReadRangeSpansParkedBeats) {
   twin.expect_equal("after spanning read_range");
 }
 
+TEST(ReliableRangeTest, DeviceLostRangesMatchPerBeat) {
+  // A lost device keeps serving from the journal: range writes land in
+  // the journal alone and range reads come from it, accounted exactly as
+  // the per-op calls account them.  The fleet never takes this bulk read
+  // path (it reads a lost device per op), so only this case reaches it.
+  ReliableChannelConfig config;
+  config.spare_fraction = 0.25;
+  ChannelTwin twin(kWeakPc, config, 950);
+  const std::uint64_t cap = twin.range.capacity();
+  const std::uint64_t half = cap / 2;
+
+  std::vector<hbm::Beat> data(cap);
+  for (std::uint64_t l = 0; l < cap; ++l) data[l] = test_payload(l);
+  const Status wa = twin.range.write_range(0, half, data.data());
+  const Status wb = write_each(twin.perop, 0, half, data.data());
+  ASSERT_EQ(wa.code(), wb.code()) << wa.to_string();
+  twin.expect_equal("after write_range on the live device");
+
+  twin.range.set_device_lost();
+  twin.perop.set_device_lost();
+  // Overwrite the middle and write the untouched tail: the journal now
+  // holds beats written before and after the loss, and the last few beats
+  // stay never-written.
+  for (std::uint64_t l = 0; l < cap; ++l) data[l] = test_payload(l + cap);
+  const std::uint64_t lo = half / 2;
+  const std::uint64_t n = cap - lo - 5;
+  ASSERT_TRUE(twin.range.write_range(lo, n, data.data() + lo).is_ok());
+  ASSERT_TRUE(write_each(twin.perop, lo, n, data.data() + lo).is_ok());
+  twin.expect_equal("after write_range on the lost device");
+
+  const std::uint64_t served_before = twin.range.stats().journal_served_reads;
+  EXPECT_EQ(twin.sweep_windows(13), 0u);
+  EXPECT_GT(twin.range.stats().journal_served_reads, served_before);
+  twin.expect_equal("after read_range on the lost device");
+}
+
 TEST(ReliableRangeTest, ServeTraceStreamingEquivalence) {
   // Streaming trace = maximal contiguous runs: the bulk path carries
   // nearly every op, with the headline invariant intact.  The state it
