@@ -1165,6 +1165,18 @@ TEST_P(PatrolWalkTest, MatchesBackToBackSlicesOnAServedChannel) {
   }
   EXPECT_GT(twin.slices.stats().scrub_writebacks, writebacks)
       << "test premise: stuck cells must force patrol write-backs";
+
+  // A full patrol scrubs exactly the live, unparked beats: a parked beat
+  // has no device copy and a never-written one no data to vouch for.
+  std::uint64_t patrolled = 0;
+  for (std::uint64_t l = 0; l < cap; ++l) {
+    if (twin.slices.journal_live(l) && !twin.slices.parked(l)) ++patrolled;
+  }
+  const std::uint64_t scrubbed = twin.slices.stats().scrub_beats;
+  ASSERT_TRUE(twin.slices.patrol_all().is_ok());
+  ASSERT_TRUE(twin.walk.patrol_all().is_ok());
+  EXPECT_EQ(twin.slices.stats().scrub_beats - scrubbed, patrolled);
+  twin.expect_equal("after patrol_all");
 }
 
 // A map the patrol itself proved all-clean: the first slice of the debt
