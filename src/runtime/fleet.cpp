@@ -1049,6 +1049,11 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
         (pending.count > cap || pending.logical > cap - pending.count)) {
       return invalid_argument("fleet checkpoint request outside its slot");
     }
+    // A resumed worker starts `done` beats into the request; progress that
+    // does not fit it would skip demand and still report it served.
+    if (ck.slots[i].done != 0 && ck.slots[i].done >= pending.count) {
+      return invalid_argument("fleet checkpoint progress past its request");
+    }
   }
   for (std::size_t g = 0; g < parity_channels_.size(); ++g) {
     HBMVOLT_RETURN_IF_ERROR(

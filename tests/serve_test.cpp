@@ -606,6 +606,15 @@ TEST(FleetWorkerTest, RestoreRejectsMalformedCheckpoints) {
   runtime::PlacedRequest& pending = bad.back().second.slots[0].pending;
   pending.count = 4;
   pending.logical = good.channels[0].journal.size() - 2;
+  // Progress that does not fit the pending request: the worker would
+  // start that far into a fresh request and skip the beats before it.
+  bad.emplace_back("progress with no pending request", good);
+  bad.back().second.slots[1].pending.count = 0;
+  bad.back().second.slots[1].done = 3;
+  bad.emplace_back("progress at the request's end", good);
+  bad.back().second.slots[2].pending.count = 4;
+  bad.back().second.slots[2].pending.logical = 0;
+  bad.back().second.slots[2].done = 4;
   for (const auto& [what, ck] : bad) {
     EXPECT_EQ(restore(ck).code(), StatusCode::kInvalidArgument) << what;
   }
