@@ -144,6 +144,15 @@ void encode_secded(const std::uint64_t* words, std::uint64_t count,
   }
 }
 
+/// The range event of one non-clean decoded beat.
+EccChannel::RangeBeatEvent beat_event(std::uint64_t beat,
+                                      const EccChannel::ReadOutcome& got,
+                                      bool wrote_back) {
+  return {beat, static_cast<std::uint8_t>(got.corrected),
+          static_cast<std::uint8_t>(got.corrected_check),
+          static_cast<std::uint8_t>(got.uncorrectable), wrote_back};
+}
+
 }  // namespace
 
 const char* to_string(WordCodec codec) noexcept {
@@ -180,14 +189,86 @@ DecodeResult EccChannel::decode_word(std::uint64_t word,
                                        (static_cast<unsigned>(checks[1]) << 8)));
 }
 
-void EccChannel::encode_word(std::uint64_t word, std::uint8_t* checks) const {
+EccChannel::ReadOutcome EccChannel::decode_beat(
+    const std::uint64_t* words, const std::uint8_t* checks) const {
+  ReadOutcome got;
+  for (unsigned w = 0; w < 4; ++w) {
+    const DecodeResult decoded =
+        decode_word(words[w], checks + w * check_bytes_per_word_);
+    // Only kCorrectedData changes the word: an uncorrectable one comes
+    // back as stored, so a scrub write-back leaves it for a later raise.
+    got.data[w] = decoded.data;
+    switch (decoded.status) {
+      case DecodeStatus::kClean:
+        break;
+      case DecodeStatus::kCorrectedData:
+        ++got.corrected;
+        break;
+      case DecodeStatus::kCorrectedCheck:
+        // Data intact: counted as a check-byte event only, never folded
+        // into `corrected` (a beat with both a data and a check error used
+        // to report two corrected data words when only one was repaired).
+        ++got.corrected_check;
+        break;
+      case DecodeStatus::kUncorrectable:
+        ++got.uncorrectable;
+        break;
+    }
+  }
+  return got;
+}
+
+void EccChannel::tally(const ReadOutcome& got) {
+  stats_.words_read += 4;
+  stats_.words_clean +=
+      4 - got.corrected - got.corrected_check - got.uncorrectable;
+  stats_.corrected_data += got.corrected;
+  stats_.corrected_check += got.corrected_check;
+  stats_.uncorrectable += got.uncorrectable;
+}
+
+void EccChannel::encode_shadow(std::uint64_t start, std::uint64_t count,
+                               const hbm::Beat* data) {
+  static_assert(sizeof(hbm::Beat) == 32, "Beat must be 4 packed words");
+  const auto* words = reinterpret_cast<const std::uint64_t*>(data);
   if (codec_ == WordCodec::kSecded) {
-    checks[0] = secded_encode(word);
+    encode_secded(words, count, shadow_checks_.data() + start * 4);
     return;
   }
-  const std::uint16_t check = dected_encode(word);
-  checks[0] = static_cast<std::uint8_t>(check);
-  checks[1] = static_cast<std::uint8_t>(check >> 8);
+  for (std::uint64_t w = 0; w < count * 4; ++w) {
+    // Little-endian: the low check byte first, as decode_word reads it.
+    const std::uint16_t check = dected_encode(words[w]);
+    std::memcpy(shadow_checks_.data() + (start * 4 + w) * 2, &check, 2);
+  }
+}
+
+Status EccChannel::write_parity(std::uint64_t beat) {
+  hbm::Beat parity{};
+  std::memcpy(parity.data(),
+              shadow_checks_.data() + beat / beats_per_parity_ * 32, 32);
+  return stack_.write_beat(pc_local_, parity_beat_of(beat), parity);
+}
+
+Result<std::uint8_t*> EccChannel::read_parity_groups(std::uint64_t start,
+                                                     std::uint64_t count) {
+  const std::uint64_t g0 = start / beats_per_parity_;
+  const std::uint64_t groups = (start + count - 1) / beats_per_parity_ - g0 + 1;
+  scratch_parity_.resize(groups * 4);
+  HBMVOLT_RETURN_IF_ERROR(stack_.read_range_words(
+      pc_local_, data_beats_padded_ + g0, groups, scratch_parity_.data()));
+  // Beat `start`'s check bytes: its slot within the first parity beat.
+  return reinterpret_cast<std::uint8_t*>(scratch_parity_.data()) +
+         start % beats_per_parity_ * 4 * check_bytes_per_word_;
+}
+
+Status EccChannel::write_back(std::uint64_t beat, const ReadOutcome& got) {
+  if (got.corrected > 0) {
+    HBMVOLT_RETURN_IF_ERROR(stack_.write_beat(pc_local_, beat, got.data));
+  }
+  // A check-byte error refreshes the whole parity beat from the shadow,
+  // which also repairs rot in the sibling data beats' check bytes.
+  if (got.corrected_check > 0) return write_parity(beat);
+  return Status::ok();
 }
 
 Status EccChannel::write_beat(std::uint64_t beat, const hbm::Beat& data) {
@@ -195,20 +276,11 @@ Status EccChannel::write_beat(std::uint64_t beat, const hbm::Beat& data) {
     return out_of_range("ECC data beat out of range");
   }
   HBMVOLT_RETURN_IF_ERROR(stack_.write_beat(pc_local_, beat, data));
-
-  // Update the shadow check bytes for this beat.
-  const unsigned cbw = check_bytes_per_word_;
-  for (unsigned w = 0; w < 4; ++w) {
-    encode_word(data[w], shadow_checks_.data() + (beat * 4 + w) * cbw);
-  }
-
+  encode_shadow(beat, 1, &data);
   // Write the full parity beat (32 check bytes covering one beat group)
   // from the shadow -- atomic with the data write, like the extra ECC
   // devices on a DIMM.
-  const std::uint64_t group = beat / beats_per_parity_;
-  hbm::Beat parity{};
-  std::memcpy(parity.data(), shadow_checks_.data() + group * 32, 32);
-  return stack_.write_beat(pc_local_, parity_beat_of(beat), parity);
+  return write_parity(beat);
 }
 
 Result<EccChannel::ReadOutcome> EccChannel::read_beat(std::uint64_t beat) {
@@ -231,35 +303,9 @@ Result<EccChannel::ReadOutcome> EccChannel::read_beat(std::uint64_t beat) {
   for (unsigned b = 0; b < 4 * cbw; ++b) {
     check_bytes[b] = static_cast<std::uint8_t>(raw >> (b * 8));
   }
-
-  ReadOutcome outcome;
-  for (unsigned w = 0; w < 4; ++w) {
-    const DecodeResult decoded =
-        decode_word(data.value()[w], check_bytes + w * cbw);
-    outcome.data[w] = decoded.data;
-    ++stats_.words_read;
-    switch (decoded.status) {
-      case DecodeStatus::kClean:
-        ++stats_.words_clean;
-        break;
-      case DecodeStatus::kCorrectedData:
-        ++stats_.corrected_data;
-        ++outcome.corrected;
-        break;
-      case DecodeStatus::kCorrectedCheck:
-        // Data intact: counted as a check-byte event only, never folded
-        // into `corrected` (a beat with both a data and a check error used
-        // to report two corrected data words when only one was repaired).
-        ++stats_.corrected_check;
-        ++outcome.corrected_check;
-        break;
-      case DecodeStatus::kUncorrectable:
-        ++stats_.uncorrectable;
-        ++outcome.uncorrectable;
-        break;
-    }
-  }
-  return outcome;
+  const ReadOutcome got = decode_beat(data.value().data(), check_bytes);
+  tally(got);
+  return got;
 }
 
 Result<ScrubOutcome> EccChannel::scrub_beat(std::uint64_t beat) {
@@ -270,53 +316,13 @@ Result<ScrubOutcome> EccChannel::scrub_beat(std::uint64_t beat) {
   if (!data.is_ok()) return data.status();
   auto parity = stack_.read_beat(pc_local_, parity_beat_of(beat));
   if (!parity.is_ok()) return parity.status();
-
-  const unsigned cbw = check_bytes_per_word_;
-  const auto* check_bytes =
+  const auto* checks =
       reinterpret_cast<const std::uint8_t*>(parity.value().data()) +
-      (beat % beats_per_parity_) * 4 * cbw;
-
-  ScrubOutcome outcome;
-  hbm::Beat repaired = data.value();
-  bool data_dirty = false;
-  bool parity_dirty = false;
-  for (unsigned w = 0; w < 4; ++w) {
-    const DecodeResult decoded =
-        decode_word(data.value()[w], check_bytes + w * cbw);
-    switch (decoded.status) {
-      case DecodeStatus::kClean:
-        break;
-      case DecodeStatus::kCorrectedData:
-        ++outcome.corrected_data;
-        repaired[w] = decoded.data;
-        data_dirty = true;
-        break;
-      case DecodeStatus::kCorrectedCheck:
-        ++outcome.corrected_check;
-        parity_dirty = true;
-        break;
-      case DecodeStatus::kUncorrectable:
-        // Nothing trustworthy to write back for this word; leave the
-        // stored value alone so a later voltage raise can still recover it.
-        ++outcome.uncorrectable;
-        break;
-    }
-  }
-
-  if (data_dirty) {
-    HBMVOLT_RETURN_IF_ERROR(stack_.write_beat(pc_local_, beat, repaired));
-  }
-  if (parity_dirty) {
-    // Refresh the whole parity beat from the host-side shadow; this also
-    // repairs rot in the check bytes of the sibling data beats.
-    const std::uint64_t group = beat / beats_per_parity_;
-    hbm::Beat fresh{};
-    std::memcpy(fresh.data(), shadow_checks_.data() + group * 32, 32);
-    HBMVOLT_RETURN_IF_ERROR(
-        stack_.write_beat(pc_local_, parity_beat_of(beat), fresh));
-  }
-  outcome.wrote_back = data_dirty || parity_dirty;
-  return outcome;
+      (beat % beats_per_parity_) * 4 * check_bytes_per_word_;
+  const ReadOutcome got = decode_beat(data.value().data(), checks);
+  HBMVOLT_RETURN_IF_ERROR(write_back(beat, got));
+  return ScrubOutcome{got.corrected, got.corrected_check, got.uncorrectable,
+                      got.corrected + got.corrected_check > 0};
 }
 
 Status EccChannel::encode_range(std::uint64_t start, std::uint64_t count,
@@ -325,22 +331,10 @@ Status EccChannel::encode_range(std::uint64_t start, std::uint64_t count,
   if (start >= data_beats_ || count > data_beats_ - start) {
     return out_of_range("ECC data beat range out of range");
   }
-  static_assert(sizeof(hbm::Beat) == 32, "Beat must be 4 packed words");
   HBMVOLT_RETURN_IF_ERROR(stack_.write_range_words(
       pc_local_, start, count,
       reinterpret_cast<const std::uint64_t*>(data)));
-  if (codec_ == WordCodec::kSecded) {
-    encode_secded(reinterpret_cast<const std::uint64_t*>(data), count,
-                  shadow_checks_.data() + start * 4);
-  } else {
-    const unsigned cbw = check_bytes_per_word_;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t beat = start + i;
-      for (unsigned w = 0; w < 4; ++w) {
-        encode_word(data[i][w], shadow_checks_.data() + (beat * 4 + w) * cbw);
-      }
-    }
-  }
+  encode_shadow(start, count, data);
   // Each touched parity beat once, from the updated shadow -- the same
   // final state as the per-beat path's repeated group rewrites.
   const std::uint64_t g0 = start / beats_per_parity_;
@@ -362,58 +356,22 @@ Status EccChannel::decode_range(std::uint64_t start, std::uint64_t count,
   }
   HBMVOLT_RETURN_IF_ERROR(stack_.read_range_words(
       pc_local_, start, count, reinterpret_cast<std::uint64_t*>(out)));
-  const std::uint64_t g0 = start / beats_per_parity_;
-  const std::uint64_t g1 = (start + count - 1) / beats_per_parity_;
-  scratch_parity_.resize((g1 - g0 + 1) * 4);
-  HBMVOLT_RETURN_IF_ERROR(
-      stack_.read_range_words(pc_local_, data_beats_padded_ + g0, g1 - g0 + 1,
-                              scratch_parity_.data()));
-  // Check bytes of beat `start`: its slot within the first parity beat.
-  const unsigned cbw = check_bytes_per_word_;
-  const auto* checks =
-      reinterpret_cast<const std::uint8_t*>(scratch_parity_.data()) +
-      (start - g0 * beats_per_parity_) * 4 * cbw;
-
-  std::uint64_t corrected_data = 0;
-  std::uint64_t corrected_check = 0;
-  std::uint64_t uncorrectable = 0;
+  auto checks = read_parity_groups(start, count);
+  if (!checks.is_ok()) return checks.status();
+  std::uint64_t dirty = 0;
   HBMVOLT_RETURN_IF_ERROR(for_each_dirty_beat(
-      codec_, reinterpret_cast<const std::uint64_t*>(out), checks, count,
-      [&](std::uint64_t i, const std::uint8_t* beat_checks) {
-        hbm::Beat& words = out[i];
-        RangeBeatEvent event;
-        event.beat = start + i;
-        for (unsigned w = 0; w < 4; ++w) {
-          const DecodeResult decoded =
-              decode_word(words[w], beat_checks + w * cbw);
-          words[w] = decoded.data;
-          switch (decoded.status) {
-            case DecodeStatus::kClean:
-              break;
-            case DecodeStatus::kCorrectedData:
-              ++corrected_data;
-              ++event.corrected;
-              break;
-            case DecodeStatus::kCorrectedCheck:
-              ++corrected_check;
-              ++event.corrected_check;
-              break;
-            case DecodeStatus::kUncorrectable:
-              ++uncorrectable;
-              ++event.uncorrectable;
-              break;
-          }
-        }
-        events.push_back(event);
+      codec_, reinterpret_cast<const std::uint64_t*>(out), checks.value(),
+      count, [&](std::uint64_t i, const std::uint8_t* beat_checks) {
+        const ReadOutcome got = decode_beat(out[i].data(), beat_checks);
+        out[i] = got.data;
+        tally(got);
+        ++dirty;
+        events.push_back(beat_event(start + i, got, false));
         return Status::ok();
       }));
-  // Every word not counted above decoded clean.
-  stats_.words_read += count * 4;
-  stats_.words_clean +=
-      count * 4 - corrected_data - corrected_check - uncorrectable;
-  stats_.corrected_data += corrected_data;
-  stats_.corrected_check += corrected_check;
-  stats_.uncorrectable += uncorrectable;
+  // Every beat not tallied above decoded clean.
+  stats_.words_read += (count - dirty) * 4;
+  stats_.words_clean += (count - dirty) * 4;
   return Status::ok();
 }
 
@@ -426,67 +384,28 @@ Status EccChannel::scrub_range(std::uint64_t start, std::uint64_t count,
   scratch_data_.resize(count * 4);
   HBMVOLT_RETURN_IF_ERROR(stack_.read_range_words(pc_local_, start, count,
                                                   scratch_data_.data()));
-  const std::uint64_t g0 = start / beats_per_parity_;
-  const std::uint64_t g1 = (start + count - 1) / beats_per_parity_;
-  scratch_parity_.resize((g1 - g0 + 1) * 4);
-  HBMVOLT_RETURN_IF_ERROR(
-      stack_.read_range_words(pc_local_, data_beats_padded_ + g0, g1 - g0 + 1,
-                              scratch_parity_.data()));
-  auto* parity_bytes =
-      reinterpret_cast<std::uint8_t*>(scratch_parity_.data());
-
-  const unsigned cbw = check_bytes_per_word_;
+  auto checks = read_parity_groups(start, count);
+  if (!checks.is_ok()) return checks.status();
+  auto* parity_bytes = reinterpret_cast<std::uint8_t*>(scratch_parity_.data());
   return for_each_dirty_beat(
-      codec_, scratch_data_.data(),
-      parity_bytes + (start - g0 * beats_per_parity_) * 4 * cbw, count,
-      [&](std::uint64_t i, const std::uint8_t* checks) -> Status {
+      codec_, scratch_data_.data(), checks.value(), count,
+      [&](std::uint64_t i, const std::uint8_t* beat_checks) -> Status {
         const std::uint64_t beat = start + i;
-        const std::uint64_t* words = scratch_data_.data() + i * 4;
-        RangeBeatEvent event;
-        event.beat = beat;
-        hbm::Beat repaired{words[0], words[1], words[2], words[3]};
-        bool data_dirty = false;
-        bool parity_dirty = false;
-        for (unsigned w = 0; w < 4; ++w) {
-          const DecodeResult decoded = decode_word(words[w], checks + w * cbw);
-          switch (decoded.status) {
-            case DecodeStatus::kClean:
-              break;
-            case DecodeStatus::kCorrectedData:
-              ++event.corrected;
-              repaired[w] = decoded.data;
-              data_dirty = true;
-              break;
-            case DecodeStatus::kCorrectedCheck:
-              ++event.corrected_check;
-              parity_dirty = true;
-              break;
-            case DecodeStatus::kUncorrectable:
-              ++event.uncorrectable;
-              break;
-          }
-        }
-        if (data_dirty) {
-          HBMVOLT_RETURN_IF_ERROR(
-              stack_.write_beat(pc_local_, beat, repaired));
-        }
-        if (parity_dirty) {
-          // Refresh the whole parity beat from the shadow, then re-read it
-          // through the stack so later siblings in this group decode
-          // against the refreshed-and-overlaid bytes, exactly like the
-          // per-beat path.
-          const std::uint64_t group = beat / beats_per_parity_;
-          hbm::Beat fresh{};
-          std::memcpy(fresh.data(), shadow_checks_.data() + group * 32, 32);
-          HBMVOLT_RETURN_IF_ERROR(
-              stack_.write_beat(pc_local_, parity_beat_of(beat), fresh));
+        const ReadOutcome got =
+            decode_beat(scratch_data_.data() + i * 4, beat_checks);
+        HBMVOLT_RETURN_IF_ERROR(write_back(beat, got));
+        if (got.corrected_check > 0) {
+          // Re-read the refreshed parity beat through the stack so later
+          // siblings in this group decode against the refreshed-and-
+          // overlaid bytes, exactly like the per-beat path.
           auto reread = stack_.read_beat(pc_local_, parity_beat_of(beat));
           if (!reread.is_ok()) return reread.status();
-          std::memcpy(parity_bytes + (group - g0) * 32, reread.value().data(),
-                      32);
+          std::memcpy(parity_bytes + (beat / beats_per_parity_ -
+                                      start / beats_per_parity_) * 32,
+                      reread.value().data(), 32);
         }
-        event.wrote_back = data_dirty || parity_dirty;
-        events.push_back(event);
+        events.push_back(
+            beat_event(beat, got, got.corrected + got.corrected_check > 0));
         return Status::ok();
       });
 }

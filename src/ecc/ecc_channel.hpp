@@ -184,11 +184,29 @@ class EccChannel {
   }
 
  private:
-  /// Decode/encode one 64-bit word against its stored check bytes
-  /// (`checks` points at check_bytes_per_word_ little-endian bytes).
+  /// Decodes one 64-bit word against its stored check bytes (`checks`
+  /// points at check_bytes_per_word_ little-endian bytes).
   [[nodiscard]] DecodeResult decode_word(std::uint64_t word,
                                          const std::uint8_t* checks) const;
-  void encode_word(std::uint64_t word, std::uint8_t* checks) const;
+  /// Decodes one beat's four words against their check bytes: the decoded
+  /// words and how many fell in each non-clean class.  The one decode
+  /// tally every read and scrub path shares.
+  [[nodiscard]] ReadOutcome decode_beat(const std::uint64_t* words,
+                                        const std::uint8_t* checks) const;
+  /// Folds one decoded beat into the demand-read EccStats.
+  void tally(const ReadOutcome& got);
+  /// Shadow check bytes of data beats [start, start + count).
+  void encode_shadow(std::uint64_t start, std::uint64_t count,
+                     const hbm::Beat* data);
+  /// Rewrites the parity beat covering data beat `beat` from the shadow.
+  Status write_parity(std::uint64_t beat);
+  /// Reads the parity beats covering [start, start + count) into
+  /// scratch_parity_; points at beat `start`'s check bytes there.
+  Result<std::uint8_t*> read_parity_groups(std::uint64_t start,
+                                           std::uint64_t count);
+  /// Scrub write-back of a decoded beat: its words when a data word was
+  /// corrected, its parity beat when a check byte was.
+  Status write_back(std::uint64_t beat, const ReadOutcome& got);
 
   hbm::HbmStack& stack_;
   unsigned pc_local_;
