@@ -49,16 +49,8 @@ class SortedKeySet {
     return true;
   }
 
-  /// Any key in [lo, hi)?  The range engine's one-branch fast path when
-  /// the set is empty.
-  [[nodiscard]] bool any_in_range(std::uint64_t lo,
-                                  std::uint64_t hi) const noexcept {
-    if (keys_.empty()) return false;
-    auto it = std::lower_bound(keys_.begin(), keys_.end(), lo);
-    return it != keys_.end() && *it < hi;
-  }
-
-  /// Smallest key in [lo, hi), or kNone.
+  /// Smallest key in [lo, hi), or kNone.  The range engine's one-branch
+  /// fast path when the set is empty.
   [[nodiscard]] std::uint64_t first_in_range(std::uint64_t lo,
                                              std::uint64_t hi) const noexcept {
     if (keys_.empty()) return kNone;
@@ -115,12 +107,10 @@ class RowEventCounts {
 };
 
 /// Word-backed bit vector with run scans -- std::vector<bool> without the
-/// proxy overhead, plus next_set/next_clear so the range engine walks live
-/// runs a word at a time instead of a bit at a time.
+/// proxy overhead, plus run() so the range engine walks live runs a word
+/// at a time instead of a bit at a time.
 class BitVec {
  public:
-  static constexpr std::uint64_t kNone = ~0ull;
-
   void assign(std::uint64_t bits, bool value) {
     bits_ = bits;
     words_.assign((bits + 63) / 64, value ? ~0ull : 0ull);
@@ -155,15 +145,6 @@ class BitVec {
 
   [[nodiscard]] std::uint64_t size() const noexcept { return bits_; }
 
-  /// Smallest set index >= from, or kNone.
-  [[nodiscard]] std::uint64_t next_set(std::uint64_t from) const noexcept {
-    return scan(from, false);
-  }
-  /// Smallest clear index >= from, or kNone (== size() callers typically
-  /// clamp against an end bound anyway).
-  [[nodiscard]] std::uint64_t next_clear(std::uint64_t from) const noexcept {
-    return scan(from, true);
-  }
   /// Length of the run of bits equal to `value` from `from`, at most
   /// `limit` (from + limit <= size()); reads only the words it covers.
   [[nodiscard]] std::uint64_t run(std::uint64_t from, bool value,
@@ -183,23 +164,6 @@ class BitVec {
   }
 
  private:
-  [[nodiscard]] std::uint64_t scan(std::uint64_t from,
-                                   bool inverted) const noexcept {
-    if (from >= bits_) return kNone;
-    std::uint64_t w = from / 64;
-    std::uint64_t word = (inverted ? ~words_[w] : words_[w]) &
-                         (~0ull << (from % 64));
-    for (;;) {
-      if (word != 0) {
-        const std::uint64_t i =
-            w * 64 + static_cast<unsigned>(__builtin_ctzll(word));
-        return i < bits_ ? i : kNone;
-      }
-      if (++w >= words_.size()) return kNone;
-      word = inverted ? ~words_[w] : words_[w];
-    }
-  }
-
   void trim_tail() noexcept {
     // Keep bits past `bits_` zero so whole-word scans stay honest.
     if (bits_ % 64 != 0 && !words_.empty()) {

@@ -1,6 +1,7 @@
 #include "runtime/reliable_channel.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -79,17 +80,21 @@ ReliableChannel::ReliableChannel(board::Vcu128Board& board, unsigned pc_global,
   if (spare_count >= data) spare_count = data - 1;
   const std::uint64_t exposed = data - spare_count;
 
-  remap_.resize(exposed);
-  for (std::uint64_t i = 0; i < exposed; ++i) {
-    remap_[i] = static_cast<std::uint32_t>(i);
-  }
-  spares_.reserve(spare_count);
-  for (std::uint64_t i = exposed; i < data; ++i) {
-    spares_.push_back(static_cast<std::uint32_t>(i));
-  }
+  reset_mapping(exposed);
   journal_.assign(exposed, hbm::Beat{});
   live_.assign(exposed, false);
   clean_blocks_.assign(block_count(), false);
+}
+
+void ReliableChannel::reset_mapping(std::uint64_t exposed) {
+  remap_.resize(exposed);
+  std::iota(remap_.begin(), remap_.end(), std::uint32_t{0});
+  spares_.resize(ecc_->data_beats() - exposed);
+  std::iota(spares_.begin(), spares_.end(),
+            static_cast<std::uint32_t>(exposed));
+  spare_cursor_ = 0;
+  parked_.clear();
+  special_.clear();
 }
 
 std::uint64_t ReliableChannel::spares_free() const noexcept {
@@ -258,6 +263,73 @@ Status ReliableChannel::settle_scrub_debt(std::uint64_t ops_before) {
                       ops_before / config_.scrub_interval_ops);
 }
 
+const hbm::Beat& ReliableChannel::read_journal(std::uint64_t logical) {
+  ++stats_.reads;
+  ++ops_;
+  ++stats_.journal_served_reads;
+  return journal_[logical];
+}
+
+// ---- The range walks ----
+
+template <class OnPlain, class OnException>
+Status ReliableChannel::split_at_exceptions(std::uint64_t logical,
+                                            std::uint64_t end,
+                                            OnPlain&& on_plain,
+                                            OnException&& on_exception) {
+  std::uint64_t cur = logical;
+  while (cur < end) {
+    const std::uint64_t special = special_.first_in_range(cur, end);
+    if (special == SortedKeySet::kNone) return on_plain(cur, end - cur);
+    if (cur < special) HBMVOLT_RETURN_IF_ERROR(on_plain(cur, special - cur));
+    HBMVOLT_RETURN_IF_ERROR(on_exception(special));
+    cur = special + 1;
+  }
+  return Status::ok();
+}
+
+template <class OnRun, class OnException>
+Status ReliableChannel::for_each_live(std::uint64_t logical, std::uint64_t end,
+                                      OnRun&& on_run,
+                                      OnException&& on_exception) {
+  return split_at_exceptions(
+      logical, end,
+      [&](std::uint64_t lo, std::uint64_t n) -> Status {
+        // Dead stretches cost a word scan; live runs go out in bulk.
+        for (std::uint64_t i = 0; i < n;) {
+          const bool live = live_.get(lo + i);
+          const std::uint64_t run = live_.run(lo + i, live, n - i);
+          if (live) HBMVOLT_RETURN_IF_ERROR(on_run(lo + i, run));
+          i += run;
+        }
+        return Status::ok();
+      },
+      [&](std::uint64_t beat) -> Status {
+        if (!live_.get(beat) || parked_.contains(beat)) return Status::ok();
+        return on_exception(beat);
+      });
+}
+
+template <class OnClean, class OnEvent>
+bool ReliableChannel::account_events(std::uint64_t logical, std::uint64_t end,
+                                     OnClean&& on_clean, OnEvent&& on_event) {
+  std::uint64_t clean_from = logical;
+  for (const auto& ev : scratch_events_) {
+    if (ev.beat > clean_from) on_clean(ev.beat - clean_from);
+    if (!on_event(ev)) return false;
+    clean_from = ev.beat + 1;
+  }
+  if (end > clean_from) on_clean(end - clean_from);
+  return true;
+}
+
+Status ReliableChannel::read_back(std::uint64_t logical, std::uint64_t count) {
+  scratch_beats_.resize(count);
+  scratch_events_.clear();
+  return ecc_->decode_range(logical, count, scratch_beats_.data(),
+                            scratch_events_);
+}
+
 // ---- Single-beat demand path ----
 
 Status ReliableChannel::write(std::uint64_t logical, const hbm::Beat& data) {
@@ -265,6 +337,7 @@ Status ReliableChannel::write(std::uint64_t logical, const hbm::Beat& data) {
     return out_of_range("logical beat out of range");
   }
   OpTimer timer(write_latency_, 1);
+  const std::uint64_t ops_before = ops_;
   // With the device lost the journal is the only copy; the stripe fleet
   // (or a rebuild step) propagates the write to parity/spare silicon.
   if (!device_lost_ && !parked_.contains(logical)) {
@@ -275,11 +348,7 @@ Status ReliableChannel::write(std::uint64_t logical, const hbm::Beat& data) {
   ++stats_.writes;
   ++ops_;
   invalidate_block(logical);
-  if (config_.scrub_interval_ops > 0 &&
-      ops_ % config_.scrub_interval_ops == 0) {
-    HBMVOLT_RETURN_IF_ERROR(scrub_slice());
-  }
-  return Status::ok();
+  return settle_scrub_debt(ops_before);
 }
 
 Result<hbm::Beat> ReliableChannel::read(std::uint64_t logical) {
@@ -287,25 +356,17 @@ Result<hbm::Beat> ReliableChannel::read(std::uint64_t logical) {
     return out_of_range("logical beat out of range");
   }
   OpTimer timer(read_latency_, 1);
+  const std::uint64_t ops_before = ops_;
+  hbm::Beat data{};
   if (device_lost_ || parked_.contains(logical)) {
     // Journal-backed: the device copy is unservable (whole-PC death, or
     // stuck cells paired up with the spare pool exhausted), the host
     // copy is the truth.
-    ++stats_.reads;
-    ++ops_;
-    ++stats_.journal_served_reads;
-    if (config_.scrub_interval_ops > 0 &&
-        ops_ % config_.scrub_interval_ops == 0) {
-      HBMVOLT_RETURN_IF_ERROR(scrub_slice());
-    }
-    return journal_[logical];
+    data = read_journal(logical);
+  } else {
+    HBMVOLT_RETURN_IF_ERROR(read_device_beat(remap_[logical], &data));
   }
-  hbm::Beat data{};
-  HBMVOLT_RETURN_IF_ERROR(read_device_beat(remap_[logical], &data));
-  if (config_.scrub_interval_ops > 0 &&
-      ops_ % config_.scrub_interval_ops == 0) {
-    HBMVOLT_RETURN_IF_ERROR(scrub_slice());
-  }
+  HBMVOLT_RETURN_IF_ERROR(settle_scrub_debt(ops_before));
   return data;
 }
 
@@ -322,67 +383,46 @@ Status ReliableChannel::read_range(std::uint64_t logical, std::uint64_t count,
   const std::uint64_t ops_before = ops_;
   if (device_lost_) {
     for (std::uint64_t cur = logical; cur < end; ++cur) {
-      out[cur - logical] = journal_[cur];
-      ++stats_.reads;
-      ++ops_;
-      ++stats_.journal_served_reads;
+      out[cur - logical] = read_journal(cur);
     }
     return settle_scrub_debt(ops_before);
   }
-  const bool plain_call = !special_.any_in_range(logical, end);
-  bool all_clean = true;
-  std::uint64_t cur = logical;
-  while (cur < end) {
-    const std::uint64_t special = special_.first_in_range(cur, end);
-    const std::uint64_t plain_end =
-        special == SortedKeySet::kNone ? end : special;
-    if (cur < plain_end) {
-      // Plain run: identity-mapped, not parked (specials capture both).
-      const std::uint64_t n = plain_end - cur;
-      scratch_events_.clear();
-      HBMVOLT_RETURN_IF_ERROR(
-          ecc_->decode_range(cur, n, out + (cur - logical), scratch_events_));
-      std::uint64_t clean_from = cur;
-      for (const auto& ev : scratch_events_) {
-        all_clean = false;
-        if (ev.beat > clean_from) {
-          const std::uint64_t k = ev.beat - clean_from;
-          stats_.reads += k;
-          ops_ += k;
-          budget_.record_clean(4 * k);
-        }
-        if (!account_read(ev.beat, ev.corrected, ev.corrected_check,
-                          ev.uncorrectable)) {
-          // Beats past the failing one were decoded but are not
-          // accounted -- exactly where per-op read() calls would stop.
-          return data_loss("uncorrectable word on read; escalation required");
-        }
-        clean_from = ev.beat + 1;
-      }
-      if (plain_end > clean_from) {
-        const std::uint64_t k = plain_end - clean_from;
-        stats_.reads += k;
-        ops_ += k;
-        budget_.record_clean(4 * k);
-      }
-      cur = plain_end;
-    }
-    if (special != SortedKeySet::kNone) {
-      if (parked_.contains(cur)) {
-        out[cur - logical] = journal_[cur];
-        ++stats_.reads;
-        ++ops_;
-        ++stats_.journal_served_reads;
-      } else {
+  bool all_clean = true;  // no exception beat and no decode event
+  HBMVOLT_RETURN_IF_ERROR(split_at_exceptions(
+      logical, end,
+      [&](std::uint64_t lo, std::uint64_t n) -> Status {
+        // Plain run: identity-mapped, not parked (specials capture both).
+        scratch_events_.clear();
         HBMVOLT_RETURN_IF_ERROR(
-            read_device_beat(remap_[cur], out + (cur - logical)));
-      }
-      ++cur;
-    }
-  }
+            ecc_->decode_range(lo, n, out + (lo - logical), scratch_events_));
+        const bool served = account_events(
+            lo, lo + n,
+            [&](std::uint64_t k) {
+              stats_.reads += k;
+              ops_ += k;
+              budget_.record_clean(4 * k);
+            },
+            [&](const RangeBeatEvent& ev) {
+              all_clean = false;
+              return account_read(ev.beat, ev.corrected, ev.corrected_check,
+                                  ev.uncorrectable);
+            });
+        // Beats past a failing one were decoded but are not accounted --
+        // exactly where per-op read() calls would stop.
+        if (served) return Status::ok();
+        return data_loss("uncorrectable word on read; escalation required");
+      },
+      [&](std::uint64_t beat) -> Status {
+        all_clean = false;
+        if (!parked_.contains(beat)) {
+          return read_device_beat(remap_[beat], out + (beat - logical));
+        }
+        out[beat - logical] = read_journal(beat);
+        return Status::ok();
+      }));
   // A clean pass over identity-mapped beats is exactly what the patrol
   // would have established: let the scrub cursor skip these blocks once.
-  if (plain_call && all_clean) mark_clean_blocks(logical, count);
+  if (all_clean) mark_clean_blocks(logical, count);
   return settle_scrub_debt(ops_before);
 }
 
@@ -403,51 +443,38 @@ Status ReliableChannel::write_range(std::uint64_t logical, std::uint64_t count,
     ops_ += count;
     return settle_scrub_debt(ops_before);
   }
-  std::uint64_t cur = logical;
-  while (cur < end) {
-    const std::uint64_t special = special_.first_in_range(cur, end);
-    const std::uint64_t plain_end =
-        special == SortedKeySet::kNone ? end : special;
-    if (cur < plain_end) {
-      const std::uint64_t n = plain_end - cur;
-      const hbm::Beat* src = data + (cur - logical);
-      HBMVOLT_RETURN_IF_ERROR(ecc_->encode_range(cur, n, src));
-      if (config_.verify_writes) {
-        scratch_beats_.resize(n);
-        scratch_events_.clear();
-        HBMVOLT_RETURN_IF_ERROR(ecc_->decode_range(
-            cur, n, scratch_beats_.data(), scratch_events_));
-        std::uint64_t clean_from = cur;
-        for (const auto& ev : scratch_events_) {
-          if (ev.beat > clean_from) {
-            budget_.record_clean(4 * (ev.beat - clean_from));
-          }
-          account_verify(ev.beat, ev.corrected, ev.corrected_check,
-                         ev.uncorrectable);
-          clean_from = ev.beat + 1;
+  HBMVOLT_RETURN_IF_ERROR(split_at_exceptions(
+      logical, end,
+      [&](std::uint64_t lo, std::uint64_t n) -> Status {
+        const hbm::Beat* src = data + (lo - logical);
+        HBMVOLT_RETURN_IF_ERROR(ecc_->encode_range(lo, n, src));
+        if (config_.verify_writes) {
+          HBMVOLT_RETURN_IF_ERROR(read_back(lo, n));
+          account_events(
+              lo, lo + n, [&](std::uint64_t k) { budget_.record_clean(4 * k); },
+              [&](const RangeBeatEvent& ev) {
+                account_verify(ev.beat, ev.corrected, ev.corrected_check,
+                               ev.uncorrectable);
+                return true;
+              });
         }
-        if (plain_end > clean_from) {
-          budget_.record_clean(4 * (plain_end - clean_from));
+        std::copy(src, src + n, journal_.begin() + static_cast<long>(lo));
+        live_.set_range(lo, n);
+        stats_.writes += n;
+        ops_ += n;
+        return Status::ok();
+      },
+      [&](std::uint64_t beat) -> Status {
+        const hbm::Beat& beat_data = data[beat - logical];
+        if (!parked_.contains(beat)) {
+          HBMVOLT_RETURN_IF_ERROR(write_device_beat(remap_[beat], beat_data));
         }
-      }
-      std::copy(src, src + n, journal_.begin() + static_cast<long>(cur));
-      live_.set_range(cur, n);
-      stats_.writes += n;
-      ops_ += n;
-      cur = plain_end;
-    }
-    if (special != SortedKeySet::kNone) {
-      const hbm::Beat& beat_data = data[cur - logical];
-      if (!parked_.contains(cur)) {
-        HBMVOLT_RETURN_IF_ERROR(write_device_beat(remap_[cur], beat_data));
-      }
-      journal_[cur] = beat_data;
-      live_.set(cur);
-      ++stats_.writes;
-      ++ops_;
-      ++cur;
-    }
-  }
+        journal_[beat] = beat_data;
+        live_.set(beat);
+        ++stats_.writes;
+        ++ops_;
+        return Status::ok();
+      }));
   for (std::uint64_t block = logical / kScrubBlockBeats;
        block * kScrubBlockBeats < end; ++block) {
     invalidate_block(block * kScrubBlockBeats);
@@ -457,74 +484,36 @@ Status ReliableChannel::write_range(std::uint64_t logical, std::uint64_t count,
 
 // ---- Patrol scrub ----
 
-Status ReliableChannel::scrub_one(std::uint64_t logical) {
-  // Only live beats carry data the code can vouch for; a never-written
-  // beat decodes power-on scramble against zero shadow checks, and a
-  // parked beat has no device copy worth patrolling.
-  if (!live_.get(logical) || parked_.contains(logical)) return Status::ok();
-  const std::uint64_t physical = remap_[logical];
-  auto outcome = ecc_->scrub_beat(physical);
-  if (!outcome.is_ok()) return outcome.status();
-  const auto& got = outcome.value();
-  account_scrub(physical, got.corrected_data, got.corrected_check,
-                got.uncorrectable, got.wrote_back);
-  return Status::ok();
-}
-
-Status ReliableChannel::scrub_plain_run(std::uint64_t logical,
-                                        std::uint64_t count) {
-  scratch_events_.clear();
-  HBMVOLT_RETURN_IF_ERROR(ecc_->scrub_range(logical, count, scratch_events_));
-  std::uint64_t clean_from = logical;
-  for (const auto& ev : scratch_events_) {
-    if (ev.beat > clean_from) {
-      const std::uint64_t n = ev.beat - clean_from;
-      stats_.scrub_beats += n;
-      budget_.record_clean(4 * n);
-    }
-    account_scrub(ev.beat, ev.corrected, ev.corrected_check, ev.uncorrectable,
-                  ev.wrote_back);
-    clean_from = ev.beat + 1;
-  }
-  if (logical + count > clean_from) {
-    const std::uint64_t n = logical + count - clean_from;
-    stats_.scrub_beats += n;
-    budget_.record_clean(4 * n);
-  }
-  return Status::ok();
-}
-
 Status ReliableChannel::scrub_chunk(std::uint64_t logical,
                                     std::uint64_t count) {
-  std::uint64_t cur = logical;
-  const std::uint64_t end = logical + count;
-  while (cur < end) {
-    const std::uint64_t special = special_.first_in_range(cur, end);
-    const std::uint64_t plain_end =
-        special == SortedKeySet::kNone ? end : special;
-    // Plain stretch: split into live runs; dead beats cost a word scan.
-    while (cur < plain_end) {
-      if (!live_.get(cur)) {
-        const std::uint64_t next = live_.next_set(cur);
-        cur = (next == BitVec::kNone || next > plain_end) ? plain_end : next;
-        continue;
-      }
-      std::uint64_t run_end = live_.next_clear(cur);
-      if (run_end == BitVec::kNone || run_end > plain_end) {
-        run_end = plain_end;
-      }
-      HBMVOLT_RETURN_IF_ERROR(scrub_plain_run(cur, run_end - cur));
-      cur = run_end;
-    }
-    if (special != SortedKeySet::kNone) {
-      HBMVOLT_RETURN_IF_ERROR(scrub_one(cur));
-      ++cur;
-    }
-  }
-  return Status::ok();
+  return for_each_live(
+      logical, logical + count,
+      [this](std::uint64_t lo, std::uint64_t n) -> Status {
+        scratch_events_.clear();
+        HBMVOLT_RETURN_IF_ERROR(ecc_->scrub_range(lo, n, scratch_events_));
+        account_events(
+            lo, lo + n,
+            [this](std::uint64_t k) {
+              stats_.scrub_beats += k;
+              budget_.record_clean(4 * k);
+            },
+            [this](const RangeBeatEvent& ev) {
+              account_scrub(ev.beat, ev.corrected, ev.corrected_check,
+                            ev.uncorrectable, ev.wrote_back);
+              return true;
+            });
+        return Status::ok();
+      },
+      [this](std::uint64_t beat) -> Status {
+        const std::uint64_t physical = remap_[beat];
+        auto outcome = ecc_->scrub_beat(physical);
+        if (!outcome.is_ok()) return outcome.status();
+        const ecc::ScrubOutcome& got = outcome.value();
+        account_scrub(physical, got.corrected_data, got.corrected_check,
+                      got.uncorrectable, got.wrote_back);
+        return Status::ok();
+      });
 }
-
-Status ReliableChannel::scrub_slice() { return scrub_slices(1); }
 
 Status ReliableChannel::scrub_slices(std::uint64_t slices) {
   if (device_lost_ || slices == 0) return Status::ok();  // no silicon
@@ -605,59 +594,45 @@ Status ReliableChannel::patrol_all() {
   return Status::ok();
 }
 
-// ---- Journal rewrite (refresh / post-power-cycle restore) ----
 
-Status ReliableChannel::rewrite_plain_run(std::uint64_t logical,
-                                          std::uint64_t count, bool verify) {
-  // Plain live run: journal_ is contiguous over it, feed it straight in.
-  HBMVOLT_RETURN_IF_ERROR(ecc_->encode_range(logical, count, &journal_[logical]));
-  if (!verify) return Status::ok();
-  scratch_beats_.resize(count);
-  scratch_events_.clear();
-  HBMVOLT_RETURN_IF_ERROR(
-      ecc_->decode_range(logical, count, scratch_beats_.data(), scratch_events_));
-  for (const auto& ev : scratch_events_) {
-    account_rewrite(ev.beat, ev.corrected, ev.uncorrectable);
-  }
-  return Status::ok();
+// ---- Journal rewrite (refresh / post-power-cycle restore / rebuild) ----
+
+Status ReliableChannel::rewrite_live(std::uint64_t logical, std::uint64_t end,
+                                     bool verify, std::uint64_t* rewritten) {
+  return for_each_live(
+      logical, end,
+      [&](std::uint64_t lo, std::uint64_t n) -> Status {
+        // Plain live run: journal_ is contiguous over it, feed it straight in.
+        HBMVOLT_RETURN_IF_ERROR(ecc_->encode_range(lo, n, &journal_[lo]));
+        if (verify) {
+          HBMVOLT_RETURN_IF_ERROR(read_back(lo, n));
+          account_events(
+              lo, lo + n, [](std::uint64_t) {},
+              [this](const RangeBeatEvent& ev) {
+                account_rewrite(ev.beat, ev.corrected, ev.uncorrectable);
+                return true;
+              });
+        }
+        *rewritten += n;
+        return Status::ok();
+      },
+      [&](std::uint64_t beat) -> Status {
+        const std::uint64_t physical = remap_[beat];
+        HBMVOLT_RETURN_IF_ERROR(ecc_->write_beat(physical, journal_[beat]));
+        if (verify) {
+          auto back = ecc_->read_beat(physical);
+          if (!back.is_ok()) return back.status();
+          account_rewrite(physical, back.value().corrected,
+                          back.value().uncorrectable);
+        }
+        ++*rewritten;
+        return Status::ok();
+      });
 }
 
 Status ReliableChannel::rewrite_live_runs(bool verify) {
-  const std::uint64_t cap = capacity();
-  std::uint64_t cur = 0;
-  while (cur < cap) {
-    if (!live_.get(cur)) {
-      const std::uint64_t next = live_.next_set(cur);
-      if (next == BitVec::kNone) break;
-      cur = next;
-      continue;
-    }
-    std::uint64_t run_end = live_.next_clear(cur);
-    if (run_end == BitVec::kNone || run_end > cap) run_end = cap;
-    while (cur < run_end) {
-      const std::uint64_t special = special_.first_in_range(cur, run_end);
-      const std::uint64_t plain_end =
-          special == SortedKeySet::kNone ? run_end : special;
-      if (cur < plain_end) {
-        HBMVOLT_RETURN_IF_ERROR(
-            rewrite_plain_run(cur, plain_end - cur, verify));
-        cur = plain_end;
-      }
-      if (special != SortedKeySet::kNone) {
-        if (!parked_.contains(cur)) {
-          const std::uint64_t physical = remap_[cur];
-          HBMVOLT_RETURN_IF_ERROR(ecc_->write_beat(physical, journal_[cur]));
-          if (verify) {
-            auto back = ecc_->read_beat(physical);
-            if (!back.is_ok()) return back.status();
-            account_rewrite(physical, back.value().corrected,
-                            back.value().uncorrectable);
-          }
-        }
-        ++cur;
-      }
-    }
-  }
+  std::uint64_t rewritten = 0;
+  HBMVOLT_RETURN_IF_ERROR(rewrite_live(0, capacity(), verify, &rewritten));
   // The device contents just changed wholesale; every mark is stale.
   invalidate_all_blocks();
   return Status::ok();
@@ -688,6 +663,7 @@ Status ReliableChannel::restore_after_power_cycle() {
   return Status::ok();
 }
 
+
 // ---- Whole-device loss (see header) ----
 
 void ReliableChannel::adopt_device(unsigned new_pc_global) {
@@ -703,24 +679,14 @@ void ReliableChannel::adopt_device(unsigned new_pc_global) {
   pc_ = new_pc;
   // Device-keyed state resets to the fresh silicon; the logical channel
   // (journal, liveness, stats, budget, ladder trace) carries over.
-  const std::uint64_t exposed = capacity();
-  for (std::uint64_t i = 0; i < exposed; ++i) {
-    remap_[i] = static_cast<std::uint32_t>(i);
-  }
-  const std::uint64_t data = ecc_->data_beats();
-  spares_.clear();
-  for (std::uint64_t i = exposed; i < data; ++i) {
-    spares_.push_back(static_cast<std::uint32_t>(i));
-  }
-  spare_cursor_ = 0;
-  parked_.clear();
-  special_.clear();
+  reset_mapping(capacity());
   row_events_.clear();
   offender_rows_.clear();
   retired_rows_.clear();
   scrub_cursor_ = 0;
   invalidate_all_blocks();
 }
+
 
 Status ReliableChannel::rebuild_device_range(std::uint64_t logical,
                                              std::uint64_t count) {
@@ -731,22 +697,8 @@ Status ReliableChannel::rebuild_device_range(std::uint64_t logical,
   // Post-adopt the mapping is identity with no exceptions, so live runs
   // go straight through the journal-rewrite path with write-verify --
   // a rebuilt beat the spare silicon cannot hold is caught immediately.
-  const std::uint64_t end = logical + count;
-  std::uint64_t cur = logical;
-  while (cur < end) {
-    if (!live_.get(cur)) {
-      const std::uint64_t next = live_.next_set(cur);
-      cur = (next == BitVec::kNone || next > end) ? end : next;
-      continue;
-    }
-    std::uint64_t run_end = live_.next_clear(cur);
-    if (run_end == BitVec::kNone || run_end > end) run_end = end;
-    HBMVOLT_RETURN_IF_ERROR(
-        rewrite_plain_run(cur, run_end - cur, /*verify=*/true));
-    stats_.rebuilt_beats += run_end - cur;
-    cur = run_end;
-  }
-  return Status::ok();
+  return rewrite_live(logical, logical + count, /*verify=*/true,
+                      &stats_.rebuilt_beats);
 }
 
 void ReliableChannel::capture(ChannelCheckpoint* out) const {

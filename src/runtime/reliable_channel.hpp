@@ -43,14 +43,19 @@
 // migration spares, so retirement never shrinks the exposed capacity; it
 // consumes spares instead (runtime.spares_free gauges the headroom).
 //
-// Fast path: read_range/write_range split a request at the sparse
-// exception set (parked or remapped beats -- a one-branch probe in the
-// common no-faults case, see flat_index.hpp) and serve the plain runs
-// through EccChannel's bulk decode/encode; patrol scrub runs the same
-// split and additionally skips blocks a previous pass (or a piggybacking
-// clean range read) proved clean.  The per-op read()/write() are the
-// reference: tests/range_test.cpp drives a second channel one beat at a
-// time and requires the same data, stats, budget and journal.
+// Fast path: every range walk runs one exception split.  read_range and
+// write_range cut a request at the sparse exception set (parked or
+// remapped beats -- a one-branch probe in the common no-faults case, see
+// flat_index.hpp), serve the plain runs through EccChannel's bulk
+// decode/encode and the exception beats one at a time.  The patrol and
+// the journal rewrites (refresh, restore, rebuild) take its live-run
+// variant: live plain runs in bulk, live unparked exception beats one by
+// one.  One event accountant turns a bulk call's sparse decode events into
+// the per-beat accounting.  The patrol also skips blocks a previous pass
+// (or a piggybacking clean range read) proved clean.  The per-op
+// read()/write() stay the reference and never take these walks:
+// tests/range_test.cpp drives a second channel one beat at a time and
+// requires the same data, stats, budget and journal.
 
 #pragma once
 
@@ -241,17 +246,14 @@ class ReliableChannel {
   Status write_range(std::uint64_t logical, std::uint64_t count,
                      const hbm::Beat* data);
 
-  /// Advances the patrol scrubber by `scrub_batch_beats` logical beats
-  /// (wrapping), writing corrections back in place.  Called implicitly
-  /// every `scrub_interval_ops` foreground ops; callable directly too.
-  /// Blocks a previous full pass proved clean are skipped (one skip
-  /// consumes the mark, so staleness is bounded to one patrol round).
-  Status scrub_slice();
-
-  /// `slices` scrub_slice() calls settled in one walk: the same skip and
-  /// scan-clean rules per slice, with the chunks each slice scans inside
-  /// one clean-block merged into one scrub.  Ends in the same state as the
-  /// back-to-back calls.
+  /// Advances the patrol scrubber by `slices` x `scrub_batch_beats`
+  /// logical beats (wrapping), writing corrections back in place.  One
+  /// slice is owed every `scrub_interval_ops` foreground ops; callable
+  /// directly too.  Blocks a previous full pass proved clean are skipped
+  /// (one skip consumes the mark, so staleness is bounded to one patrol
+  /// round).  Each slice keeps its own skip and scan-clean rules, and the
+  /// chunks the slices scan inside one clean-block merge into one scrub,
+  /// so k slices end in the same state as k back-to-back scrub_slices(1).
   Status scrub_slices(std::uint64_t slices);
 
   /// Emergency patrol: scrubs every live beat in one sweep, ignoring
@@ -392,14 +394,39 @@ class ReliableChannel {
   friend class ServingFleet;
 
   static constexpr std::uint64_t kNoBlock = ~0ull;
+  using RangeBeatEvent = ecc::EccChannel::RangeBeatEvent;
 
-  /// Scrub one logical beat (the special-beat body of the patrol).
-  Status scrub_one(std::uint64_t logical);
-  /// Scrub [logical, logical + count): splits at exceptions and liveness,
-  /// scrubs plain runs in bulk, and folds events into the clean-block scan.
+  // ---- The range walks (see "Fast path"; defined in the .cpp) ----
+
+  /// The exception split: on_plain(lo, n) for each run of [logical, end)
+  /// free of exception beats (identity-mapped, not parked) and
+  /// on_exception(beat) for each exception beat, in ascending order,
+  /// stopping at the first error.
+  template <class OnPlain, class OnException>
+  Status split_at_exceptions(std::uint64_t logical, std::uint64_t end,
+                             OnPlain&& on_plain, OnException&& on_exception);
+  /// The split over live beats only: on_run(lo, n) for each live plain run
+  /// and on_exception(beat) for each live, unparked exception beat.  Only
+  /// live beats carry data the code can vouch for (a never-written beat
+  /// decodes power-on scramble against zero shadow checks), and a parked
+  /// beat has no device copy worth patrolling or rewriting.
+  template <class OnRun, class OnException>
+  Status for_each_live(std::uint64_t logical, std::uint64_t end,
+                       OnRun&& on_run, OnException&& on_exception);
+  /// The event accountant over scratch_events_, the events of one bulk ECC
+  /// call over [logical, end): on_clean(n) for each stretch of n clean
+  /// beats between them (the trailing one included) and on_event(ev) for
+  /// each event.  Returns false, having stopped, when on_event does.
+  template <class OnClean, class OnEvent>
+  bool account_events(std::uint64_t logical, std::uint64_t end,
+                      OnClean&& on_clean, OnEvent&& on_event);
+  /// Decodes [logical, logical + count) into scratch_beats_ and its events
+  /// into scratch_events_ (the bulk write-verify read-back).
+  Status read_back(std::uint64_t logical, std::uint64_t count);
+
+  /// Scrub [logical, logical + count): live plain runs in bulk, live
+  /// exception beats one by one, events folded into the clean-block scan.
   Status scrub_chunk(std::uint64_t logical, std::uint64_t count);
-  /// Plain identity-mapped live run through EccChannel::scrub_range.
-  Status scrub_plain_run(std::uint64_t logical, std::uint64_t count);
   void account_scrub(std::uint64_t physical, unsigned corrected_data,
                      unsigned corrected_check, unsigned uncorrectable,
                      bool wrote_back);
@@ -417,17 +444,21 @@ class ReliableChannel {
   Status read_device_beat(std::uint64_t physical, hbm::Beat* out);
   /// One device beat write, read back when verify_writes is set.
   Status write_device_beat(std::uint64_t physical, const hbm::Beat& data);
+  /// One beat served from the journal (a parked beat or a lost device).
+  const hbm::Beat& read_journal(std::uint64_t logical);
 
-  /// Settles the patrol cadence after a bulk call: one slice per
+  /// Settles the patrol cadence after a call: one slice per
   /// scrub_interval_ops boundary crossed since `ops_before`.
   Status settle_scrub_debt(std::uint64_t ops_before);
 
-  /// Rewrites every live beat from the journal (the refresh/restore body);
-  /// with `verify`, each read-back notes row events and verify_caught but
+  /// Rewrites the live beats of [logical, end) from the journal (the
+  /// refresh/restore/rebuild body), adding their count to *rewritten; with
+  /// `verify`, each read-back notes row events and verify_caught but
   /// records nothing in the budget.
+  Status rewrite_live(std::uint64_t logical, std::uint64_t end, bool verify,
+                      std::uint64_t* rewritten);
+  /// rewrite_live over the whole channel; every clean-block mark goes stale.
   Status rewrite_live_runs(bool verify);
-  Status rewrite_plain_run(std::uint64_t logical, std::uint64_t count,
-                           bool verify);
 
   [[nodiscard]] std::uint64_t block_count() const noexcept {
     return (capacity() + kScrubBlockBeats - 1) / kScrubBlockBeats;
@@ -438,6 +469,9 @@ class ReliableChannel {
   /// clean (a bulk read decoded them with zero events).
   void mark_clean_blocks(std::uint64_t logical, std::uint64_t count);
 
+  /// Identity remap over `exposed` logical beats, every other ECC data beat
+  /// a free spare, nothing parked or remapped: fresh silicon.
+  void reset_mapping(std::uint64_t exposed);
   [[nodiscard]] std::uint64_t row_key(std::uint64_t physical_beat) const;
   void note_row_events(std::uint64_t physical_beat, unsigned events);
   void record_ladder(LadderRung rung);
@@ -496,7 +530,7 @@ class ReliableChannel {
   std::vector<LadderEvent> ladder_trace_;
 
   // Bulk-path scratch (high-water reuse, no per-call allocation).
-  std::vector<ecc::EccChannel::RangeBeatEvent> scratch_events_;
+  std::vector<RangeBeatEvent> scratch_events_;
   std::vector<hbm::Beat> scratch_beats_;
 };
 

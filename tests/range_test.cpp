@@ -10,7 +10,7 @@
 // delivered data, status codes, journals, ChannelStats, budget history,
 // ladder traces, parked sets.  Anything the fast path gets to skip, it
 // must account exactly as if it had not.  The patrol walk is pinned the
-// same way against back-to-back scrub_slice() calls.
+// same way against back-to-back scrub_slices(1) calls.
 
 #include <algorithm>
 #include <cstdint>
@@ -218,14 +218,14 @@ TEST(SecdedGfniTest, PairKernelMatchesTableOnRandomPairs) {
 
 TEST(FlatIndexTest, SortedKeySetIntervalProbes) {
   runtime::SortedKeySet set;
-  EXPECT_FALSE(set.any_in_range(0, ~0ull));
+  EXPECT_EQ(set.first_in_range(0, ~0ull), runtime::SortedKeySet::kNone);
   EXPECT_TRUE(set.insert(10));
   EXPECT_TRUE(set.insert(3));
   EXPECT_FALSE(set.insert(10));
   EXPECT_TRUE(set.contains(3));
   EXPECT_FALSE(set.contains(4));
-  EXPECT_TRUE(set.any_in_range(4, 11));
-  EXPECT_FALSE(set.any_in_range(4, 10));
+  EXPECT_EQ(set.first_in_range(4, 11), 10u);
+  EXPECT_EQ(set.first_in_range(4, 10), runtime::SortedKeySet::kNone);
   EXPECT_EQ(set.first_in_range(0, 100), 3u);
   EXPECT_EQ(set.first_in_range(4, 100), 10u);
   EXPECT_EQ(set.first_in_range(11, 100), runtime::SortedKeySet::kNone);
@@ -236,22 +236,20 @@ TEST(FlatIndexTest, SortedKeySetIntervalProbes) {
 
 TEST(FlatIndexTest, BitVecRunScans) {
   runtime::BitVec bits;
+  // run(): the same-valued stretch from a start, capped by its limit,
+  // across word boundaries and up to the last bit.
   bits.assign(130, false);
-  EXPECT_EQ(bits.next_set(0), runtime::BitVec::kNone);
-  EXPECT_EQ(bits.next_clear(0), 0u);
+  EXPECT_EQ(bits.run(0, false, 130), 130u);
+  EXPECT_EQ(bits.run(0, true, 130), 0u);
   bits.set(0);
   bits.set(64);
   bits.set(129);
-  EXPECT_EQ(bits.next_set(1), 64u);
-  EXPECT_EQ(bits.next_set(65), 129u);
-  EXPECT_EQ(bits.next_clear(0), 1u);
+  EXPECT_EQ(bits.run(1, false, 129), 63u);
+  EXPECT_EQ(bits.run(65, false, 65), 64u);
+  EXPECT_EQ(bits.run(0, true, 130), 1u);
   bits.assign(130, true);
-  EXPECT_EQ(bits.next_clear(0), runtime::BitVec::kNone);  // tail trimmed
+  EXPECT_EQ(bits.run(0, true, 130), 130u);
   bits.clear(127);
-  EXPECT_EQ(bits.next_clear(100), 127u);
-  EXPECT_EQ(bits.next_set(127), 128u);
-  // run(): the same-valued stretch from a start, capped by its limit,
-  // across word boundaries and up to the last bit.
   EXPECT_EQ(bits.run(100, true, 30), 27u);
   EXPECT_EQ(bits.run(100, true, 20), 20u);
   EXPECT_EQ(bits.run(127, false, 3), 1u);
@@ -288,14 +286,15 @@ TEST(FlatIndexTest, BitVecSetRangeMatchesPerBitSets) {
         ASSERT_EQ(ranged.get(i), reference.get(i))
             << "bit " << i << " of set_range(" << lo << ", " << n << ")";
       }
-      EXPECT_EQ(ranged.next_clear(lo), reference.next_clear(lo));
+      EXPECT_EQ(ranged.run(lo, true, kBits - lo),
+                reference.run(lo, true, kBits - lo));
     }
   }
   // The full vector, partial tail word included, leaves no bit clear.
   runtime::BitVec all;
   all.assign(kBits, false);
   all.set_range(0, kBits);
-  EXPECT_EQ(all.next_clear(0), runtime::BitVec::kNone);
+  EXPECT_EQ(all.run(0, true, kBits), kBits);
 }
 
 // ---------------------------------------------------------------------------
@@ -1010,7 +1009,7 @@ TEST(ReliableRangeTest, FleetFingerprintAcrossThreads) {
 }
 
 // ---------------------------------------------------------------------------
-// Patrol debt: k back-to-back scrub_slice() calls vs one scrub_slices(k) walk
+// Patrol debt: k back-to-back scrub_slices(1) calls vs one scrub_slices(k) walk
 // ---------------------------------------------------------------------------
 
 /// test_tiny with 16 KiB PCs: several patrol blocks per channel.
@@ -1021,7 +1020,7 @@ board::BoardConfig patrol_board() {
 }
 
 /// Twin channels on twin boards: `slices` settles a patrol debt with k
-/// scrub_slice() calls, `walk` with one scrub_slices(k).  Every other op
+/// scrub_slices(1) calls, `walk` with one scrub_slices(k).  Every other op
 /// runs on both, so any divergence is the walk's.
 struct PatrolTwin {
   board::Vcu128Board board_slices;
@@ -1043,7 +1042,7 @@ struct PatrolTwin {
 
   void settle(std::uint64_t k) {
     for (std::uint64_t i = 0; i < k; ++i) {
-      ASSERT_TRUE(slices.scrub_slice().is_ok());
+      ASSERT_TRUE(slices.scrub_slices(1).is_ok());
     }
     ASSERT_TRUE(walk.scrub_slices(k).is_ok());
   }
@@ -1055,8 +1054,8 @@ struct PatrolTwin {
       return slices.scrub_cursor() % ReliableChannel::kScrubBlockBeats == 0;
     };
     for (int i = 0; i < 64 && at_block_start(); ++i) {
-      ASSERT_TRUE(slices.scrub_slice().is_ok());
-      ASSERT_TRUE(walk.scrub_slice().is_ok());
+      ASSERT_TRUE(slices.scrub_slices(1).is_ok());
+      ASSERT_TRUE(walk.scrub_slices(1).is_ok());
     }
     ASSERT_FALSE(at_block_start());
   }

@@ -300,7 +300,7 @@ TEST(ReliableChannelTest, ScrubRepairsBitRotInPlace) {
   const std::uint64_t slices =
       channel.capacity() / config.scrub_batch_beats + 1;
   for (std::uint64_t i = 0; i < slices; ++i) {
-    ASSERT_TRUE(channel.scrub_slice().is_ok());
+    ASSERT_TRUE(channel.scrub_slices(1).is_ok());
   }
   EXPECT_GE(channel.stats().scrub_corrected, 1u);
   EXPECT_GE(channel.stats().scrub_writebacks, 1u);
@@ -310,7 +310,7 @@ TEST(ReliableChannelTest, ScrubRepairsBitRotInPlace) {
   // A second pass is clean: the rot is gone, not just masked per-read.
   const std::uint64_t corrected_before = channel.stats().scrub_corrected;
   for (std::uint64_t i = 0; i < slices; ++i) {
-    ASSERT_TRUE(channel.scrub_slice().is_ok());
+    ASSERT_TRUE(channel.scrub_slices(1).is_ok());
   }
   EXPECT_EQ(channel.stats().scrub_corrected, corrected_before);
 
