@@ -170,13 +170,6 @@ Result<bool> IniFile::get_bool(const std::string& section,
                           ": not a boolean: " + value.value());
 }
 
-Result<double> IniFile::get_double_or(const std::string& section,
-                                      const std::string& key,
-                                      double fallback) const {
-  if (!has(section, key)) return fallback;
-  return get_double(section, key);
-}
-
 void IniFile::set(const std::string& section, const std::string& key,
                   std::string value) {
   sections_[section][key] = std::move(value);

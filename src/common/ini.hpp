@@ -52,12 +52,6 @@ class IniFile {
   [[nodiscard]] Result<bool> get_bool(const std::string& section,
                                       const std::string& key) const;
 
-  /// Convenience: typed value or fallback when the key is absent.
-  /// Parse errors still propagate as kInvalidArgument.
-  [[nodiscard]] Result<double> get_double_or(const std::string& section,
-                                             const std::string& key,
-                                             double fallback) const;
-
   void set(const std::string& section, const std::string& key,
            std::string value);
 

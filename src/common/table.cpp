@@ -12,10 +12,8 @@ void AsciiTable::set_header(std::vector<std::string> cells) {
 }
 
 void AsciiTable::add_row(std::vector<std::string> cells) {
-  rows_.push_back(Row{std::move(cells), false});
+  rows_.push_back(std::move(cells));
 }
-
-void AsciiTable::add_separator() { rows_.push_back(Row{{}, true}); }
 
 void AsciiTable::render(std::ostream& os) const {
   // Compute column widths over header and all rows.
@@ -27,7 +25,7 @@ void AsciiTable::render(std::ostream& os) const {
     }
   };
   grow(header_);
-  for (const auto& row : rows_) grow(row.cells);
+  for (const auto& row : rows_) grow(row);
 
   auto print_rule = [&os, &widths]() {
     os << '+';
@@ -53,13 +51,7 @@ void AsciiTable::render(std::ostream& os) const {
     print_cells(header_);
     print_rule();
   }
-  for (const auto& row : rows_) {
-    if (row.separator) {
-      print_rule();
-    } else {
-      print_cells(row.cells);
-    }
-  }
+  for (const auto& row : rows_) print_cells(row);
   print_rule();
 }
 
@@ -91,21 +83,6 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
 std::string format_double(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*g", digits, value);
-  return buf;
-}
-
-std::string format_percent(double fraction) {
-  if (fraction <= 0.0) return "0%";
-  const double pct = fraction * 100.0;
-  if (pct < 0.01) return "<0.01%";
-  char buf[32];
-  if (pct < 1.0) {
-    std::snprintf(buf, sizeof(buf), "%.2f%%", pct);
-  } else if (pct < 10.0) {
-    std::snprintf(buf, sizeof(buf), "%.1f%%", pct);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0f%%", pct);
-  }
   return buf;
 }
 

@@ -16,8 +16,6 @@ class AsciiTable {
  public:
   void set_header(std::vector<std::string> cells);
   void add_row(std::vector<std::string> cells);
-  /// Adds a horizontal separator line after the current last row.
-  void add_separator();
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
 
@@ -25,13 +23,8 @@ class AsciiTable {
   [[nodiscard]] std::string to_string() const;
 
  private:
-  struct Row {
-    std::vector<std::string> cells;
-    bool separator = false;
-  };
-
   std::vector<std::string> header_;
-  std::vector<Row> rows_;
+  std::vector<std::vector<std::string>> rows_;
 };
 
 /// Minimal CSV writer (RFC 4180 quoting).
@@ -48,9 +41,6 @@ class CsvWriter {
 
 /// Formats a double with `digits` significant digits, trimming zeros.
 [[nodiscard]] std::string format_double(double value, int digits = 4);
-
-/// Formats a fraction as a percentage string ("12.3%", "<0.01%", "0%").
-[[nodiscard]] std::string format_percent(double fraction);
 
 /// Formats a voltage in millivolts as "0.95V".
 [[nodiscard]] std::string format_millivolts(int mv);

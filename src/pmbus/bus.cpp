@@ -17,7 +17,6 @@ Status Bus::attach(SlaveDevice* device) {
   return Status::ok();
 }
 
-void Bus::detach(std::uint8_t address) { devices_.erase(address); }
 
 Status Bus::begin_transaction(std::uint8_t address, std::uint8_t command) {
   if (!hook_) return Status::ok();

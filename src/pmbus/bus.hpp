@@ -25,9 +25,6 @@ class Bus {
   /// outlive the bus.  Fails if the address is already taken.
   Status attach(SlaveDevice* device);
 
-  /// Removes the slave at `address` if present.
-  void detach(std::uint8_t address);
-
   /// Enables PEC framing for all subsequent transactions.
   void set_pec_enabled(bool enabled) noexcept { pec_enabled_ = enabled; }
   [[nodiscard]] bool pec_enabled() const noexcept { return pec_enabled_; }

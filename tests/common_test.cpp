@@ -383,22 +383,6 @@ TEST(AsciiTableTest, HandlesRaggedRows) {
   EXPECT_NE(out.find('3'), std::string::npos);
 }
 
-TEST(AsciiTableTest, SeparatorInsertsRule) {
-  AsciiTable table;
-  table.add_row({"a"});
-  table.add_separator();
-  table.add_row({"b"});
-  const std::string out = table.to_string();
-  // Four horizontal rules: top, separator, bottom... top + sep + bottom.
-  int rules = 0;
-  std::istringstream is(out);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty() && line[0] == '+') ++rules;
-  }
-  EXPECT_EQ(rules, 3);
-}
-
 TEST(CsvTest, EscapesSpecialCharacters) {
   std::ostringstream os;
   CsvWriter csv(os);
@@ -410,14 +394,6 @@ TEST(CsvTest, EscapesSpecialCharacters) {
 TEST(FormatTest, FormatDouble) {
   EXPECT_EQ(format_double(1.5), "1.5");
   EXPECT_EQ(format_double(0.123456, 3), "0.123");
-}
-
-TEST(FormatTest, FormatPercent) {
-  EXPECT_EQ(format_percent(0.0), "0%");
-  EXPECT_EQ(format_percent(1e-6), "<0.01%");
-  EXPECT_EQ(format_percent(0.005), "0.50%");
-  EXPECT_EQ(format_percent(0.055), "5.5%");
-  EXPECT_EQ(format_percent(0.55), "55%");
 }
 
 TEST(FormatTest, FormatMillivolts) {

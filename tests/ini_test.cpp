@@ -76,15 +76,6 @@ TEST(IniTest, TypedGetters) {
             StatusCode::kInvalidArgument);  // negative
 }
 
-TEST(IniTest, OrGettersFallBackOnlyWhenAbsent) {
-  auto parsed = IniFile::parse("[t]\nbad = zzz\ngood = 2\n");
-  ASSERT_TRUE(parsed.is_ok());
-  const auto& ini = parsed.value();
-  EXPECT_DOUBLE_EQ(ini.get_double_or("t", "absent", 7.0).value(), 7.0);
-  EXPECT_DOUBLE_EQ(ini.get_double_or("t", "good", 7.0).value(), 2.0);
-  EXPECT_FALSE(ini.get_double_or("t", "bad", 7.0).is_ok());
-}
-
 TEST(IniTest, RoundTripThroughToString) {
   IniFile ini;
   ini.set("alpha", "x", "1");

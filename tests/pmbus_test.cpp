@@ -172,14 +172,6 @@ TEST(BusTest, WordTransactionsReachDevice) {
   EXPECT_EQ(word.value(), 0x0303);
 }
 
-TEST(BusTest, DetachRemovesDevice) {
-  pmbus::Bus bus;
-  EchoDevice device(0x21);
-  ASSERT_TRUE(bus.attach(&device).is_ok());
-  bus.detach(0x21);
-  EXPECT_FALSE(bus.read_word(0x21, 0x00).is_ok());
-}
-
 TEST(BusTest, PecDetectsWireCorruption) {
   pmbus::Bus bus;
   EchoDevice device(0x21);
