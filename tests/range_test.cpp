@@ -1123,7 +1123,35 @@ struct PatrolTwin {
   }
 };
 
-class PatrolWalkTest : public ::testing::TestWithParam<std::uint64_t> {};
+class PatrolWalkTest : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  /// Settles debts of several lengths, each from mid-block, then checks
+  /// that a full patrol scrubs exactly the live, unparked beats: a parked
+  /// beat has no device copy and a never-written one no data to vouch for.
+  static void expect_walks_match(PatrolTwin& twin) {
+    const std::uint64_t writebacks = twin.slices.stats().scrub_writebacks;
+    for (const std::uint64_t k : {1u, 3u, 8u, 13u, 64u, 257u}) {
+      twin.move_cursor_mid_block();
+      const std::uint64_t from = twin.slices.scrub_cursor();
+      twin.settle(k);
+      twin.expect_equal("debt of " + std::to_string(k) +
+                        " slices from beat " + std::to_string(from));
+    }
+    EXPECT_GT(twin.slices.stats().scrub_writebacks, writebacks)
+        << "test premise: stuck cells must force patrol write-backs";
+
+    const std::uint64_t cap = twin.slices.capacity();
+    std::uint64_t patrolled = 0;
+    for (std::uint64_t l = 0; l < cap; ++l) {
+      if (twin.slices.journal_live(l) && !twin.slices.parked(l)) ++patrolled;
+    }
+    const std::uint64_t scrubbed = twin.slices.stats().scrub_beats;
+    ASSERT_TRUE(twin.slices.patrol_all().is_ok());
+    ASSERT_TRUE(twin.walk.patrol_all().is_ok());
+    EXPECT_EQ(twin.slices.stats().scrub_beats - scrubbed, patrolled);
+    twin.expect_equal("after patrol_all");
+  }
+};
 
 // Undervolted weak PC with a weak-cell burst and a small spare pool:
 // serving leaves remapped and parked beats, never-written beats (the
@@ -1153,29 +1181,40 @@ TEST_P(PatrolWalkTest, MatchesBackToBackSlicesOnAServedChannel) {
       << "test premise: the burst must park beats";
   ASSERT_FALSE(twin.slices.journal_live(cap - 1))
       << "test premise: the channel's tail is never written";
+  expect_walks_match(twin);
+}
 
-  const std::uint64_t writebacks = twin.slices.stats().scrub_writebacks;
-  for (const std::uint64_t k : {1u, 3u, 8u, 13u, 64u, 257u}) {
-    twin.move_cursor_mid_block();
-    const std::uint64_t from = twin.slices.scrub_cursor();
-    twin.settle(k);
-    twin.expect_equal("debt of " + std::to_string(k) + " slices from beat " +
-                      std::to_string(from));
-  }
-  EXPECT_GT(twin.slices.stats().scrub_writebacks, writebacks)
-      << "test premise: stuck cells must force patrol write-backs";
+// The same channel served on even beats only: every retired row also held
+// odd, never-written beats, which retirement remaps all the same.  Those
+// dead exception beats carry no data, so neither the patrol nor any other
+// live walk may touch them.
+TEST_P(PatrolWalkTest, MatchesBackToBackSlicesOverDeadRemappedBeats) {
+  ReliableChannelConfig config;
+  config.spare_fraction = 0.02;
+  config.scrub_batch_beats = GetParam();
+  PatrolTwin twin(kWeakPc, config, 930);
+  twin.board_slices.injector().add_burst(kWeakPc, 256, 256);
+  twin.board_walk.injector().add_burst(kWeakPc, 256, 256);
+  const std::uint64_t cap = twin.slices.capacity();
 
-  // A full patrol scrubs exactly the live, unparked beats: a parked beat
-  // has no device copy and a never-written one no data to vouch for.
-  std::uint64_t patrolled = 0;
-  for (std::uint64_t l = 0; l < cap; ++l) {
-    if (twin.slices.journal_live(l) && !twin.slices.parked(l)) ++patrolled;
+  workload::AccessTrace trace;
+  for (const workload::TraceRecord& record :
+       workload::make_uniform_random(cap / 2, 8192, 0.25, 0x0DD5EED)) {
+    trace.append(record.write, 2 * record.beat);
   }
-  const std::uint64_t scrubbed = twin.slices.stats().scrub_beats;
-  ASSERT_TRUE(twin.slices.patrol_all().is_ok());
-  ASSERT_TRUE(twin.walk.patrol_all().is_ok());
-  EXPECT_EQ(twin.slices.stats().scrub_beats - scrubbed, patrolled);
-  twin.expect_equal("after patrol_all");
+  ASSERT_TRUE(twin.slices.serve_trace(trace, 5).is_ok());
+  ASSERT_TRUE(twin.walk.serve_trace(trace, 5).is_ok());
+  twin.expect_equal("after serve");
+
+  runtime::ChannelCheckpoint ck;
+  twin.slices.capture(&ck);
+  std::uint64_t dead_specials = 0;
+  for (const std::uint64_t beat : ck.special) {
+    dead_specials += !twin.slices.journal_live(beat);
+  }
+  ASSERT_GT(dead_specials, 0u)
+      << "test premise: a retired row must hold never-written beats";
+  expect_walks_match(twin);
 }
 
 // A map the patrol itself proved all-clean: the first slice of the debt
