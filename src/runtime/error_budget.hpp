@@ -82,6 +82,13 @@ class ErrorBudget {
     return windows_completed_;
   }
   [[nodiscard]] std::uint64_t burns() const noexcept { return burns_; }
+  /// The current window's corrected rate over its SLO (1.0 = exactly on
+  /// budget); 0 for an empty window or a non-positive SLO.
+  [[nodiscard]] double burn_fraction() const noexcept {
+    if (words_ == 0 || !(config_.corrected_slo > 0.0)) return 0.0;
+    return static_cast<double>(corrected_) / static_cast<double>(words_) /
+           config_.corrected_slo;
+  }
   [[nodiscard]] const ErrorBudgetConfig& config() const noexcept {
     return config_;
   }

@@ -80,7 +80,7 @@ class ServingFleet::StreamSource final : public RequestSource {
   };
 
   explicit StreamSource(ServingFleet& fleet)
-      : streams(fleet.channels_.size()), fleet_(fleet) {
+      : streams(fleet.channels()), fleet_(fleet) {
     for (Stream& stream : streams) stream.pending.count = 0;
   }
 
@@ -171,52 +171,44 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
   // The scheme owns the per-word codec; kStripe additionally carves the
   // PC pool into stripe groups + parity PCs + spares.
   config_.channel.codec = mitigate::scheme_info(config_.scheme).codec;
+  std::vector<unsigned> pcs = config_.pcs;  // every channel's PC, in order
   if (striped()) {
     const unsigned width = config_.stripe_width;
     HBMVOLT_REQUIRE(width >= 2, "stripe width must be at least 2");
     HBMVOLT_REQUIRE(config_.rebuild_beats_per_epoch > 0,
                     "rebuild step must make progress");
-    const std::size_t group_count = config_.pcs.size() / (width + 1);
+    const std::size_t group_count = pcs.size() / (width + 1);
     HBMVOLT_REQUIRE(group_count >= 1,
                     "stripe needs at least width+1 pseudo-channels");
-    const std::vector<unsigned> pool = std::move(config_.pcs);
     const std::size_t serving = group_count * width;
-    config_.pcs.assign(pool.begin(), pool.begin() + serving);
-    parity_channels_.reserve(group_count);
-    for (std::size_t g = 0; g < group_count; ++g) {
-      parity_channels_.push_back(std::make_unique<ReliableChannel>(
-          board_, pool[serving + g], config_.channel));
-    }
-    spare_pcs_.assign(pool.begin() + serving + group_count, pool.end());
+    config_.pcs.resize(serving);
+    spare_pcs_.assign(pcs.begin() + serving + group_count, pcs.end());
+    pcs.resize(serving + group_count);
     groups_.resize(group_count);
-    parity_prev_.resize(group_count);
   }
-  owned_.reserve(config_.pcs.size());
-  for (const unsigned pc : config_.pcs) {
+  owned_.reserve(pcs.size());
+  for (const unsigned pc : pcs) {
     owned_.push_back(
         std::make_unique<ReliableChannel>(board_, pc, config_.channel));
     channels_.push_back(owned_.back().get());
-    // Request-plane mode: the source's slot queues replace the built-in
-    // streams entirely.  Sweeps are arithmetic and store no records.
-    if (config_.source != nullptr) continue;
-    const std::uint64_t capacity = owned_.back()->capacity();
+  }
+  for (std::size_t c = 0; striped() && c < channels_.size(); ++c) {
+    // Stripe XOR needs every member and parity channel address-congruent.
+    const std::uint64_t capacity = channels_[c]->capacity();
+    HBMVOLT_REQUIRE(c < channels() ? capacity == channels_[0]->capacity()
+                                   : capacity >= channels_[0]->capacity(),
+                    "stripe members must have equal capacity, parity no less");
+  }
+  // Request-plane mode: the source's slot queues replace the built-in
+  // streams entirely.  Sweeps are arithmetic and store no records.
+  for (std::size_t i = 0; config_.source == nullptr && i < channels(); ++i) {
+    const std::uint64_t capacity = channels_[i]->capacity();
     demand_.push_back(
         config_.streaming_passes > 0
             ? workload::DemandStream::sweep(capacity, config_.streaming_passes)
             : workload::DemandStream::replay(workload::make_uniform_random(
                   capacity, config_.ops_per_pc, config_.write_fraction,
-                  stream_seed(config_.seed, 0xF1EE7, pc, 0))));
-  }
-  if (striped()) {
-    // Stripe XOR needs every member and parity channel address-congruent.
-    for (const ReliableChannel* channel : channels_) {
-      HBMVOLT_REQUIRE(channel->capacity() == channels_[0]->capacity(),
-                      "stripe members must have equal capacity");
-    }
-    for (const auto& parity : parity_channels_) {
-      HBMVOLT_REQUIRE(parity->capacity() >= channels_[0]->capacity(),
-                      "parity PC smaller than stripe members");
-    }
+                  stream_seed(config_.seed, 0xF1EE7, config_.pcs[i], 0))));
   }
   init_slots();
 }
@@ -236,12 +228,12 @@ ServingFleet::ServingFleet(ReliableChannel& channel,
 }
 
 void ServingFleet::init_slots() {
-  states_.resize(channels_.size());
+  states_.resize(channels());
   epoch_prev_.reserve(channels_.size());
   for (const ReliableChannel* channel : channels_) {
     epoch_prev_.push_back(channel->stats());
   }
-  health_.reset(channels_.size());
+  health_.reset(channels());
   streams_ = std::make_unique<StreamSource>(*this);
   source_ = config_.source != nullptr ? config_.source : streams_.get();
 }
@@ -275,14 +267,13 @@ bool ServingFleet::absorb_device_loss(ReliableChannel& ch) {
   return true;
 }
 
-hbm::Beat ServingFleet::parity_value(std::size_t g,
-                                     std::uint64_t logical) const {
+hbm::Beat ServingFleet::group_xor(std::size_t g, std::uint64_t logical,
+                                  std::size_t skip) const {
   hbm::Beat acc{};
-  const std::size_t base = g * config_.stripe_width;
-  for (std::size_t s = base; s < base + config_.stripe_width; ++s) {
-    const ReliableChannel& member = *channels_[s];
-    if (member.journal_live(logical)) {
-      xor_into(acc, member.journal_beat(logical));
+  for (std::size_t k = 0; k <= config_.stripe_width; ++k) {
+    const std::size_t c = group_channel(g, k);
+    if (c != skip && channels_[c]->journal_live(logical)) {
+      xor_into(acc, channels_[c]->journal_beat(logical));
     }
   }
   return acc;
@@ -304,11 +295,11 @@ Status ServingFleet::do_write(std::size_t i, std::uint64_t logical,
   // makes retries after a mid-op crash idempotent -- the member journal
   // only advances on success, and this XOR is a pure function of it.
   const std::size_t g = group_of(i);
-  ReliableChannel& parity = *parity_channels_[g];
+  ReliableChannel& parity = *channels_[parity_of(g)];
   std::vector<hbm::Beat>& pbuf = states_[i].pbuf;
   pbuf.resize(count);
   for (std::uint64_t k = 0; k < count; ++k) {
-    pbuf[k] = parity_value(g, logical + k);
+    pbuf[k] = group_xor(g, logical + k, parity_of(g));
   }
   Status ps = write(parity, pbuf.data());
   if (ps.code() == StatusCode::kUnavailable && absorb_device_loss(parity)) {
@@ -318,17 +309,15 @@ Status ServingFleet::do_write(std::size_t i, std::uint64_t logical,
 
   // Writes landing behind the rebuild cursor must refresh the adopted
   // silicon too, or the rebuilt device copy goes stale vs the journal.
+  // Only the written member and the parity changed here.
   const StripeGroup& grp = groups_[g];
-  if (logical >= grp.rebuild_cursor) return Status::ok();
-  const std::uint64_t overlap =
-      std::min(grp.rebuild_cursor, logical + count) - logical;
-  if (member.device_lost() && grp.rebuilding == i) {
-    HBMVOLT_RETURN_IF_ERROR(member.rebuild_device_range(logical, overlap));
+  if (logical >= grp.rebuild_cursor ||
+      (grp.rebuilding != i && grp.rebuilding != parity_of(g)) ||
+      !channels_[grp.rebuilding]->device_lost()) {
+    return Status::ok();
   }
-  if (parity.device_lost() && grp.rebuilding_parity) {
-    HBMVOLT_RETURN_IF_ERROR(parity.rebuild_device_range(logical, overlap));
-  }
-  return Status::ok();
+  return channels_[grp.rebuilding]->rebuild_device_range(
+      logical, std::min(grp.rebuild_cursor, logical + count) - logical);
 }
 
 Result<hbm::Beat> ServingFleet::stripe_fetch(ReliableChannel& ch,
@@ -360,7 +349,7 @@ Result<hbm::Beat> ServingFleet::reconstruct_read(std::size_t i,
   const std::size_t g = group_of(i);
   PcState& st = states_[i];
   hbm::Beat acc{};
-  auto parity = stripe_fetch(*parity_channels_[g], logical, st);
+  auto parity = stripe_fetch(*channels_[parity_of(g)], logical, st);
   if (!parity.is_ok()) return parity.status();
   xor_into(acc, parity.value());
   const std::size_t base = g * config_.stripe_width;
@@ -424,7 +413,7 @@ bool ServingFleet::serve_slot_epoch(std::size_t i) {
   // on it; striped writes (and bulk runs) also settle the parity channel.
   const auto settle = [&](bool parity_touched) {
     return st.settle(channel) &&
-           (!parity_touched || st.settle(*parity_channels_[group_of(i)]));
+           (!parity_touched || st.settle(*channels_[parity_of(group_of(i))]));
   };
 
   while (st.served < config_.ops_per_epoch) {
@@ -599,37 +588,22 @@ void ServingFleet::serve_group_epoch(std::size_t g) {
 void ServingFleet::rebuild_step(std::size_t g) {
   StripeGroup& grp = groups_[g];
   grp.wants_global = false;
-  if (grp.rebuilding == StripeGroup::kIdle && !grp.rebuilding_parity) return;
-  ReliableChannel& ch = grp.rebuilding_parity
-                            ? *parity_channels_[g]
-                            : *channels_[grp.rebuilding];
+  if (grp.rebuilding == StripeGroup::kIdle) return;
+  ReliableChannel& ch = *channels_[grp.rebuilding];
   const std::uint64_t cap = ch.capacity();
   std::uint64_t budget = config_.rebuild_beats_per_epoch;
   while (budget > 0 && grp.rebuild_cursor < cap) {
     const std::uint64_t cur = grp.rebuild_cursor;
     if (!ch.journal_live(cur)) {
-      ++grp.rebuild_cursor;
+      grp.rebuild_cursor += ch.live_run(cur, false, cap - cur);
       continue;
     }
-    std::uint64_t end = cur + 1;
-    while (end < cap && end - cur < budget && ch.journal_live(end)) ++end;
+    const std::uint64_t end =
+        cur + ch.live_run(cur, true, std::min(budget, cap - cur));
     // Cross-check the stripe invariant before trusting the journal copy:
     // the rebuilt data must equal what XOR reconstruction would serve.
     for (std::uint64_t l = cur; l < end; ++l) {
-      hbm::Beat expect{};
-      if (grp.rebuilding_parity) {
-        expect = parity_value(g, l);
-      } else {
-        const ReliableChannel& parity = *parity_channels_[g];
-        if (parity.journal_live(l)) xor_into(expect, parity.journal_beat(l));
-        const std::size_t base = g * config_.stripe_width;
-        for (std::size_t s = base; s < base + config_.stripe_width; ++s) {
-          if (s == grp.rebuilding) continue;
-          const ReliableChannel& peer = *channels_[s];
-          if (peer.journal_live(l)) xor_into(expect, peer.journal_beat(l));
-        }
-      }
-      HBMVOLT_REQUIRE(expect == ch.journal_beat(l),
+      HBMVOLT_REQUIRE(group_xor(g, l, grp.rebuilding) == ch.journal_beat(l),
                       "stripe invariant violated during rebuild");
     }
     const Status rebuilt = ch.rebuild_device_range(cur, end - cur);
@@ -654,7 +628,6 @@ void ServingFleet::rebuild_step(std::size_t g) {
       tel->count("runtime.fleet.rebuild_complete");
     }
     grp.rebuilding = StripeGroup::kIdle;
-    grp.rebuilding_parity = false;
     grp.rebuild_cursor = 0;
   }
 }
@@ -663,28 +636,19 @@ void ServingFleet::claim_spares() {
   if (!striped()) return;
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     StripeGroup& grp = groups_[g];
-    if (grp.rebuilding != StripeGroup::kIdle || grp.rebuilding_parity) {
-      continue;
-    }
+    if (grp.rebuilding != StripeGroup::kIdle) continue;
     if (spare_next_ >= spare_pcs_.size()) return;  // pool dry: stay degraded
-    const std::size_t base = g * config_.stripe_width;
-    std::size_t victim = StripeGroup::kIdle;
-    for (std::size_t s = base; s < base + config_.stripe_width; ++s) {
-      if (channels_[s]->device_lost()) {
-        victim = s;
-        break;
-      }
+    std::size_t k = 0;
+    while (k <= config_.stripe_width &&
+           !channels_[group_channel(g, k)]->device_lost()) {
+      ++k;
     }
-    const bool parity_lost =
-        victim == StripeGroup::kIdle && parity_channels_[g]->device_lost();
-    if (victim == StripeGroup::kIdle && !parity_lost) continue;
-    ReliableChannel& ch =
-        parity_lost ? *parity_channels_[g] : *channels_[victim];
+    if (k > config_.stripe_width) continue;
+    ReliableChannel& ch = *channels_[group_channel(g, k)];
     const unsigned spare_pc = spare_pcs_[spare_next_++];
     ch.adopt_device(spare_pc);
     ch.record_ladder(LadderRung::kStripeRebuild);
-    grp.rebuilding = victim;
-    grp.rebuilding_parity = parity_lost;
+    grp.rebuilding = group_channel(g, k);
     grp.rebuild_cursor = 0;
     HBMVOLT_LOG_INFO("runtime: group %zu adopts spare PC %u for rebuild", g,
                      spare_pc);
@@ -701,7 +665,7 @@ void ServingFleet::close_epoch(std::uint64_t epoch) {
   sample.epoch = epoch;
   double burn_max = 0.0;
   const char* scheme_name = mitigate::to_string(config_.scheme);
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
+  for (std::size_t i = 0; i < channels(); ++i) {
     ReliableChannel& channel = *channels_[i];
     const ChannelStats& now = channel.stats();
     const ChannelStats& prev = epoch_prev_[i];
@@ -718,13 +682,7 @@ void ServingFleet::close_epoch(std::uint64_t epoch) {
     sample.parked += channel.parked_count();
     epoch_prev_[i] = now;
 
-    const ErrorBudget& budget = channel.budget();
-    if (budget.window_words() > 0 && budget.config().corrected_slo > 0.0) {
-      const double burn = static_cast<double>(budget.window_corrected()) /
-                          static_cast<double>(budget.window_words()) /
-                          budget.config().corrected_slo;
-      if (burn > burn_max) burn_max = burn;
-    }
+    burn_max = std::max(burn_max, channel.budget().burn_fraction());
     const char* stripe_state = "-";
     if (striped()) {
       const StripeGroup& grp = groups_[group_of(i)];
@@ -735,15 +693,17 @@ void ServingFleet::close_epoch(std::uint64_t epoch) {
     health_.update(i, channel, board_.hbm_voltage(), epoch, scheme_name,
                    stripe_state);
   }
-  for (std::size_t g = 0; g < parity_channels_.size(); ++g) {
-    const ChannelStats& now = parity_channels_[g]->stats();
-    const ChannelStats& prev = parity_prev_[g];
+  // Parity channels add only their writes, corrections and journal-served
+  // reads to the sample: no demand reads, and no health row.
+  for (std::size_t c = channels(); c < channels_.size(); ++c) {
+    const ChannelStats& now = channels_[c]->stats();
+    const ChannelStats& prev = epoch_prev_[c];
     sample.writes += now.writes - prev.writes;
     sample.corrected += (now.corrected_words + now.corrected_check_words) -
                         (prev.corrected_words + prev.corrected_check_words);
     sample.journal_served +=
         now.journal_served_reads - prev.journal_served_reads;
-    parity_prev_[g] = now;
+    epoch_prev_[c] = now;
   }
   sample.budget_burn = burn_max;
   // Fold the source's slot-local accounting (serial, slot order) and let
@@ -753,7 +713,6 @@ void ServingFleet::close_epoch(std::uint64_t epoch) {
   source_->fill_health(&health_);
   alerts_.tick(sample);
   for (ReliableChannel* channel : channels_) channel->flush_telemetry();
-  for (auto& parity : parity_channels_) parity->flush_telemetry();
   if (config_.epoch_hook) {
     config_.epoch_hook(
         EpochStatus{epoch, board_.hbm_voltage(), &health_, &alerts_});
@@ -781,19 +740,16 @@ Result<FleetReport> ServingFleet::run() {
   // The report's totals, summed in PC index order: a halted run reports
   // them exactly as a completed one does.
   const auto fold_counts = [this, &report] {
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-      const ServeReport& served = states_[i].report;
-      const ChannelStats& cs = channels_[i]->stats();
-      report.ops += served.ops;
-      report.reads += served.reads;
-      report.writes += served.writes;
-      report.corrupt_reads += served.corrupt_reads;
-      report.escalated_reads += served.escalated_reads;
-      report.reconstructed_reads += cs.reconstructed_reads;
-      report.rebuilt_beats += cs.rebuilt_beats;
+    for (const PcState& st : states_) {
+      report.ops += st.report.ops;
+      report.reads += st.report.reads;
+      report.writes += st.report.writes;
+      report.corrupt_reads += st.report.corrupt_reads;
+      report.escalated_reads += st.report.escalated_reads;
     }
-    for (const auto& parity : parity_channels_) {
-      report.rebuilt_beats += parity->stats().rebuilt_beats;
+    for (const ReliableChannel* channel : channels_) {
+      report.reconstructed_reads += channel->stats().reconstructed_reads;
+      report.rebuilt_beats += channel->stats().rebuilt_beats;
     }
     report.final_voltage = board_.hbm_voltage();
   };
@@ -803,9 +759,7 @@ Result<FleetReport> ServingFleet::run() {
     // A rebuild in flight keeps the fleet ticking after the traces end:
     // the group workers drain it with no foreground ops in the way.
     for (const StripeGroup& grp : groups_) {
-      if (grp.rebuilding != StripeGroup::kIdle || grp.rebuilding_parity) {
-        all_done = false;
-      }
+      if (grp.rebuilding != StripeGroup::kIdle) all_done = false;
     }
     if (all_done) break;
     if (report.epochs >= max_epochs) {
@@ -846,15 +800,10 @@ Result<FleetReport> ServingFleet::run() {
       for (ReliableChannel* channel : channels_) {
         HBMVOLT_RETURN_IF_ERROR(channel->restore_after_power_cycle());
       }
-      for (auto& parity : parity_channels_) {
-        HBMVOLT_RETURN_IF_ERROR(parity->restore_after_power_cycle());
-      }
       // The cycle scrambled any partially rebuilt spare (device-lost
       // channels skip the journal rewrite): restart those rebuilds.
       for (StripeGroup& grp : groups_) {
-        if (grp.rebuilding != StripeGroup::kIdle || grp.rebuilding_parity) {
-          grp.rebuild_cursor = 0;
-        }
+        if (grp.rebuilding != StripeGroup::kIdle) grp.rebuild_cursor = 0;
       }
       ++report.power_cycles;
       if (auto* tel = telemetry::Telemetry::active()) {
@@ -869,9 +818,6 @@ Result<FleetReport> ServingFleet::run() {
       HBMVOLT_RETURN_IF_ERROR(board_.set_hbm_voltage(next));
       for (ReliableChannel* channel : channels_) {
         channel->on_global_action(LadderRung::kRaiseVoltage);
-      }
-      for (auto& parity : parity_channels_) {
-        parity->on_global_action(LadderRung::kRaiseVoltage);
       }
       ++report.raises;
       if (auto* tel = telemetry::Telemetry::active()) {
@@ -895,7 +841,8 @@ Result<FleetReport> ServingFleet::run() {
   fold_counts();
   std::uint64_t fp = mix_seed(config_.seed, 0xF17);
   std::uint64_t dfp = mix_seed(config_.seed, 0xDA7AF17);
-  auto fold_channel = [&fp](const ReliableChannel& channel) {
+  // `data` also folds the journal into dfp, in the same walk.
+  auto fold_channel = [&fp, &dfp](const ReliableChannel& channel, bool data) {
     const ChannelStats& cs = channel.stats();
     fp = mix_seed(fp, cs.corrected_words);
     fp = mix_seed(fp, cs.corrected_check_words);
@@ -920,38 +867,34 @@ Result<FleetReport> ServingFleet::run() {
     }
     for (std::uint64_t beat = 0; beat < channel.capacity(); ++beat) {
       if (!channel.journal_live(beat)) continue;
-      const hbm::Beat& data = channel.journal_beat(beat);
-      for (unsigned w = 0; w < 4; ++w) fp = mix_seed(fp, data[w]);
+      const hbm::Beat& beat_data = channel.journal_beat(beat);
+      for (unsigned w = 0; w < 4; ++w) fp = mix_seed(fp, beat_data[w]);
+      if (!data) continue;
+      dfp = mix_seed(dfp, beat);
+      for (unsigned w = 0; w < 4; ++w) dfp = mix_seed(dfp, beat_data[w]);
     }
   };
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const PcState& st = states_[i];
-    const ReliableChannel& channel = *channels_[i];
-    fp = mix_seed(fp, config_.pcs[i]);
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    if (c >= states_.size()) {
+      fp = mix_seed(fp, 0x9A817 + (c - states_.size()));  // parity
+      fold_channel(*channels_[c], false);
+      continue;
+    }
+    const PcState& st = states_[c];
+    fp = mix_seed(fp, config_.pcs[c]);
     fp = mix_seed(fp, st.report.reads);
     fp = mix_seed(fp, st.report.writes);
     fp = mix_seed(fp, st.report.corrupt_reads);
     fp = mix_seed(fp, st.report.escalated_reads);
-    fold_channel(channel);
-
     // Data-only fold: the slot identity (stable across spare adoption),
     // the served op counts, and the journal contents.  Ladder traces,
     // voltages, and device-side stats are deliberately absent -- this is
     // the fingerprint that must survive chaos on/off.
-    dfp = mix_seed(dfp, i);
+    dfp = mix_seed(dfp, c);
     dfp = mix_seed(dfp, st.report.reads);
     dfp = mix_seed(dfp, st.report.writes);
     dfp = mix_seed(dfp, st.report.corrupt_reads);
-    for (std::uint64_t beat = 0; beat < channel.capacity(); ++beat) {
-      if (!channel.journal_live(beat)) continue;
-      const hbm::Beat& data = channel.journal_beat(beat);
-      dfp = mix_seed(dfp, beat);
-      for (unsigned w = 0; w < 4; ++w) dfp = mix_seed(dfp, data[w]);
-    }
-  }
-  for (std::size_t g = 0; g < parity_channels_.size(); ++g) {
-    fp = mix_seed(fp, 0x9A817 + g);
-    fold_channel(*parity_channels_[g]);
+    fold_channel(*channels_[c], true);
   }
   fp = mix_seed(fp, static_cast<std::uint64_t>(report.final_voltage.value));
   fp = mix_seed(fp, report.raises);
@@ -989,23 +932,20 @@ FleetCheckpoint ServingFleet::checkpoint() const {
     ck.array_words[pc].assign(words.begin(), words.end());
   }
   ck.slots.resize(states_.size());
-  ck.channels.resize(channels_.size());
   for (std::size_t i = 0; i < states_.size(); ++i) {
     const PcState& st = states_[i];
     const StreamSource::Stream& stream = streams_->streams[i];
     ck.slots[i] = {st.cursor,      st.storm_next, st.attempts,
                    st.flight.done, stream.next,   stream.pending,
                    st.report};
-    channels_[i]->capture(&ck.channels[i]);
   }
-  ck.parity.resize(parity_channels_.size());
-  for (std::size_t g = 0; g < parity_channels_.size(); ++g) {
-    parity_channels_[g]->capture(&ck.parity[g]);
+  ck.channels.resize(channels_.size());
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    channels_[c]->capture(&ck.channels[c]);
   }
   ck.groups.resize(groups_.size());
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    ck.groups[g] = {groups_[g].rebuilding, groups_[g].rebuilding_parity,
-                    groups_[g].rebuild_cursor};
+    ck.groups[g] = {groups_[g].rebuilding, groups_[g].rebuild_cursor};
   }
   ck.spare_next = spare_next_;
   return ck;
@@ -1019,7 +959,6 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
   const unsigned total = geometry.total_pcs();
   if (ck.slots.size() != states_.size() ||
       ck.channels.size() != channels_.size() ||
-      ck.parity.size() != parity_channels_.size() ||
       ck.groups.size() != groups_.size() ||
       ck.burst_extras.size() != total || ck.array_words.size() != total ||
       ck.spare_next > spare_pcs_.size()) {
@@ -1029,8 +968,9 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
     if (pc >= total) return invalid_argument("fleet checkpoint PC out of range");
   }
   for (std::size_t g = 0; g < ck.groups.size(); ++g) {
-    const std::size_t rebuilding = ck.groups[g].rebuilding;
-    if (rebuilding != StripeGroup::kIdle && group_of(rebuilding) != g) {
+    const std::size_t target = ck.groups[g].rebuilding;
+    if (target != StripeGroup::kIdle &&
+        (target >= channels_.size() || group_of(target) != g)) {
       return invalid_argument("fleet checkpoint rebuilds outside its group");
     }
   }
@@ -1041,8 +981,10 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
       return invalid_argument("fleet checkpoint array size mismatch");
     }
   }
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    HBMVOLT_RETURN_IF_ERROR(channels_[i]->check_restorable(ck.channels[i]));
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    HBMVOLT_RETURN_IF_ERROR(channels_[c]->check_restorable(ck.channels[c]));
+  }
+  for (std::size_t i = 0; i < states_.size(); ++i) {
     const PlacedRequest& pending = ck.slots[i].pending;
     const std::uint64_t cap = channels_[i]->capacity();
     if (pending.count > 0 &&
@@ -1054,10 +996,6 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
     if (ck.slots[i].done != 0 && ck.slots[i].done >= pending.count) {
       return invalid_argument("fleet checkpoint progress past its request");
     }
-  }
-  for (std::size_t g = 0; g < parity_channels_.size(); ++g) {
-    HBMVOLT_RETURN_IF_ERROR(
-        parity_channels_[g]->check_restorable(ck.parity[g]));
   }
   base_epochs_ = ck.epochs;
   base_raises_ = ck.raises;
@@ -1078,8 +1016,13 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
     board_.stack(id.stack).array(id.index).write_words(
         0, ck.array_words[pc].size(), ck.array_words[pc].data());
   }
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    channels_[i]->restore(ck.channels[i]);
+  for (std::size_t c = 0; c < channels_.size(); ++c) {
+    channels_[c]->restore(ck.channels[c]);
+    // Barrier deltas restart from the restored stats (observers only --
+    // the alert ring is not checkpointed, see FleetCheckpoint).
+    epoch_prev_[c] = channels_[c]->stats();
+  }
+  for (std::size_t i = 0; i < states_.size(); ++i) {
     const FleetCheckpoint::Slot& slot = ck.slots[i];
     states_[i].cursor = slot.cursor;
     states_[i].storm_next = slot.storm_next;
@@ -1087,17 +1030,9 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
     states_[i].flight = PcState::Flight{slot.done};
     states_[i].report = slot.report;
     streams_->streams[i] = {slot.next_record, slot.pending};
-    // Barrier deltas restart from the restored stats (observers only --
-    // the alert ring is not checkpointed, see FleetCheckpoint).
-    epoch_prev_[i] = channels_[i]->stats();
-  }
-  for (std::size_t g = 0; g < parity_channels_.size(); ++g) {
-    parity_channels_[g]->restore(ck.parity[g]);
-    parity_prev_[g] = parity_channels_[g]->stats();
   }
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     groups_[g].rebuilding = ck.groups[g].rebuilding;
-    groups_[g].rebuilding_parity = ck.groups[g].rebuilding_parity;
     groups_[g].rebuild_cursor = ck.groups[g].rebuild_cursor;
   }
   spare_next_ = ck.spare_next;

@@ -31,14 +31,17 @@
 // `stripe_width` serving members plus one parity PC each (leftover PCs
 // form the spare pool), every member write also updates the group parity
 // channel, and the fan-out unit becomes the *group* so parity writes stay
-// worker-local.  When a member's silicon dies outright (chaos kPcKill),
-// its channel flips device-lost: reads are served by XOR reconstruction
-// from the surviving members plus parity (counted in
-// runtime.reconstructed_reads), the barrier adopts a spare PC (recorded
-// as LadderRung::kStripeRebuild), and the group worker rebuilds the lost
-// data onto it incrementally through the range engine until the device
-// copy is whole again.  A second death in the same group degrades to
-// journal-backed serving -- still zero corrupt reads, no silicon
+// worker-local.  The fleet keeps one channel list: the serving slots in
+// slot order, then one parity channel per group, so every barrier step,
+// count fold and checkpoint walks each channel once.  When a channel's
+// silicon dies outright (chaos kPcKill), it flips device-lost: a member's
+// reads are served by XOR reconstruction from the surviving members plus
+// parity (counted in runtime.reconstructed_reads), the barrier adopts a
+// spare PC for the group's first lost channel, member or parity
+// (recorded as LadderRung::kStripeRebuild), and the group worker rebuilds
+// the lost data onto it incrementally through the range engine until the
+// device copy is whole again.  A second death in the same group degrades
+// to journal-backed serving -- still zero corrupt reads, no silicon
 // redundancy left.
 //
 // Chaos fault storms plug in through `storm_hook`, called once per
@@ -306,11 +309,10 @@ struct FleetCheckpoint {
     ServeReport report;
   };
   std::vector<Slot> slots;
-  std::vector<ChannelCheckpoint> channels;  // serving slots, slot order
-  std::vector<ChannelCheckpoint> parity;    // kStripe: one per group
+  std::vector<ChannelCheckpoint> channels;  // slots, then parity per group
   struct Group {
+    /// Index in `channels` of the rebuild target (~0: none in flight).
     std::size_t rebuilding = ~std::size_t(0);
-    bool rebuilding_parity = false;
     std::uint64_t rebuild_cursor = 0;
   };
   std::vector<Group> groups;
@@ -319,7 +321,7 @@ struct FleetCheckpoint {
 
 class ServingFleet {
  public:
-  /// Builds one ReliableChannel per PC in config.pcs, owned by the fleet.
+  /// Builds one ReliableChannel per serving and parity PC, owned by the fleet.
   ServingFleet(board::Vcu128Board& board, FleetConfig config);
   ~ServingFleet();
 
@@ -349,8 +351,10 @@ class ServingFleet {
   /// The resolved config (PC list filled in, scheme codec applied) --
   /// what a RequestSource reads at begin_epoch to derive brownout state.
   [[nodiscard]] const FleetConfig& config() const noexcept { return config_; }
+  /// Serving slots; the parity channels follow them in the channel list
+  /// and are reached through parity_channel().
   [[nodiscard]] std::size_t channels() const noexcept {
-    return channels_.size();
+    return config_.pcs.size();
   }
   [[nodiscard]] const ReliableChannel& channel(std::size_t i) const {
     return *channels_[i];
@@ -358,7 +362,7 @@ class ServingFleet {
   /// Stripe groups (0 unless kStripe).
   [[nodiscard]] std::size_t groups() const noexcept { return groups_.size(); }
   [[nodiscard]] const ReliableChannel& parity_channel(std::size_t g) const {
-    return *parity_channels_[g];
+    return *channels_[parity_of(g)];
   }
   [[nodiscard]] std::size_t spares_left() const noexcept {
     return spare_pcs_.size() - spare_next_;
@@ -437,8 +441,7 @@ class ServingFleet {
   /// parity channel and at most one rebuild in flight.
   struct StripeGroup : ParkState {
     static constexpr std::size_t kIdle = ~std::size_t(0);
-    std::size_t rebuilding = kIdle;  // serving-slot index being rebuilt
-    bool rebuilding_parity = false;  // the parity channel is the target
+    std::size_t rebuilding = kIdle;  // channels_ index being rebuilt
     std::uint64_t rebuild_cursor = 0;
   };
 
@@ -448,8 +451,21 @@ class ServingFleet {
   [[nodiscard]] bool striped() const noexcept {
     return config_.scheme == mitigate::MitigationKind::kStripe;
   }
-  [[nodiscard]] std::size_t group_of(std::size_t slot) const noexcept {
-    return slot / config_.stripe_width;
+  /// Stripe group of channels_[c]: a member's, or the one a parity
+  /// channel protects.
+  [[nodiscard]] std::size_t group_of(std::size_t c) const noexcept {
+    return c < channels() ? c / config_.stripe_width : c - channels();
+  }
+  /// channels_ index of group g's parity channel.
+  [[nodiscard]] std::size_t parity_of(std::size_t g) const noexcept {
+    return channels() + g;
+  }
+  /// channels_ index of group g's k-th channel: members for k <
+  /// stripe_width, then the parity channel at k == stripe_width.
+  [[nodiscard]] std::size_t group_channel(std::size_t g,
+                                          std::size_t k) const noexcept {
+    return k < config_.stripe_width ? g * config_.stripe_width + k
+                                    : parity_of(g);
   }
 
   /// The fleet worker: drains slot i's requests from the active source
@@ -471,10 +487,12 @@ class ServingFleet {
                   const hbm::Beat* data);
   Result<hbm::Beat> do_read(std::size_t i, std::uint64_t logical);
 
-  /// XOR of the live member journals at `logical` -- the parity value the
-  /// stripe invariant demands (and the rebuild's cross-check).
-  [[nodiscard]] hbm::Beat parity_value(std::size_t g,
-                                       std::uint64_t logical) const;
+  /// XOR of the live journals at `logical` of group g's members and
+  /// parity, leaving out channels_[skip].  The stripe invariant makes it
+  /// the skipped channel's value: the parity a write must store, and the
+  /// rebuild's cross-check.
+  [[nodiscard]] hbm::Beat group_xor(std::size_t g, std::uint64_t logical,
+                                    std::size_t skip) const;
   /// Serves a lost member's beat from parity + surviving member silicon.
   Result<hbm::Beat> reconstruct_read(std::size_t i, std::uint64_t logical);
   /// Reads one stripe contributor with local escalation; global needs are
@@ -487,8 +505,9 @@ class ServingFleet {
   /// detection path that makes a PC kill cost no power cycle.
   bool absorb_device_loss(ReliableChannel& ch);
 
-  /// Barrier step (serial, group order): adopt a spare PC for at most one
-  /// lost channel per idle group and start its rebuild.
+  /// Barrier step (serial, group order): adopt a spare PC for each idle
+  /// group's first lost channel, members before parity, and start its
+  /// rebuild.
   void claim_spares();
   /// Worker-side incremental rebuild of the group's adopted channel.
   void rebuild_step(std::size_t g);
@@ -503,15 +522,13 @@ class ServingFleet {
   FleetConfig config_;
   std::uint64_t data_seed_;  // make_payload seed for every written beat
   std::vector<std::unique_ptr<ReliableChannel>> owned_;  // public ctor only
-  std::vector<ReliableChannel*> channels_;  // serving slots, slot order
+  std::vector<ReliableChannel*> channels_;  // slots, then parity per group
   std::vector<workload::DemandStream> demand_;  // built-in streams
   std::unique_ptr<StreamSource> streams_;
   RequestSource* source_ = nullptr;  // config_.source, else streams_
   std::vector<PcState> states_;
-  std::vector<ChannelStats> epoch_prev_;  // stats at the previous barrier
+  std::vector<ChannelStats> epoch_prev_;  // per channel, previous barrier
   // Stripe state (empty unless kStripe).
-  std::vector<std::unique_ptr<ReliableChannel>> parity_channels_;
-  std::vector<ChannelStats> parity_prev_;
   std::vector<StripeGroup> groups_;
   std::vector<unsigned> spare_pcs_;  // unclaimed spare pool, global PCs
   std::size_t spare_next_ = 0;

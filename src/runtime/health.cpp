@@ -26,12 +26,7 @@ void HealthRegistry::update(std::size_t slot, const ReliableChannel& channel,
     h.last_rung_op = event.op;
   }
   const ErrorBudget& budget = channel.budget();
-  h.burn_fraction = 0.0;
-  if (budget.window_words() > 0 && budget.config().corrected_slo > 0.0) {
-    const double fraction = static_cast<double>(budget.window_corrected()) /
-                            static_cast<double>(budget.window_words());
-    h.burn_fraction = fraction / budget.config().corrected_slo;
-  }
+  h.burn_fraction = budget.burn_fraction();
   h.budget_burns = budget.burns();
   h.spares_free = channel.spares_free();
   h.parked_beats = channel.parked_count();

@@ -580,24 +580,31 @@ TEST(FleetWorkerTest, RestoreRejectsMalformedCheckpoints) {
   bad.back().second.groups[0].rebuilding = config.stripe_width;
   bad.emplace_back("rebuilding out of range", good);
   bad.back().second.groups[5].rebuilding = 1000;
+  // Rebuild targets index the channel list: serving slots, then parity.
+  bad.emplace_back("rebuilding past the channel list", good);
+  bad.back().second.groups[5].rebuilding = good.channels.size();
+  bad.emplace_back("rebuilding another group's parity", good);
+  bad.back().second.groups[0].rebuilding = good.slots.size() + 1;
   bad.emplace_back("last PC's array words short", good);
   bad.back().second.array_words.back().pop_back();
   // Channel checkpoints are vetted before the board is touched too, the
-  // parity channels' as well as the serving slots'.
+  // parity channels' (after the serving slots in `channels`) as well.
+  const std::size_t parity = good.slots.size();
   bad.emplace_back("journal short", good);
   bad.back().second.channels[0].journal.pop_back();
   bad.emplace_back("live map short", good);
   runtime::BitVec& live = bad.back().second.channels[1].live;
   live.assign(live.size() - 1, false);
   bad.emplace_back("parity remap short", good);
-  bad.back().second.parity[0].remap.pop_back();
+  bad.back().second.channels[parity].remap.pop_back();
   bad.emplace_back("clean-block map long", good);
   runtime::BitVec& clean = bad.back().second.channels[2].clean_blocks;
   clean.assign(clean.size() + 1, false);
   bad.emplace_back("channel PC off the board", good);
   bad.back().second.channels[3].pc_global = 1u << 20;
   bad.emplace_back("scrub cursor past capacity", good);
-  bad.back().second.parity[1].scrub_cursor = good.parity[1].journal.size();
+  bad.back().second.channels[parity + 1].scrub_cursor =
+      good.channels[parity + 1].journal.size();
   bad.emplace_back("spare cursor past the spare pool", good);
   bad.back().second.channels[4].spare_cursor =
       good.channels[4].spares.size() + 1;
