@@ -1,6 +1,5 @@
 #include "common/ini.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
@@ -30,14 +29,6 @@ std::string_view strip_comment(std::string_view line) {
     }
   }
   return line;
-}
-
-std::string lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return out;
 }
 
 }  // namespace
@@ -159,36 +150,9 @@ Result<std::uint64_t> IniFile::get_uint64(const std::string& section,
   return static_cast<std::uint64_t>(parsed);
 }
 
-Result<bool> IniFile::get_bool(const std::string& section,
-                               const std::string& key) const {
-  auto value = get_string(section, key);
-  if (!value.is_ok()) return value.status();
-  const std::string v = lower(value.value());
-  if (v == "true" || v == "yes" || v == "on" || v == "1") return true;
-  if (v == "false" || v == "no" || v == "off" || v == "0") return false;
-  return invalid_argument("[" + section + "] " + key +
-                          ": not a boolean: " + value.value());
-}
-
 void IniFile::set(const std::string& section, const std::string& key,
                   std::string value) {
   sections_[section][key] = std::move(value);
-}
-
-std::vector<std::string> IniFile::sections() const {
-  std::vector<std::string> out;
-  out.reserve(sections_.size());
-  for (const auto& [name, keys] : sections_) out.push_back(name);
-  return out;
-}
-
-std::vector<std::string> IniFile::keys(const std::string& section) const {
-  std::vector<std::string> out;
-  const auto it = sections_.find(section);
-  if (it == sections_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto& [key, value] : it->second) out.push_back(key);
-  return out;
 }
 
 std::string IniFile::to_string() const {

@@ -17,7 +17,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/status.hpp"
 
@@ -48,15 +47,9 @@ class IniFile {
                                              const std::string& key) const;
   [[nodiscard]] Result<std::uint64_t> get_uint64(const std::string& section,
                                                  const std::string& key) const;
-  /// Accepts true/false, yes/no, on/off, 1/0 (case-insensitive).
-  [[nodiscard]] Result<bool> get_bool(const std::string& section,
-                                      const std::string& key) const;
 
   void set(const std::string& section, const std::string& key,
            std::string value);
-
-  [[nodiscard]] std::vector<std::string> sections() const;
-  [[nodiscard]] std::vector<std::string> keys(const std::string& section) const;
 
   /// Serializes back to INI text (sections and keys sorted).
   [[nodiscard]] std::string to_string() const;

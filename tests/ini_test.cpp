@@ -58,16 +58,12 @@ TEST(IniTest, TypedGetters) {
       "d = 1.5\n"
       "i = -42\n"
       "u = 0x10\n"
-      "b1 = true\n"
-      "b2 = Off\n"
       "bad = zzz\n");
   ASSERT_TRUE(parsed.is_ok());
   const auto& ini = parsed.value();
   EXPECT_DOUBLE_EQ(ini.get_double("t", "d").value(), 1.5);
   EXPECT_EQ(ini.get_int("t", "i").value(), -42);
   EXPECT_EQ(ini.get_uint64("t", "u").value(), 16u);
-  EXPECT_TRUE(ini.get_bool("t", "b1").value());
-  EXPECT_FALSE(ini.get_bool("t", "b2").value());
   EXPECT_EQ(ini.get_double("t", "bad").status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(ini.get_double("t", "absent").status().code(),
@@ -86,14 +82,6 @@ TEST(IniTest, RoundTripThroughToString) {
   EXPECT_EQ(reparsed.value().get("alpha", "x"), "1");
   EXPECT_EQ(reparsed.value().get("beta", "y"), "hello world");
   EXPECT_EQ(reparsed.value().get("", "global"), "g");
-}
-
-TEST(IniTest, SectionAndKeyEnumeration) {
-  auto parsed = IniFile::parse("[b]\nk2 = 2\nk1 = 1\n[a]\nk = 0\n");
-  ASSERT_TRUE(parsed.is_ok());
-  EXPECT_EQ(parsed.value().sections(), (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(parsed.value().keys("b"),
-            (std::vector<std::string>{"k1", "k2"}));
 }
 
 TEST(IniTest, LoadMissingFileIsNotFound) {
