@@ -643,12 +643,12 @@ void ServingFleet::claim_spares() {
            !channels_[group_channel(g, k)]->device_lost()) {
       ++k;
     }
-    if (k > config_.stripe_width) continue;
-    ReliableChannel& ch = *channels_[group_channel(g, k)];
+    if (k > config_.stripe_width) continue;  // nothing lost
+    grp.rebuilding = group_channel(g, k);
+    ReliableChannel& ch = *channels_[grp.rebuilding];
     const unsigned spare_pc = spare_pcs_[spare_next_++];
     ch.adopt_device(spare_pc);
     ch.record_ladder(LadderRung::kStripeRebuild);
-    grp.rebuilding = group_channel(g, k);
     grp.rebuild_cursor = 0;
     HBMVOLT_LOG_INFO("runtime: group %zu adopts spare PC %u for rebuild", g,
                      spare_pc);
