@@ -673,6 +673,63 @@ TEST(FleetWorkerTest, UnboundedStreamingTenantStoresNoTrace) {
   EXPECT_EQ(fleet.checkpoint().slots.size(), fleet.channels());
 }
 
+TEST(FleetWorkerTest, CheckpointWithAParkedMultiBeatRequestResumes) {
+  // With no storm hook the built-in streams issue multi-beat runs, so a
+  // raise at 920 mV parks a request part-way through.  The checkpoint
+  // carries how far it got: a resume that restarted the request, or
+  // skipped ahead, would serve different beats and move the fingerprint.
+  for (const unsigned passes : {2u, 4u}) {
+    runtime::FleetConfig config;
+    config.streaming_passes = passes;
+    config.ops_per_epoch = 64;
+    config.seed = 21;
+    std::uint64_t reference_fp = 0;
+    {
+      board::Vcu128Board board(tiny_board());
+      ASSERT_TRUE(board.set_hbm_voltage(Millivolts{920}).is_ok());
+      runtime::ServingFleet fleet(board, config);
+      auto result = fleet.run();
+      ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+      EXPECT_GT(result.value().raises, 0u) << "passes=" << passes;
+      EXPECT_EQ(result.value().corrupt_reads, 0u) << "passes=" << passes;
+      reference_fp = result.value().fingerprint;
+    }
+
+    // Step one epoch at a time until a halt leaves some slot part-way
+    // through a request.
+    runtime::FleetCheckpoint parked;
+    bool captured = false;
+    {
+      board::Vcu128Board board(tiny_board());
+      ASSERT_TRUE(board.set_hbm_voltage(Millivolts{920}).is_ok());
+      runtime::FleetConfig stepping = config;
+      stepping.halt_after_epochs = 1;  // re-armed every run() call
+      runtime::ServingFleet fleet(board, stepping);
+      while (!captured) {
+        auto result = fleet.run();
+        ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+        if (!result.value().halted) break;
+        runtime::FleetCheckpoint ck = fleet.checkpoint();
+        for (const runtime::FleetCheckpoint::Slot& slot : ck.slots) {
+          captured = captured || slot.done > 0;
+        }
+        if (captured) parked = std::move(ck);
+      }
+    }
+    ASSERT_TRUE(captured) << "passes=" << passes
+                          << ": no halt caught a request part-way through";
+
+    board::Vcu128Board board(tiny_board());
+    runtime::ServingFleet fleet(board, config);
+    ASSERT_TRUE(fleet.restore(parked).is_ok());
+    auto resumed = fleet.run();
+    ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+    EXPECT_EQ(resumed.value().fingerprint, reference_fp)
+        << "passes=" << passes;
+    EXPECT_EQ(resumed.value().corrupt_reads, 0u) << "passes=" << passes;
+  }
+}
+
 /// Places one request at `logical` on slot 0, then reports exhaustion.
 class OnePlacedRequest : public runtime::RequestSource {
  public:
