@@ -4,31 +4,31 @@ namespace hbmvolt::runtime {
 
 BudgetVerdict ErrorBudget::record(std::uint64_t words, std::uint64_t corrected,
                                   std::uint64_t uncorrectable) {
-  if (burned()) return verdict_;  // latched until the ladder resets us
-  words_ += words;
-  corrected_ += corrected;
-  uncorrectable_ += uncorrectable;
+  if (burned()) return state_.verdict;  // latched until the ladder resets us
+  state_.words += words;
+  state_.corrected += corrected;
+  state_.uncorrectable += uncorrectable;
 
-  if (uncorrectable_ > config_.uncorrectable_tolerance) {
-    verdict_ = BudgetVerdict::kUncorrectableBurn;
-    ++burns_;
-    return verdict_;
+  if (state_.uncorrectable > config_.uncorrectable_tolerance) {
+    state_.verdict = BudgetVerdict::kUncorrectableBurn;
+    ++state_.burns;
+    return state_.verdict;
   }
-  if (words_ >= config_.window_words) {
-    const double rate = words_ == 0
+  if (state_.words >= config_.window_words) {
+    const double rate = state_.words == 0
                             ? 0.0
-                            : static_cast<double>(corrected_) /
-                                  static_cast<double>(words_);
-    ++windows_completed_;
+                            : static_cast<double>(state_.corrected) /
+                                  static_cast<double>(state_.words);
+    ++state_.windows_completed;
     if (rate > config_.corrected_slo) {
-      verdict_ = BudgetVerdict::kCorrectedBurn;
-      ++burns_;
-      return verdict_;
+      state_.verdict = BudgetVerdict::kCorrectedBurn;
+      ++state_.burns;
+      return state_.verdict;
     }
     // Healthy window: roll over.
-    words_ = 0;
-    corrected_ = 0;
-    uncorrectable_ = 0;
+    state_.words = 0;
+    state_.corrected = 0;
+    state_.uncorrectable = 0;
   }
   return BudgetVerdict::kHealthy;
 }
@@ -37,11 +37,11 @@ void ErrorBudget::record_clean(std::uint64_t words) {
   if (burned() || words == 0) return;
   // Complete the in-progress window through the normal path: its verdict
   // depends on corrections recorded before this clean batch.
-  const std::uint64_t to_fill = config_.window_words > words_
-                                    ? config_.window_words - words_
+  const std::uint64_t to_fill = config_.window_words > state_.words
+                                    ? config_.window_words - state_.words
                                     : 0;
   if (words < to_fill) {
-    words_ += words;
+    state_.words += words;
     return;
   }
   record(to_fill, 0, 0);
@@ -49,16 +49,16 @@ void ErrorBudget::record_clean(std::uint64_t words) {
   words -= to_fill;
   // Every remaining window is all-clean, hence healthy: fast-forward.
   if (config_.window_words > 0) {
-    windows_completed_ += words / config_.window_words;
-    words_ = words % config_.window_words;
+    state_.windows_completed += words / config_.window_words;
+    state_.words = words % config_.window_words;
   }
 }
 
 void ErrorBudget::reset() {
-  words_ = 0;
-  corrected_ = 0;
-  uncorrectable_ = 0;
-  verdict_ = BudgetVerdict::kHealthy;
+  state_.words = 0;
+  state_.corrected = 0;
+  state_.uncorrectable = 0;
+  state_.verdict = BudgetVerdict::kHealthy;
 }
 
 }  // namespace hbmvolt::runtime

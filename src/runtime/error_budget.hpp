@@ -30,8 +30,8 @@ enum class BudgetVerdict {
   kUncorrectableBurn,  // uncorrectable words over tolerance
 };
 
-/// Plain-data snapshot of a budget's window accounting, for fleet
-/// checkpoint/restore (see fleet.hpp).
+/// A budget's window accounting: everything record() and reset() change.
+/// ErrorBudget holds one, so a checkpoint copies it whole (see fleet.hpp).
 struct ErrorBudgetState {
   std::uint64_t words = 0;
   std::uint64_t corrected = 0;
@@ -66,54 +66,45 @@ class ErrorBudget {
   /// action; accounting restarts from an empty window.
   void reset();
 
-  [[nodiscard]] BudgetVerdict verdict() const noexcept { return verdict_; }
+  [[nodiscard]] BudgetVerdict verdict() const noexcept {
+    return state_.verdict;
+  }
   [[nodiscard]] bool burned() const noexcept {
-    return verdict_ != BudgetVerdict::kHealthy;
+    return state_.verdict != BudgetVerdict::kHealthy;
   }
 
-  [[nodiscard]] std::uint64_t window_words() const noexcept { return words_; }
+  [[nodiscard]] std::uint64_t window_words() const noexcept {
+    return state_.words;
+  }
   [[nodiscard]] std::uint64_t window_corrected() const noexcept {
-    return corrected_;
+    return state_.corrected;
   }
   [[nodiscard]] std::uint64_t window_uncorrectable() const noexcept {
-    return uncorrectable_;
+    return state_.uncorrectable;
   }
   [[nodiscard]] std::uint64_t windows_completed() const noexcept {
-    return windows_completed_;
+    return state_.windows_completed;
   }
-  [[nodiscard]] std::uint64_t burns() const noexcept { return burns_; }
+  [[nodiscard]] std::uint64_t burns() const noexcept { return state_.burns; }
   /// The current window's corrected rate over its SLO (1.0 = exactly on
   /// budget); 0 for an empty window or a non-positive SLO.
   [[nodiscard]] double burn_fraction() const noexcept {
-    if (words_ == 0 || !(config_.corrected_slo > 0.0)) return 0.0;
-    return static_cast<double>(corrected_) / static_cast<double>(words_) /
-           config_.corrected_slo;
+    if (state_.words == 0 || !(config_.corrected_slo > 0.0)) return 0.0;
+    return static_cast<double>(state_.corrected) /
+           static_cast<double>(state_.words) / config_.corrected_slo;
   }
   [[nodiscard]] const ErrorBudgetConfig& config() const noexcept {
     return config_;
   }
 
-  [[nodiscard]] ErrorBudgetState state() const noexcept {
-    return {words_, corrected_, uncorrectable_, windows_completed_, burns_,
-            verdict_};
+  [[nodiscard]] const ErrorBudgetState& state() const noexcept {
+    return state_;
   }
-  void restore(const ErrorBudgetState& state) noexcept {
-    words_ = state.words;
-    corrected_ = state.corrected;
-    uncorrectable_ = state.uncorrectable;
-    windows_completed_ = state.windows_completed;
-    burns_ = state.burns;
-    verdict_ = state.verdict;
-  }
+  void restore(const ErrorBudgetState& state) noexcept { state_ = state; }
 
  private:
   ErrorBudgetConfig config_;
-  std::uint64_t words_ = 0;
-  std::uint64_t corrected_ = 0;
-  std::uint64_t uncorrectable_ = 0;
-  std::uint64_t windows_completed_ = 0;
-  std::uint64_t burns_ = 0;
-  BudgetVerdict verdict_ = BudgetVerdict::kHealthy;
+  ErrorBudgetState state_;
 };
 
 }  // namespace hbmvolt::runtime

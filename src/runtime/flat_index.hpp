@@ -102,6 +102,8 @@ class RowEventCounts {
   [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
   void clear() noexcept { items_.clear(); }
 
+  bool operator==(const RowEventCounts&) const = default;
+
  private:
   std::vector<std::pair<std::uint64_t, unsigned>> items_;
 };

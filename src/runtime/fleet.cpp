@@ -74,32 +74,23 @@ std::uint64_t count_mismatched_beats(const hbm::Beat* got,
 /// the record index.  Built-in requests never hedge or shed.
 class ServingFleet::StreamSource final : public RequestSource {
  public:
-  struct Stream {
-    std::uint64_t next = 0;  // first record not yet completed
-    PlacedRequest pending;   // request in flight (count 0: none)
-  };
-
-  explicit StreamSource(ServingFleet& fleet)
-      : streams(fleet.channels()), fleet_(fleet) {
-    for (Stream& stream : streams) stream.pending.count = 0;
-  }
+  explicit StreamSource(ServingFleet& fleet) : fleet_(fleet) {}
 
   void begin_epoch(const ServingFleet&, std::uint64_t) override {}
 
   const PlacedRequest* front(std::size_t slot) override {
-    Stream& stream = streams[slot];
-    if (stream.pending.count > 0) return &stream.pending;
+    PcState& st = fleet_.states_[slot];
+    if (st.pending.count > 0) return &st.pending;
     const workload::DemandStream& demand = fleet_.demand_[slot];
-    if (stream.next >= demand.size()) return nullptr;
+    if (st.next_record >= demand.size()) return nullptr;
     const ReliableChannel& channel = *fleet_.channels_[slot];
     const std::uint64_t budget =
         fleet_.config_.storm_hook
             ? 1
-            : std::min<std::uint64_t>(
-                  demand.size() - stream.next,
-                  fleet_.config_.ops_per_epoch - fleet_.states_[slot].served);
-    PlacedRequest& r = stream.pending;
-    r.payload = stream.next;
+            : std::min<std::uint64_t>(demand.size() - st.next_record,
+                                      fleet_.config_.ops_per_epoch - st.served);
+    PlacedRequest& r = st.pending;
+    r.payload = st.next_record;
     r.deadline_attempts = std::numeric_limits<unsigned>::max();
     // Split each raw run by liveness, word-wide; a piece that reaches the
     // raw run's end merges with the next raw run when that one continues
@@ -108,7 +99,7 @@ class ServingFleet::StreamSource final : public RequestSource {
     std::uint64_t count = 0;
     while (count < budget) {
       const workload::DemandRun run =
-          demand.run(stream.next + count, budget - count);
+          demand.run(st.next_record + count, budget - count);
       const bool live = channel.journal_live(run.beat);
       const bool write = run.write || !live;
       if (count == 0) {
@@ -128,15 +119,17 @@ class ServingFleet::StreamSource final : public RequestSource {
 
   void complete(std::size_t slot, const PlacedRequest& request, ServeOutcome,
                 unsigned, std::uint64_t) override {
-    streams[slot].next += request.count;
-    streams[slot].pending.count = 0;
+    fleet_.states_[slot].next_record += request.count;
+    fleet_.states_[slot].pending.count = 0;
   }
   bool spend_retry(std::size_t, std::uint32_t) override { return true; }
   void end_epoch(telemetry::EpochSample*) override {}
 
   [[nodiscard]] bool exhausted() const override {
     for (std::size_t i = 0; i < fleet_.demand_.size(); ++i) {
-      if (streams[i].next < fleet_.demand_[i].size()) return false;
+      if (fleet_.states_[i].next_record < fleet_.demand_[i].size()) {
+        return false;
+      }
     }
     return true;
   }
@@ -150,8 +143,6 @@ class ServingFleet::StreamSource final : public RequestSource {
   }
   void fill_health(HealthRegistry*) const override {}
   [[nodiscard]] std::uint64_t fingerprint() const override { return 0; }
-
-  std::vector<Stream> streams;
 
  private:
   ServingFleet& fleet_;
@@ -361,7 +352,7 @@ Result<hbm::Beat> ServingFleet::reconstruct_read(std::size_t i,
     if (!got.is_ok()) return got.status();
     xor_into(acc, got.value());
   }
-  ++channels_[i]->stats_.reconstructed_reads;
+  ++channels_[i]->state_.stats.reconstructed_reads;
   return acc;
 }
 
@@ -931,22 +922,12 @@ FleetCheckpoint ServingFleet::checkpoint() const {
         stack.array(id.index).words();
     ck.array_words[pc].assign(words.begin(), words.end());
   }
-  ck.slots.resize(states_.size());
-  for (std::size_t i = 0; i < states_.size(); ++i) {
-    const PcState& st = states_[i];
-    const StreamSource::Stream& stream = streams_->streams[i];
-    ck.slots[i] = {st.cursor,      st.storm_next, st.attempts,
-                   st.flight.done, stream.next,   stream.pending,
-                   st.report};
-  }
+  ck.slots.assign(states_.begin(), states_.end());
   ck.channels.resize(channels_.size());
   for (std::size_t c = 0; c < channels_.size(); ++c) {
     channels_[c]->capture(&ck.channels[c]);
   }
-  ck.groups.resize(groups_.size());
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    ck.groups[g] = {groups_[g].rebuilding, groups_[g].rebuild_cursor};
-  }
+  ck.groups.assign(groups_.begin(), groups_.end());
   ck.spare_next = spare_next_;
   return ck;
 }
@@ -993,7 +974,8 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
     }
     // A resumed worker starts `done` beats into the request; progress that
     // does not fit it would skip demand and still report it served.
-    if (ck.slots[i].done != 0 && ck.slots[i].done >= pending.count) {
+    const std::uint64_t done = ck.slots[i].flight.done;
+    if (done != 0 && done >= pending.count) {
       return invalid_argument("fleet checkpoint progress past its request");
     }
   }
@@ -1023,17 +1005,10 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
     epoch_prev_[c] = channels_[c]->stats();
   }
   for (std::size_t i = 0; i < states_.size(); ++i) {
-    const FleetCheckpoint::Slot& slot = ck.slots[i];
-    states_[i].cursor = slot.cursor;
-    states_[i].storm_next = slot.storm_next;
-    states_[i].attempts = slot.attempts;
-    states_[i].flight = PcState::Flight{slot.done};
-    states_[i].report = slot.report;
-    streams_->streams[i] = {slot.next_record, slot.pending};
+    static_cast<FleetCheckpoint::Slot&>(states_[i]) = ck.slots[i];
   }
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    groups_[g].rebuilding = ck.groups[g].rebuilding;
-    groups_[g].rebuild_cursor = ck.groups[g].rebuild_cursor;
+    static_cast<FleetCheckpoint::Group&>(groups_[g]) = ck.groups[g];
   }
   spare_next_ = ck.spare_next;
   return Status::ok();

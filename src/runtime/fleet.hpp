@@ -287,8 +287,10 @@ struct FleetReport {
 /// Everything needed to resume a halted fleet byte-identically on a fresh
 /// board: the board-model state (voltage, killed PCs, weak-cell burst
 /// extras, raw array words) plus every channel, slot, and stripe-group
-/// checkpoint.  Alert/health observers are deliberately NOT captured --
-/// they never feed back into serving, so fingerprints cannot see them.
+/// checkpoint.  Each layer holds its resumable state as the struct stored
+/// here (ChannelState, Slot, Group), so capture and restore copy it whole.
+/// Alert/health observers are deliberately NOT captured -- they never feed
+/// back into serving, so fingerprints cannot see them.
 struct FleetCheckpoint {
   std::uint64_t epochs = 0;
   std::uint64_t raises = 0;
@@ -299,20 +301,31 @@ struct FleetCheckpoint {
   std::vector<std::array<std::uint64_t, 2>> burst_extras;
   /// Per global PC: raw backing-store words (written values, pre-overlay).
   std::vector<std::vector<std::uint64_t>> array_words;
+  /// A serving slot's resumable worker state.
   struct Slot {
-    std::uint64_t cursor = 0;
-    std::uint64_t storm_next = 0;
-    unsigned attempts = 0;
-    std::uint64_t done = 0;         // beats of the parked request served
-    std::uint64_t next_record = 0;  // built-in stream record cursor
-    PlacedRequest pending;          // built-in request (count 0: none)
+    std::uint64_t cursor = 0;      // request tick (one per request)
+    std::uint64_t storm_next = 0;  // first tick not yet storm-ticked
+    unsigned attempts = 0;         // escalation rounds on the current op
+    /// The request in flight; survives a park so it resumes at `done`.
+    struct Flight {
+      std::uint64_t done = 0;  // beats already served
+      unsigned rounds = 0;     // failed reads, against the deadline
+      std::uint64_t model_ns = 0;
+      ServeOutcome outcome = ServeOutcome::kServed;
+      bool hedging = false;  // deadline blown: the rest from the journal
+    } flight;
     ServeReport report;
+    /// The built-in stream: its first record not yet completed, and the
+    /// request in flight (count 0: none).
+    std::uint64_t next_record = 0;
+    PlacedRequest pending{.count = 0};
   };
   std::vector<Slot> slots;
   std::vector<ChannelCheckpoint> channels;  // slots, then parity per group
   struct Group {
-    /// Index in `channels` of the rebuild target (~0: none in flight).
-    std::size_t rebuilding = ~std::size_t(0);
+    static constexpr std::size_t kIdle = ~std::size_t(0);
+    /// Index in `channels` of the rebuild target (kIdle: none in flight).
+    std::size_t rebuilding = kIdle;
     std::uint64_t rebuild_cursor = 0;
   };
   std::vector<Group> groups;
@@ -415,20 +428,9 @@ class ServingFleet {
   };
 
   /// Per-PC worker state; owned by exactly one index during a fan-out.
-  struct PcState : ParkState {
-    std::uint64_t cursor = 0;      // request tick (one per request)
-    std::uint64_t storm_next = 0;  // first tick not yet storm-ticked
-    std::uint64_t served = 0;      // beats served this epoch
-    unsigned attempts = 0;         // escalation rounds on the current op
-    /// The request in flight; survives a park so it resumes at `done`.
-    struct Flight {
-      std::uint64_t done = 0;  // beats already served
-      unsigned rounds = 0;     // failed reads, against the deadline
-      std::uint64_t model_ns = 0;
-      ServeOutcome outcome = ServeOutcome::kServed;
-      bool hedging = false;  // deadline blown: the rest from the journal
-    } flight;
-    ServeReport report;
+  /// The Slot base is what a checkpoint copies; the rest is per-epoch.
+  struct PcState : ParkState, FleetCheckpoint::Slot {
+    std::uint64_t served = 0;  // beats served this epoch
     /// Payload/read buffer for coalesced bulk runs (high-water reuse).
     std::vector<hbm::Beat> beats;
     /// Parity scratch for bulk stripe writes (distinct from `beats`,
@@ -439,11 +441,7 @@ class ServingFleet {
   /// One erasure-stripe group: members are serving slots
   /// [group * stripe_width, (group + 1) * stripe_width), plus a dedicated
   /// parity channel and at most one rebuild in flight.
-  struct StripeGroup : ParkState {
-    static constexpr std::size_t kIdle = ~std::size_t(0);
-    std::size_t rebuilding = kIdle;  // channels_ index being rebuilt
-    std::uint64_t rebuild_cursor = 0;
-  };
+  struct StripeGroup : ParkState, FleetCheckpoint::Group {};
 
   /// The built-in per-PC streams as a RequestSource (see fleet.cpp).
   class StreamSource;

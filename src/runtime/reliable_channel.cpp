@@ -61,7 +61,6 @@ const char* to_string(LadderRung rung) noexcept {
 ReliableChannel::ReliableChannel(board::Vcu128Board& board, unsigned pc_global,
                                  ReliableChannelConfig config)
     : board_(board),
-      pc_global_(pc_global),
       pc_(hbm::PcId::from_global(board.geometry(), pc_global)),
       config_(config),
       ecc_(std::make_unique<ecc::EccChannel>(board.stack(pc_.stack),
@@ -74,6 +73,7 @@ ReliableChannel::ReliableChannel(board::Vcu128Board& board, unsigned pc_global,
                   "spare fraction must be in [0, 1)");
   HBMVOLT_REQUIRE(config_.raise_step_mv > 0, "raise step must be positive");
 
+  state_.pc_global = pc_global;
   const std::uint64_t data = ecc_->data_beats();
   std::uint64_t spare_count = static_cast<std::uint64_t>(
       static_cast<double>(data) * config_.spare_fraction);
@@ -81,24 +81,24 @@ ReliableChannel::ReliableChannel(board::Vcu128Board& board, unsigned pc_global,
   const std::uint64_t exposed = data - spare_count;
 
   reset_mapping(exposed);
-  journal_.assign(exposed, hbm::Beat{});
-  live_.assign(exposed, false);
-  clean_blocks_.assign(block_count(), false);
+  state_.journal.assign(exposed, hbm::Beat{});
+  state_.live.assign(exposed, false);
+  state_.clean_blocks.assign(block_count(), false);
 }
 
 void ReliableChannel::reset_mapping(std::uint64_t exposed) {
-  remap_.resize(exposed);
-  std::iota(remap_.begin(), remap_.end(), std::uint32_t{0});
-  spares_.resize(ecc_->data_beats() - exposed);
-  std::iota(spares_.begin(), spares_.end(),
+  state_.remap.resize(exposed);
+  std::iota(state_.remap.begin(), state_.remap.end(), std::uint32_t{0});
+  state_.spares.resize(ecc_->data_beats() - exposed);
+  std::iota(state_.spares.begin(), state_.spares.end(),
             static_cast<std::uint32_t>(exposed));
-  spare_cursor_ = 0;
-  parked_.clear();
-  special_.clear();
+  state_.spare_cursor = 0;
+  state_.parked.clear();
+  state_.special.clear();
 }
 
 std::uint64_t ReliableChannel::spares_free() const noexcept {
-  return spares_.size() - spare_cursor_;
+  return state_.spares.size() - state_.spare_cursor;
 }
 
 std::uint64_t ReliableChannel::row_key(std::uint64_t physical_beat) const {
@@ -110,14 +110,16 @@ std::uint64_t ReliableChannel::row_key(std::uint64_t physical_beat) const {
 void ReliableChannel::note_row_events(std::uint64_t physical_beat,
                                       unsigned events) {
   if (events == 0) return;
-  row_events_.add(row_key(physical_beat), events);
+  state_.row_events.add(row_key(physical_beat), events);
 }
 
 void ReliableChannel::record_ladder(LadderRung rung) {
-  ladder_trace_.push_back(LadderEvent{rung, board_.hbm_voltage(), ops_});
-  HBMVOLT_LOG_INFO("runtime: PC %u ladder %s at %d mV (op %llu)", pc_global_,
-                   to_string(rung), board_.hbm_voltage().value,
-                   static_cast<unsigned long long>(ops_));
+  state_.ladder_trace.push_back(
+      LadderEvent{rung, board_.hbm_voltage(), state_.ops});
+  HBMVOLT_LOG_INFO("runtime: PC %u ladder %s at %d mV (op %llu)",
+                   state_.pc_global, to_string(rung),
+                   board_.hbm_voltage().value,
+                   static_cast<unsigned long long>(state_.ops));
   if (auto* tel = telemetry::Telemetry::active()) {
     switch (rung) {
       case LadderRung::kCorrect:
@@ -142,16 +144,16 @@ void ReliableChannel::record_ladder(LadderRung rung) {
 
 void ReliableChannel::invalidate_block(std::uint64_t logical) {
   const std::uint64_t block = logical / kScrubBlockBeats;
-  clean_blocks_.clear(block);
+  state_.clean_blocks.clear(block);
   // A write landing in the block the patrol is mid-scan through makes the
   // scan's verdict stale.
-  if (scan_block_ == block) scan_clean_ = false;
+  if (state_.scan_block == block) state_.scan_clean = false;
 }
 
 void ReliableChannel::invalidate_all_blocks() {
-  clean_blocks_.clear_all();
-  scan_block_ = kNoBlock;
-  scan_clean_ = false;
+  state_.clean_blocks.clear_all();
+  state_.scan_block = kNoBlock;
+  state_.scan_clean = false;
 }
 
 void ReliableChannel::mark_clean_blocks(std::uint64_t logical,
@@ -165,7 +167,7 @@ void ReliableChannel::mark_clean_blocks(std::uint64_t logical,
     const std::uint64_t block_end =
         std::min(block_start + kScrubBlockBeats, capacity());
     if (block_end > end) break;
-    clean_blocks_.set(block);
+    state_.clean_blocks.set(block);
   }
 }
 
@@ -174,18 +176,18 @@ void ReliableChannel::mark_clean_blocks(std::uint64_t logical,
 bool ReliableChannel::account_read(std::uint64_t physical, unsigned corrected,
                                    unsigned corrected_check,
                                    unsigned uncorrectable) {
-  ++stats_.reads;
-  ++ops_;
-  stats_.corrected_words += corrected;
-  stats_.corrected_check_words += corrected_check;
+  ++state_.stats.reads;
+  ++state_.ops;
+  state_.stats.corrected_words += corrected;
+  state_.stats.corrected_check_words += corrected_check;
   note_row_events(physical, corrected);
   budget_.record(4, corrected + corrected_check, uncorrectable);
   if (uncorrectable > 0) {
     // Never deliver a word the code could not vouch for: record the
     // offender and hand the decision to the ladder.
-    ++stats_.uncorrectable_blocked;
-    offender_rows_.insert(row_key(physical));
-    escalation_pending_ = true;
+    ++state_.stats.uncorrectable_blocked;
+    state_.offender_rows.insert(row_key(physical));
+    state_.escalation_pending = true;
     return false;
   }
   return true;
@@ -203,9 +205,9 @@ void ReliableChannel::account_rewrite(std::uint64_t physical,
                                       unsigned uncorrectable) {
   note_row_events(physical, corrected);
   if (uncorrectable > 0) {
-    ++stats_.verify_caught;
-    offender_rows_.insert(row_key(physical));
-    escalation_pending_ = true;
+    ++state_.stats.verify_caught;
+    state_.offender_rows.insert(row_key(physical));
+    state_.escalation_pending = true;
   }
 }
 
@@ -240,34 +242,34 @@ void ReliableChannel::account_scrub(std::uint64_t physical,
                                     unsigned corrected_data,
                                     unsigned corrected_check,
                                     unsigned uncorrectable, bool wrote_back) {
-  ++stats_.scrub_beats;
-  stats_.scrub_corrected += corrected_data + corrected_check;
-  stats_.scrub_uncorrectable += uncorrectable;
-  if (wrote_back) ++stats_.scrub_writebacks;
+  ++state_.stats.scrub_beats;
+  state_.stats.scrub_corrected += corrected_data + corrected_check;
+  state_.stats.scrub_uncorrectable += uncorrectable;
+  if (wrote_back) ++state_.stats.scrub_writebacks;
   note_row_events(physical, corrected_data);
   budget_.record(4, corrected_data + corrected_check, uncorrectable);
   if (uncorrectable > 0) {
     // The patrol found a word demand reads would refuse: escalate
     // before a caller trips over it.
-    offender_rows_.insert(row_key(physical));
-    escalation_pending_ = true;
+    state_.offender_rows.insert(row_key(physical));
+    state_.escalation_pending = true;
   }
   if (corrected_data + corrected_check + uncorrectable > 0 || wrote_back) {
-    scan_clean_ = false;
+    state_.scan_clean = false;
   }
 }
 
 Status ReliableChannel::settle_scrub_debt(std::uint64_t ops_before) {
   if (config_.scrub_interval_ops == 0) return Status::ok();
-  return scrub_slices(ops_ / config_.scrub_interval_ops -
+  return scrub_slices(state_.ops / config_.scrub_interval_ops -
                       ops_before / config_.scrub_interval_ops);
 }
 
 const hbm::Beat& ReliableChannel::read_journal(std::uint64_t logical) {
-  ++stats_.reads;
-  ++ops_;
-  ++stats_.journal_served_reads;
-  return journal_[logical];
+  ++state_.stats.reads;
+  ++state_.ops;
+  ++state_.stats.journal_served_reads;
+  return state_.journal[logical];
 }
 
 // ---- The range walks ----
@@ -279,7 +281,7 @@ Status ReliableChannel::split_at_exceptions(std::uint64_t logical,
                                             OnException&& on_exception) {
   std::uint64_t cur = logical;
   while (cur < end) {
-    const std::uint64_t special = special_.first_in_range(cur, end);
+    const std::uint64_t special = state_.special.first_in_range(cur, end);
     if (special == SortedKeySet::kNone) return on_plain(cur, end - cur);
     if (cur < special) HBMVOLT_RETURN_IF_ERROR(on_plain(cur, special - cur));
     HBMVOLT_RETURN_IF_ERROR(on_exception(special));
@@ -297,15 +299,17 @@ Status ReliableChannel::for_each_live(std::uint64_t logical, std::uint64_t end,
       [&](std::uint64_t lo, std::uint64_t n) -> Status {
         // Dead stretches cost a word scan; live runs go out in bulk.
         for (std::uint64_t i = 0; i < n;) {
-          const bool live = live_.get(lo + i);
-          const std::uint64_t run = live_.run(lo + i, live, n - i);
+          const bool live = state_.live.get(lo + i);
+          const std::uint64_t run = state_.live.run(lo + i, live, n - i);
           if (live) HBMVOLT_RETURN_IF_ERROR(on_run(lo + i, run));
           i += run;
         }
         return Status::ok();
       },
       [&](std::uint64_t beat) -> Status {
-        if (!live_.get(beat) || parked_.contains(beat)) return Status::ok();
+        if (!state_.live.get(beat) || state_.parked.contains(beat)) {
+          return Status::ok();
+        }
         return on_exception(beat);
       });
 }
@@ -337,16 +341,16 @@ Status ReliableChannel::write(std::uint64_t logical, const hbm::Beat& data) {
     return out_of_range("logical beat out of range");
   }
   OpTimer timer(write_latency_, 1);
-  const std::uint64_t ops_before = ops_;
+  const std::uint64_t ops_before = state_.ops;
   // With the device lost the journal is the only copy; the stripe fleet
   // (or a rebuild step) propagates the write to parity/spare silicon.
-  if (!device_lost_ && !parked_.contains(logical)) {
-    HBMVOLT_RETURN_IF_ERROR(write_device_beat(remap_[logical], data));
+  if (!state_.device_lost && !state_.parked.contains(logical)) {
+    HBMVOLT_RETURN_IF_ERROR(write_device_beat(state_.remap[logical], data));
   }
-  journal_[logical] = data;
-  live_.set(logical);
-  ++stats_.writes;
-  ++ops_;
+  state_.journal[logical] = data;
+  state_.live.set(logical);
+  ++state_.stats.writes;
+  ++state_.ops;
   invalidate_block(logical);
   return settle_scrub_debt(ops_before);
 }
@@ -356,15 +360,15 @@ Result<hbm::Beat> ReliableChannel::read(std::uint64_t logical) {
     return out_of_range("logical beat out of range");
   }
   OpTimer timer(read_latency_, 1);
-  const std::uint64_t ops_before = ops_;
+  const std::uint64_t ops_before = state_.ops;
   hbm::Beat data{};
-  if (device_lost_ || parked_.contains(logical)) {
+  if (state_.device_lost || state_.parked.contains(logical)) {
     // Journal-backed: the device copy is unservable (whole-PC death, or
     // stuck cells paired up with the spare pool exhausted), the host
     // copy is the truth.
     data = read_journal(logical);
   } else {
-    HBMVOLT_RETURN_IF_ERROR(read_device_beat(remap_[logical], &data));
+    HBMVOLT_RETURN_IF_ERROR(read_device_beat(state_.remap[logical], &data));
   }
   HBMVOLT_RETURN_IF_ERROR(settle_scrub_debt(ops_before));
   return data;
@@ -380,8 +384,8 @@ Status ReliableChannel::read_range(std::uint64_t logical, std::uint64_t count,
   }
   OpTimer timer(read_latency_, count);
   const std::uint64_t end = logical + count;
-  const std::uint64_t ops_before = ops_;
-  if (device_lost_) {
+  const std::uint64_t ops_before = state_.ops;
+  if (state_.device_lost) {
     for (std::uint64_t cur = logical; cur < end; ++cur) {
       out[cur - logical] = read_journal(cur);
     }
@@ -398,8 +402,8 @@ Status ReliableChannel::read_range(std::uint64_t logical, std::uint64_t count,
         const bool served = account_events(
             lo, lo + n,
             [&](std::uint64_t k) {
-              stats_.reads += k;
-              ops_ += k;
+              state_.stats.reads += k;
+              state_.ops += k;
               budget_.record_clean(4 * k);
             },
             [&](const RangeBeatEvent& ev) {
@@ -414,8 +418,8 @@ Status ReliableChannel::read_range(std::uint64_t logical, std::uint64_t count,
       },
       [&](std::uint64_t beat) -> Status {
         all_clean = false;
-        if (!parked_.contains(beat)) {
-          return read_device_beat(remap_[beat], out + (beat - logical));
+        if (!state_.parked.contains(beat)) {
+          return read_device_beat(state_.remap[beat], out + (beat - logical));
         }
         out[beat - logical] = read_journal(beat);
         return Status::ok();
@@ -434,13 +438,13 @@ Status ReliableChannel::write_range(std::uint64_t logical, std::uint64_t count,
   }
   OpTimer timer(write_latency_, count);
   const std::uint64_t end = logical + count;
-  const std::uint64_t ops_before = ops_;
-  if (device_lost_) {
+  const std::uint64_t ops_before = state_.ops;
+  if (state_.device_lost) {
     std::copy(data, data + count,
-              journal_.begin() + static_cast<long>(logical));
-    live_.set_range(logical, count);
-    stats_.writes += count;
-    ops_ += count;
+              state_.journal.begin() + static_cast<long>(logical));
+    state_.live.set_range(logical, count);
+    state_.stats.writes += count;
+    state_.ops += count;
     return settle_scrub_debt(ops_before);
   }
   HBMVOLT_RETURN_IF_ERROR(split_at_exceptions(
@@ -458,21 +462,22 @@ Status ReliableChannel::write_range(std::uint64_t logical, std::uint64_t count,
                 return true;
               });
         }
-        std::copy(src, src + n, journal_.begin() + static_cast<long>(lo));
-        live_.set_range(lo, n);
-        stats_.writes += n;
-        ops_ += n;
+        std::copy(src, src + n, state_.journal.begin() + static_cast<long>(lo));
+        state_.live.set_range(lo, n);
+        state_.stats.writes += n;
+        state_.ops += n;
         return Status::ok();
       },
       [&](std::uint64_t beat) -> Status {
         const hbm::Beat& beat_data = data[beat - logical];
-        if (!parked_.contains(beat)) {
-          HBMVOLT_RETURN_IF_ERROR(write_device_beat(remap_[beat], beat_data));
+        if (!state_.parked.contains(beat)) {
+          HBMVOLT_RETURN_IF_ERROR(
+              write_device_beat(state_.remap[beat], beat_data));
         }
-        journal_[beat] = beat_data;
-        live_.set(beat);
-        ++stats_.writes;
-        ++ops_;
+        state_.journal[beat] = beat_data;
+        state_.live.set(beat);
+        ++state_.stats.writes;
+        ++state_.ops;
         return Status::ok();
       }));
   for (std::uint64_t block = logical / kScrubBlockBeats;
@@ -494,7 +499,7 @@ Status ReliableChannel::scrub_chunk(std::uint64_t logical,
         account_events(
             lo, lo + n,
             [this](std::uint64_t k) {
-              stats_.scrub_beats += k;
+              state_.stats.scrub_beats += k;
               budget_.record_clean(4 * k);
             },
             [this](const RangeBeatEvent& ev) {
@@ -505,7 +510,7 @@ Status ReliableChannel::scrub_chunk(std::uint64_t logical,
         return Status::ok();
       },
       [this](std::uint64_t beat) -> Status {
-        const std::uint64_t physical = remap_[beat];
+        const std::uint64_t physical = state_.remap[beat];
         auto outcome = ecc_->scrub_beat(physical);
         if (!outcome.is_ok()) return outcome.status();
         const ecc::ScrubOutcome& got = outcome.value();
@@ -516,14 +521,14 @@ Status ReliableChannel::scrub_chunk(std::uint64_t logical,
 }
 
 Status ReliableChannel::scrub_slices(std::uint64_t slices) {
-  if (device_lost_ || slices == 0) return Status::ok();  // no silicon
+  if (state_.device_lost || slices == 0) return Status::ok();  // no silicon
   const std::uint64_t cap = capacity();
   const std::uint64_t per_slice =
       std::min<std::uint64_t>(config_.scrub_batch_beats, cap);
-  // Beats [pending, scrub_cursor_) are walked but not yet scrubbed.  A
+  // Beats [pending, state_.scrub_cursor) are walked but not yet scrubbed.  A
   // slice that stops mid-block leaves its chunk pending so the next slice
   // extends it; the merged chunk is scrubbed at the block's end (before
-  // scan_clean_ is read) or when the walk ends, so it never crosses a
+  // state_.scan_clean is read) or when the walk ends, so it never crosses a
   // block and every beat is scrubbed exactly as its own slice would.
   std::uint64_t pending = kNoBlock;
   const auto flush = [&](std::uint64_t end) -> Status {
@@ -532,7 +537,7 @@ Status ReliableChannel::scrub_slices(std::uint64_t slices) {
     pending = kNoBlock;
     const Status scrubbed = scrub_chunk(lo, end - lo);
     // A failed scrub rewinds the cursor to the merged chunk's start.
-    if (!scrubbed.is_ok()) scrub_cursor_ = lo;
+    if (!scrubbed.is_ok()) state_.scrub_cursor = lo;
     return scrubbed;
   };
   for (std::uint64_t slice = 0; slice < slices; ++slice) {
@@ -540,56 +545,57 @@ Status ReliableChannel::scrub_slices(std::uint64_t slices) {
     // `remaining`) sets one, so the skips between scans are bounded.
     std::uint64_t remaining = per_slice;
     while (remaining > 0) {
-      const std::uint64_t block = scrub_cursor_ / kScrubBlockBeats;
+      const std::uint64_t block = state_.scrub_cursor / kScrubBlockBeats;
       const std::uint64_t block_start = block * kScrubBlockBeats;
       const std::uint64_t block_end =
           std::min(block_start + kScrubBlockBeats, cap);
-      if (scrub_cursor_ == block_start && clean_blocks_.get(block)) {
+      if (state_.scrub_cursor == block_start &&
+          state_.clean_blocks.get(block)) {
         // One skip consumes the mark, so staleness is bounded to a round.
-        clean_blocks_.clear(block);
-        ++stats_.scrub_blocks_skipped;
-        scrub_cursor_ = block_end % cap;
-        scan_block_ = kNoBlock;
+        state_.clean_blocks.clear(block);
+        ++state_.stats.scrub_blocks_skipped;
+        state_.scrub_cursor = block_end % cap;
+        state_.scan_block = kNoBlock;
         continue;
       }
       const std::uint64_t chunk =
-          std::min(block_end - scrub_cursor_, remaining);
-      if (scrub_cursor_ == block_start) {
-        scan_block_ = block;
-        scan_clean_ = true;
-      } else if (scan_block_ != block) {
+          std::min(block_end - state_.scrub_cursor, remaining);
+      if (state_.scrub_cursor == block_start) {
+        state_.scan_block = block;
+        state_.scan_clean = true;
+      } else if (state_.scan_block != block) {
         // Mid-block entry with no scan in flight: this pass cannot prove
         // the block clean.
-        scan_block_ = kNoBlock;
+        state_.scan_block = kNoBlock;
       }
-      const std::uint64_t lo = scrub_cursor_;
+      const std::uint64_t lo = state_.scrub_cursor;
       if (pending == kNoBlock) pending = lo;
-      scrub_cursor_ = (lo + chunk) % cap;
+      state_.scrub_cursor = (lo + chunk) % cap;
       remaining -= chunk;
       if (lo + chunk == block_end) {
         HBMVOLT_RETURN_IF_ERROR(flush(block_end));
-        if (scan_block_ == block) {
-          if (scan_clean_) clean_blocks_.set(block);
-          scan_block_ = kNoBlock;
+        if (state_.scan_block == block) {
+          if (state_.scan_clean) state_.clean_blocks.set(block);
+          state_.scan_block = kNoBlock;
         }
       }
     }
   }
-  return flush(scrub_cursor_);
+  return flush(state_.scrub_cursor);
 }
 
 Status ReliableChannel::patrol_all() {
-  if (device_lost_) return Status::ok();  // no silicon to patrol
+  if (state_.device_lost) return Status::ok();  // no silicon to patrol
   // Emergency sweep: trust nothing, re-prove every block.
   invalidate_all_blocks();
   const std::uint64_t cap = capacity();
   for (std::uint64_t start = 0; start < cap; start += kScrubBlockBeats) {
     const std::uint64_t end = std::min(start + kScrubBlockBeats, cap);
-    scan_block_ = start / kScrubBlockBeats;
-    scan_clean_ = true;
+    state_.scan_block = start / kScrubBlockBeats;
+    state_.scan_clean = true;
     HBMVOLT_RETURN_IF_ERROR(scrub_chunk(start, end - start));
-    if (scan_clean_) clean_blocks_.set(scan_block_);
-    scan_block_ = kNoBlock;
+    if (state_.scan_clean) state_.clean_blocks.set(state_.scan_block);
+    state_.scan_block = kNoBlock;
   }
   return Status::ok();
 }
@@ -602,8 +608,8 @@ Status ReliableChannel::rewrite_live(std::uint64_t logical, std::uint64_t end,
   return for_each_live(
       logical, end,
       [&](std::uint64_t lo, std::uint64_t n) -> Status {
-        // Plain live run: journal_ is contiguous over it, feed it straight in.
-        HBMVOLT_RETURN_IF_ERROR(ecc_->encode_range(lo, n, &journal_[lo]));
+        // Plain live run: the journal is contiguous over it, feed it in.
+        HBMVOLT_RETURN_IF_ERROR(ecc_->encode_range(lo, n, &state_.journal[lo]));
         if (verify) {
           HBMVOLT_RETURN_IF_ERROR(read_back(lo, n));
           account_events(
@@ -617,8 +623,9 @@ Status ReliableChannel::rewrite_live(std::uint64_t logical, std::uint64_t end,
         return Status::ok();
       },
       [&](std::uint64_t beat) -> Status {
-        const std::uint64_t physical = remap_[beat];
-        HBMVOLT_RETURN_IF_ERROR(ecc_->write_beat(physical, journal_[beat]));
+        const std::uint64_t physical = state_.remap[beat];
+        HBMVOLT_RETURN_IF_ERROR(
+            ecc_->write_beat(physical, state_.journal[beat]));
         if (verify) {
           auto back = ecc_->read_beat(physical);
           if (!back.is_ok()) return back.status();
@@ -639,9 +646,9 @@ Status ReliableChannel::rewrite_live_runs(bool verify) {
 }
 
 Status ReliableChannel::refresh_from_journal() {
-  if (device_lost_) return Status::ok();  // journal already IS the copy
+  if (state_.device_lost) return Status::ok();  // journal already IS the copy
   HBMVOLT_RETURN_IF_ERROR(rewrite_live_runs(/*verify=*/true));
-  ++stats_.journal_refreshes;
+  ++state_.stats.journal_refreshes;
   return Status::ok();
 }
 
@@ -649,17 +656,17 @@ Status ReliableChannel::restore_after_power_cycle() {
   // A killed PC does not come back with the power cycle (another PC may
   // have requested it before this channel noticed the death): flip into
   // device-lost mode instead of writing into a dead device.
-  if (!device_lost_ &&
+  if (!state_.device_lost &&
       board_.stack(pc_.stack).pc_killed(pc_.index)) {
     set_device_lost();
   }
-  if (!device_lost_) {
+  if (!state_.device_lost) {
     HBMVOLT_RETURN_IF_ERROR(rewrite_live_runs(/*verify=*/false));
   }
-  ++stats_.power_cycles;
+  ++state_.stats.power_cycles;
   record_ladder(LadderRung::kPowerCycle);
   budget_.reset();
-  escalation_pending_ = false;
+  state_.escalation_pending = false;
   return Status::ok();
 }
 
@@ -667,7 +674,7 @@ Status ReliableChannel::restore_after_power_cycle() {
 // ---- Whole-device loss (see header) ----
 
 void ReliableChannel::adopt_device(unsigned new_pc_global) {
-  HBMVOLT_REQUIRE(device_lost_, "adopt_device requires device-lost mode");
+  HBMVOLT_REQUIRE(state_.device_lost, "adopt_device requires device-lost mode");
   const hbm::PcId new_pc =
       hbm::PcId::from_global(board_.geometry(), new_pc_global);
   auto fresh = std::make_unique<ecc::EccChannel>(board_.stack(new_pc.stack),
@@ -675,15 +682,15 @@ void ReliableChannel::adopt_device(unsigned new_pc_global) {
   HBMVOLT_REQUIRE(fresh->data_beats() == ecc_->data_beats(),
                   "spare PC capacity mismatch");
   ecc_ = std::move(fresh);
-  pc_global_ = new_pc_global;
+  state_.pc_global = new_pc_global;
   pc_ = new_pc;
   // Device-keyed state resets to the fresh silicon; the logical channel
   // (journal, liveness, stats, budget, ladder trace) carries over.
   reset_mapping(capacity());
-  row_events_.clear();
-  offender_rows_.clear();
-  retired_rows_.clear();
-  scrub_cursor_ = 0;
+  state_.row_events.clear();
+  state_.offender_rows.clear();
+  state_.retired_rows.clear();
+  state_.scrub_cursor = 0;
   invalidate_all_blocks();
 }
 
@@ -698,35 +705,14 @@ Status ReliableChannel::rebuild_device_range(std::uint64_t logical,
   // go straight through the journal-rewrite path with write-verify --
   // a rebuilt beat the spare silicon cannot hold is caught immediately.
   return rewrite_live(logical, logical + count, /*verify=*/true,
-                      &stats_.rebuilt_beats);
+                      &state_.stats.rebuilt_beats);
 }
 
 void ReliableChannel::capture(ChannelCheckpoint* out) const {
-  ChannelCheckpoint& ck = *out;
-  ck.pc_global = pc_global_;
-  ck.device_lost = device_lost_;
-  ck.budget = budget_.state();
-  ck.remap = remap_;
-  ck.spares = spares_;
-  ck.spare_cursor = spare_cursor_;
-  ck.journal = journal_;
-  ck.live = live_;
-  ck.parked = parked_.keys();
-  ck.special = special_.keys();
-  ck.row_events.assign(row_events_.begin(), row_events_.end());
-  ck.offender_rows = offender_rows_.keys();
-  ck.retired_rows = retired_rows_.keys();
-  ck.ops = ops_;
-  ck.scrub_cursor = scrub_cursor_;
-  ck.escalation_pending = escalation_pending_;
-  ck.clean_blocks = clean_blocks_;
-  ck.scan_block = scan_block_;
-  ck.scan_clean = scan_clean_;
-  ck.stats = stats_;
-  ck.flushed = flushed_;
-  ck.ladder_trace = ladder_trace_;
-  ck.ecc_shadow = ecc_->shadow_checks();
-  ck.ecc_stats = ecc_->stats();
+  static_cast<ChannelState&>(*out) = state_;
+  out->budget = budget_.state();
+  out->ecc_shadow = ecc_->shadow_checks();
+  out->ecc_stats = ecc_->stats();
 }
 
 Status ReliableChannel::check_restorable(const ChannelCheckpoint& ck) const {
@@ -750,51 +736,26 @@ void ReliableChannel::restore(const ChannelCheckpoint& ck) {
   HBMVOLT_REQUIRE(restorable.is_ok(), restorable.message().c_str());
   // Re-point at the checkpointed silicon (an adopted spare keeps serving
   // through the restore) and lay the shadow/stats back over it.
-  const hbm::PcId pc = hbm::PcId::from_global(board_.geometry(), ck.pc_global);
-  ecc_ = std::make_unique<ecc::EccChannel>(board_.stack(pc.stack), pc.index,
+  pc_ = hbm::PcId::from_global(board_.geometry(), ck.pc_global);
+  ecc_ = std::make_unique<ecc::EccChannel>(board_.stack(pc_.stack), pc_.index,
                                            config_.codec);
-  pc_global_ = ck.pc_global;
-  pc_ = pc;
   ecc_->restore_state(ck.ecc_shadow, ck.ecc_stats);
-  device_lost_ = ck.device_lost;
   budget_.restore(ck.budget);
-  remap_ = ck.remap;
-  spares_ = ck.spares;
-  spare_cursor_ = ck.spare_cursor;
-  journal_ = ck.journal;
-  live_ = ck.live;  // word copy
-  parked_.clear();
-  for (const std::uint64_t key : ck.parked) parked_.insert(key);
-  special_.clear();
-  for (const std::uint64_t key : ck.special) special_.insert(key);
-  row_events_.clear();
-  for (const auto& [key, count] : ck.row_events) row_events_.add(key, count);
-  offender_rows_.clear();
-  for (const std::uint64_t key : ck.offender_rows) offender_rows_.insert(key);
-  retired_rows_.clear();
-  for (const std::uint64_t key : ck.retired_rows) retired_rows_.insert(key);
-  ops_ = ck.ops;
-  scrub_cursor_ = ck.scrub_cursor;
-  escalation_pending_ = ck.escalation_pending;
-  clean_blocks_ = ck.clean_blocks;
-  scan_block_ = ck.scan_block;
-  scan_clean_ = ck.scan_clean;
-  stats_ = ck.stats;
-  flushed_ = ck.flushed;
-  ladder_trace_ = ck.ladder_trace;
+  state_ = static_cast<const ChannelState&>(ck);
 }
 
 // ---- Retirement ladder ----
 
 Result<std::uint64_t> ReliableChannel::allocate_spare() {
-  while (spare_cursor_ < spares_.size()) {
-    const std::uint64_t beat = spares_[spare_cursor_];
+  while (state_.spare_cursor < state_.spares.size()) {
+    const std::uint64_t beat = state_.spares[state_.spare_cursor];
     const std::uint64_t key = row_key(beat);
     // Never migrate onto a retired row, nor onto a row currently being
     // evacuated.  Skipped spares are permanently consumed (cheap, and
     // keeps the cursor deterministic).
-    if (retired_rows_.contains(key) || offender_rows_.contains(key)) {
-      ++spare_cursor_;
+    if (state_.retired_rows.contains(key) ||
+        state_.offender_rows.contains(key)) {
+      ++state_.spare_cursor;
       continue;
     }
     return beat;
@@ -803,15 +764,15 @@ Result<std::uint64_t> ReliableChannel::allocate_spare() {
 }
 
 void ReliableChannel::park_beat(std::uint64_t logical) {
-  parked_.insert(logical);
-  special_.insert(logical);
-  ++stats_.beats_parked;
+  state_.parked.insert(logical);
+  state_.special.insert(logical);
+  ++state_.stats.beats_parked;
 }
 
 void ReliableChannel::remap_beat(std::uint64_t logical, std::uint64_t spare) {
-  remap_[logical] = static_cast<std::uint32_t>(spare);
+  state_.remap[logical] = static_cast<std::uint32_t>(spare);
   // Remapped beats stay exceptions forever: remap never reverts.
-  special_.insert(logical);
+  state_.special.insert(logical);
 }
 
 Status ReliableChannel::retire_offenders(bool* retired_any, bool* parked_any,
@@ -822,12 +783,13 @@ Status ReliableChannel::retire_offenders(bool* retired_any, bool* parked_any,
   const Millivolts nominal = board_.config().regulator_config.vout_default;
   // Ascending row order (SortedKeySet iterates sorted); copied because the
   // loop erases absorbed rows.
-  const std::vector<std::uint64_t> rows = offender_rows_.keys();
+  const std::vector<std::uint64_t> rows = state_.offender_rows.keys();
   for (const std::uint64_t row : rows) {
     bool row_blocked = false;
     bool spares_ran_out = false;
     for (std::uint64_t logical = 0; logical < capacity(); ++logical) {
-      if (row_key(remap_[logical]) != row || parked_.contains(logical)) {
+      if (row_key(state_.remap[logical]) != row ||
+          state_.parked.contains(logical)) {
         continue;
       }
       auto spare = allocate_spare();
@@ -838,8 +800,8 @@ Status ReliableChannel::retire_offenders(bool* retired_any, bool* parked_any,
         // which clears soft upsets like bit rot -- and parked on the
         // journal if stuck cells keep it uncorrectable even then.
         spares_ran_out = true;
-        if (!live_.get(logical)) continue;
-        auto got = ecc_->read_beat(remap_[logical]);
+        if (!state_.live.get(logical)) continue;
+        auto got = ecc_->read_beat(state_.remap[logical]);
         if (!got.is_ok()) return got.status();
         if (got.value().uncorrectable == 0) continue;
         if (board_.hbm_voltage() < nominal) {
@@ -848,8 +810,8 @@ Status ReliableChannel::retire_offenders(bool* retired_any, bool* parked_any,
           break;
         }
         HBMVOLT_RETURN_IF_ERROR(
-            ecc_->write_beat(remap_[logical], journal_[logical]));
-        auto again = ecc_->read_beat(remap_[logical]);
+            ecc_->write_beat(state_.remap[logical], state_.journal[logical]));
+        auto again = ecc_->read_beat(state_.remap[logical]);
         if (!again.is_ok()) return again.status();
         if (again.value().uncorrectable > 0) {
           park_beat(logical);
@@ -858,10 +820,10 @@ Status ReliableChannel::retire_offenders(bool* retired_any, bool* parked_any,
         continue;
       }
       hbm::Beat data{};
-      if (live_.get(logical)) {
+      if (state_.live.get(logical)) {
         // Migrate through ECC, as real row-repair would: the journal is
         // reserved for last-resort recovery, not steady-state reads.
-        auto got = ecc_->read_beat(remap_[logical]);
+        auto got = ecc_->read_beat(state_.remap[logical]);
         if (!got.is_ok()) return got.status();
         if (got.value().uncorrectable > 0) {
           if (board_.hbm_voltage() < nominal) {
@@ -875,16 +837,16 @@ Status ReliableChannel::retire_offenders(bool* retired_any, bool* parked_any,
           // stuck bits in one codeword): no voltage recovers it and a
           // power cycle would just rewrite-and-re-corrupt forever, so
           // fall back to the journal -- the last-written truth.
-          data = journal_[logical];
-          ++stats_.journal_migrations;
+          data = state_.journal[logical];
+          ++state_.stats.journal_migrations;
         } else {
           data = got.value().data;
         }
       }
       HBMVOLT_RETURN_IF_ERROR(ecc_->write_beat(spare.value(), data));
       remap_beat(logical, spare.value());
-      ++spare_cursor_;  // commit the allocation
-      ++stats_.beats_migrated;
+      ++state_.spare_cursor;  // commit the allocation
+      ++state_.stats.beats_migrated;
     }
     if (row_blocked) {
       *blocked = true;
@@ -893,30 +855,30 @@ Status ReliableChannel::retire_offenders(bool* retired_any, bool* parked_any,
     if (spares_ran_out) {
       // Handled in place (repairs/parks), not migrated: the row is not
       // retired, but it no longer owes the ladder anything either.
-      offender_rows_.erase(row);
-      row_events_.erase(row);
+      state_.offender_rows.erase(row);
+      state_.row_events.erase(row);
       continue;
     }
-    retired_rows_.insert(row);
-    offender_rows_.erase(row);
-    row_events_.erase(row);
-    ++stats_.rows_retired;
+    state_.retired_rows.insert(row);
+    state_.offender_rows.erase(row);
+    state_.row_events.erase(row);
+    ++state_.stats.rows_retired;
     *retired_any = true;
   }
-  if (*retired_any) ++stats_.retires;
+  if (*retired_any) ++state_.stats.retires;
   return Status::ok();
 }
 
 Result<LadderRung> ReliableChannel::escalate() {
-  if (device_lost_) {
+  if (state_.device_lost) {
     // Whole-PC loss is beyond every PC-local rung and no global rung
     // recovers it either; the journal (and, in stripe mode, the fleet's
     // reconstruction/rebuild) is already serving.  Absorb the escalation.
     budget_.reset();
-    escalation_pending_ = false;
+    state_.escalation_pending = false;
     return LadderRung::kCorrect;
   }
-  if (escalation_pending_) {
+  if (state_.escalation_pending) {
     // An uncorrectable word was seen: something (a fault storm, a deep
     // undervolt) is arming codewords faster than the rotating patrol
     // covers them.  Sweep every live beat NOW, so the retirement below
@@ -926,12 +888,14 @@ Result<LadderRung> ReliableChannel::escalate() {
     HBMVOLT_RETURN_IF_ERROR(patrol_all());
   }
   // Promote rows that crossed the event threshold to offenders.
-  for (const auto& [key, events] : row_events_) {
-    if (events >= config_.retire_threshold && !retired_rows_.contains(key)) {
-      offender_rows_.insert(key);
+  for (const auto& [key, events] : state_.row_events) {
+    if (events >= config_.retire_threshold &&
+        !state_.retired_rows.contains(key)) {
+      state_.offender_rows.insert(key);
     }
   }
-  if (!escalation_pending_ && !budget_.burned() && offender_rows_.empty()) {
+  if (!state_.escalation_pending && !budget_.burned() &&
+      state_.offender_rows.empty()) {
     return LadderRung::kCorrect;
   }
 
@@ -946,12 +910,12 @@ Result<LadderRung> ReliableChannel::escalate() {
     // Rung 1 fully absorbed the escalation (migrations, in-place
     // repairs, and/or parks).
     budget_.reset();
-    escalation_pending_ = false;
+    state_.escalation_pending = false;
     return LadderRung::kCorrect;
   }
 
   const Millivolts nominal = board_.config().regulator_config.vout_default;
-  if (blocked || escalation_pending_) {
+  if (blocked || state_.escalation_pending) {
     // A stored word only a global rung can recover.
     if (board_.hbm_voltage() < nominal) return LadderRung::kRaiseVoltage;
     return LadderRung::kPowerCycle;
@@ -968,11 +932,11 @@ Result<LadderRung> ReliableChannel::escalate() {
 
 void ReliableChannel::on_global_action(LadderRung rung) {
   if (rung == LadderRung::kRaiseVoltage) {
-    ++stats_.raises;
+    ++state_.stats.raises;
     record_ladder(LadderRung::kRaiseVoltage);
   }
   budget_.reset();
-  escalation_pending_ = false;
+  state_.escalation_pending = false;
   // The fault regime just changed; clean verdicts predate it.
   invalidate_all_blocks();
 }
@@ -988,7 +952,7 @@ hbm::Beat make_payload(std::uint64_t seed, unsigned pc, std::uint64_t op) {
 void ReliableChannel::flush_telemetry() {
   auto* tel = telemetry::Telemetry::active();
   if (tel == nullptr) {
-    flushed_ = stats_;
+    state_.flushed = state_.stats;
     // Nothing records latency without an active instance, but clear
     // anyway so a mid-run disable cannot leak stale samples later.
     read_latency_.clear();
@@ -996,6 +960,8 @@ void ReliableChannel::flush_telemetry() {
     return;
   }
   auto& metrics = tel->metrics();
+  const ChannelStats& stats = state_.stats;
+  const ChannelStats& flushed = state_.flushed;
   const std::size_t pcs = board_.geometry().total_pcs();
   // The per-PC hot counters export as `{pc=N}` families (the bare name
   // stays the cross-PC total in every sink); low-rate ladder bookkeeping
@@ -1003,59 +969,59 @@ void ReliableChannel::flush_telemetry() {
   const auto emit_pc = [&](const char* name, std::uint64_t now,
                            std::uint64_t before) {
     if (now > before) {
-      metrics.counter_family(name, "pc", pcs).at(pc_global_).add(now - before);
+      metrics.counter_family(name, "pc", pcs).at(pc_global()).add(now - before);
     }
   };
   const auto emit = [tel](const char* name, std::uint64_t now,
                           std::uint64_t before) {
     if (now > before) tel->count(name, now - before);
   };
-  emit_pc("runtime.reads", stats_.reads, flushed_.reads);
-  emit_pc("runtime.writes", stats_.writes, flushed_.writes);
-  emit_pc("runtime.corrected_words", stats_.corrected_words,
-          flushed_.corrected_words);
-  emit_pc("runtime.corrected_check_words", stats_.corrected_check_words,
-          flushed_.corrected_check_words);
-  emit_pc("runtime.uncorrectable_blocked", stats_.uncorrectable_blocked,
-          flushed_.uncorrectable_blocked);
-  emit("runtime.rows_retired", stats_.rows_retired, flushed_.rows_retired);
-  emit("runtime.beats_migrated", stats_.beats_migrated,
-       flushed_.beats_migrated);
-  emit_pc("runtime.beats_parked", stats_.beats_parked, flushed_.beats_parked);
-  emit_pc("runtime.journal_served_reads", stats_.journal_served_reads,
-          flushed_.journal_served_reads);
-  emit("runtime.verify_caught", stats_.verify_caught, flushed_.verify_caught);
-  emit("runtime.journal_refreshes", stats_.journal_refreshes,
-       flushed_.journal_refreshes);
-  emit_pc("runtime.reconstructed_reads", stats_.reconstructed_reads,
-          flushed_.reconstructed_reads);
-  emit_pc("runtime.rebuilt_beats", stats_.rebuilt_beats,
-          flushed_.rebuilt_beats);
-  emit_pc("scrub.beats", stats_.scrub_beats, flushed_.scrub_beats);
-  emit("scrub.corrected", stats_.scrub_corrected, flushed_.scrub_corrected);
-  emit("scrub.uncorrectable", stats_.scrub_uncorrectable,
-       flushed_.scrub_uncorrectable);
-  emit("scrub.writebacks", stats_.scrub_writebacks,
-       flushed_.scrub_writebacks);
-  emit("scrub.blocks_skipped", stats_.scrub_blocks_skipped,
-       flushed_.scrub_blocks_skipped);
+  emit_pc("runtime.reads", stats.reads, flushed.reads);
+  emit_pc("runtime.writes", stats.writes, flushed.writes);
+  emit_pc("runtime.corrected_words", stats.corrected_words,
+          flushed.corrected_words);
+  emit_pc("runtime.corrected_check_words", stats.corrected_check_words,
+          flushed.corrected_check_words);
+  emit_pc("runtime.uncorrectable_blocked", stats.uncorrectable_blocked,
+          flushed.uncorrectable_blocked);
+  emit("runtime.rows_retired", stats.rows_retired, flushed.rows_retired);
+  emit("runtime.beats_migrated", stats.beats_migrated,
+       flushed.beats_migrated);
+  emit_pc("runtime.beats_parked", stats.beats_parked, flushed.beats_parked);
+  emit_pc("runtime.journal_served_reads", stats.journal_served_reads,
+          flushed.journal_served_reads);
+  emit("runtime.verify_caught", stats.verify_caught, flushed.verify_caught);
+  emit("runtime.journal_refreshes", stats.journal_refreshes,
+       flushed.journal_refreshes);
+  emit_pc("runtime.reconstructed_reads", stats.reconstructed_reads,
+          flushed.reconstructed_reads);
+  emit_pc("runtime.rebuilt_beats", stats.rebuilt_beats,
+          flushed.rebuilt_beats);
+  emit_pc("scrub.beats", stats.scrub_beats, flushed.scrub_beats);
+  emit("scrub.corrected", stats.scrub_corrected, flushed.scrub_corrected);
+  emit("scrub.uncorrectable", stats.scrub_uncorrectable,
+       flushed.scrub_uncorrectable);
+  emit("scrub.writebacks", stats.scrub_writebacks,
+       flushed.scrub_writebacks);
+  emit("scrub.blocks_skipped", stats.scrub_blocks_skipped,
+       flushed.scrub_blocks_skipped);
   metrics.gauge_family("runtime.spares_free", "pc", pcs)
-      .at(pc_global_)
+      .at(pc_global())
       .set(static_cast<std::int64_t>(spares_free()));
   metrics.gauge_family("runtime.parked_beats", "pc", pcs)
-      .at(pc_global_)
+      .at(pc_global())
       .set(static_cast<std::int64_t>(parked_count()));
   if (read_latency_.count() > 0) {
     metrics.hdr_family("latency.read", "pc", pcs)
-        .merge_into(pc_global_, read_latency_);
+        .merge_into(pc_global(), read_latency_);
   }
   if (write_latency_.count() > 0) {
     metrics.hdr_family("latency.write", "pc", pcs)
-        .merge_into(pc_global_, write_latency_);
+        .merge_into(pc_global(), write_latency_);
   }
   read_latency_.clear();
   write_latency_.clear();
-  flushed_ = stats_;
+  state_.flushed = state_.stats;
 }
 
 }  // namespace hbmvolt::runtime

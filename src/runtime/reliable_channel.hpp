@@ -173,34 +173,52 @@ struct ServeReport {
   std::uint64_t escalated_reads = 0;
 };
 
-/// Plain-data snapshot of everything a ReliableChannel needs to resume
-/// byte-identically on a fresh board: the logical state (journal, live
-/// map, stats, budget, ladder trace) plus every device-keyed structure
-/// (remap, spares, parked/row sets, scrub + clean-block scan state, the
-/// ECC shadow).  Captured/restored by ServingFleet's checkpoint seam.
-struct ChannelCheckpoint {
+/// Everything a ReliableChannel changes while serving, in one struct the
+/// channel holds: the silicon it runs on, the mapping, the journal, the
+/// sparse exception sets, the patrol position and the records.
+struct ChannelState {
+  static constexpr std::uint64_t kNoBlock = ~0ull;
+
   unsigned pc_global = 0;  // current silicon (a spare after adoption)
   bool device_lost = false;
-  ErrorBudgetState budget;
-  std::vector<std::uint32_t> remap;
-  std::vector<std::uint32_t> spares;
+
+  std::vector<std::uint32_t> remap;   // logical -> physical ECC data beat
+  std::vector<std::uint32_t> spares;  // ascending physical beats
   std::size_t spare_cursor = 0;
-  std::vector<hbm::Beat> journal;
+
+  std::vector<hbm::Beat> journal;  // last written data per logical beat
   BitVec live;
-  std::vector<std::uint64_t> parked;
-  std::vector<std::uint64_t> special;
-  std::vector<std::pair<std::uint64_t, unsigned>> row_events;
-  std::vector<std::uint64_t> offender_rows;
-  std::vector<std::uint64_t> retired_rows;
+
+  // Sparse exception sets over the logical space (flat_index.hpp).
+  SortedKeySet parked;   // journal-backed beats (see header comment)
+  SortedKeySet special;  // parked OR remapped: the range splitter's probe
+
+  RowEventCounts row_events;
+  SortedKeySet offender_rows;
+  SortedKeySet retired_rows;
+
   std::uint64_t ops = 0;
   std::uint64_t scrub_cursor = 0;
   bool escalation_pending = false;
+
+  // Clean-block bookkeeping for the patrol skip: a block is marked when a
+  // contiguous pass over it saw zero scrub events, or a bulk read decoded
+  // it entirely clean.
   BitVec clean_blocks;
-  std::uint64_t scan_block = 0;
+  std::uint64_t scan_block = kNoBlock;
   bool scan_clean = false;
+
   ChannelStats stats;
-  ChannelStats flushed;
+  ChannelStats flushed;  // counts already exported to telemetry
   std::vector<LadderEvent> ladder_trace;
+};
+
+/// Everything a ReliableChannel needs to resume byte-identically on a
+/// fresh board: its ChannelState plus the budget window and the ECC
+/// channel's shadow checks and stats, which those objects hold.  Captured
+/// and restored by ServingFleet's checkpoint seam.
+struct ChannelCheckpoint : ChannelState {
+  ErrorBudgetState budget;
   std::vector<std::uint8_t> ecc_shadow;
   ecc::EccStats ecc_stats;
 };
@@ -216,10 +234,12 @@ class ReliableChannel {
 
   /// Fixed logical capacity in beats (never shrinks; see header comment).
   [[nodiscard]] std::uint64_t capacity() const noexcept {
-    return remap_.size();
+    return state_.remap.size();
   }
   [[nodiscard]] std::uint64_t spares_free() const noexcept;
-  [[nodiscard]] unsigned pc_global() const noexcept { return pc_global_; }
+  [[nodiscard]] unsigned pc_global() const noexcept {
+    return state_.pc_global;
+  }
 
   Status write(std::uint64_t logical, const hbm::Beat& data);
 
@@ -273,7 +293,7 @@ class ReliableChannel {
   Status refresh_from_journal();
 
   [[nodiscard]] bool escalation_pending() const noexcept {
-    return escalation_pending_;
+    return state_.escalation_pending;
   }
 
   /// Climbs the ladder as far as PC-local actions reach (rung 1) and
@@ -306,8 +326,10 @@ class ReliableChannel {
   // rebuilds onto it through rebuild_device_range.
 
   /// Marks the backing device unreachable.  Idempotent.
-  void set_device_lost() noexcept { device_lost_ = true; }
-  [[nodiscard]] bool device_lost() const noexcept { return device_lost_; }
+  void set_device_lost() noexcept { state_.device_lost = true; }
+  [[nodiscard]] bool device_lost() const noexcept {
+    return state_.device_lost;
+  }
 
   /// Re-points the channel at a spare pseudo-channel of equal capacity.
   /// The journal, stats, budget, and ladder trace survive -- they describe
@@ -325,12 +347,13 @@ class ReliableChannel {
 
   /// Rebuild epilogue: the device copy is whole again; resume serving
   /// reads from silicon.
-  void finish_rebuild() noexcept { device_lost_ = false; }
+  void finish_rebuild() noexcept { state_.device_lost = false; }
 
-  /// Checkpoint seam (see ChannelCheckpoint).  restore() re-points the
-  /// channel at the checkpointed silicon (which may be an adopted spare)
-  /// and assumes the caller already restored the board: voltage, killed
-  /// PCs, burst extras, and raw array words.  check_restorable() returns
+  /// Checkpoint seam (see ChannelCheckpoint): capture() and restore() copy
+  /// the ChannelState whole.  restore() re-points the channel at the
+  /// checkpointed silicon (which may be an adopted spare) and assumes the
+  /// caller already restored the board: voltage, killed PCs, burst extras,
+  /// and raw array words.  check_restorable() returns
   /// invalid_argument for a checkpoint restore() would refuse (a PC off
   /// the board, a scrub or spare cursor past its end, or a journal, live map,
   /// remap, clean-block map or ECC shadow sized for another channel), so
@@ -347,39 +370,41 @@ class ReliableChannel {
   Result<ServeReport> serve_trace(const workload::AccessTrace& trace,
                                   std::uint64_t data_seed = 1);
 
-  [[nodiscard]] const ChannelStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const ChannelStats& stats() const noexcept {
+    return state_.stats;
+  }
   [[nodiscard]] const ErrorBudget& budget() const noexcept { return budget_; }
   [[nodiscard]] const std::vector<LadderEvent>& ladder_trace() const noexcept {
-    return ladder_trace_;
+    return state_.ladder_trace;
   }
   [[nodiscard]] const ecc::EccChannel& ecc() const noexcept { return *ecc_; }
 
   /// Journal copy of a logical beat (test/self-check hook); only
   /// meaningful when `journal_live(logical)`.
   [[nodiscard]] const hbm::Beat& journal_beat(std::uint64_t logical) const {
-    return journal_[logical];
+    return state_.journal[logical];
   }
   [[nodiscard]] bool journal_live(std::uint64_t logical) const {
-    return live_.get(logical);
+    return state_.live.get(logical);
   }
   /// Length of the run of beats from `logical`, at most `limit` (within
   /// capacity), whose journal_live() equals `live` -- a word-at-a-time scan.
   [[nodiscard]] std::uint64_t live_run(std::uint64_t logical, bool live,
                                        std::uint64_t limit) const noexcept {
-    return live_.run(logical, live, limit);
+    return state_.live.run(logical, live, limit);
   }
   /// True when the beat is journal-backed (no device copy can serve it).
   [[nodiscard]] bool parked(std::uint64_t logical) const {
-    return parked_.contains(logical);
+    return state_.parked.contains(logical);
   }
   /// Beats currently served from the journal (the parked set's size).
   [[nodiscard]] std::uint64_t parked_count() const noexcept {
-    return parked_.size();
+    return state_.parked.size();
   }
   /// Patrol cursor position in logical beats; capacity() - scrub_cursor()
   /// is the lag of the current pass (health.hpp reports it).
   [[nodiscard]] std::uint64_t scrub_cursor() const noexcept {
-    return scrub_cursor_;
+    return state_.scrub_cursor;
   }
 
   /// Emits the delta of the high-rate counters since the last flush into
@@ -393,7 +418,7 @@ class ReliableChannel {
  private:
   friend class ServingFleet;
 
-  static constexpr std::uint64_t kNoBlock = ~0ull;
+  static constexpr std::uint64_t kNoBlock = ChannelState::kNoBlock;
   using RangeBeatEvent = ecc::EccChannel::RangeBeatEvent;
 
   // ---- The range walks (see "Fast path"; defined in the .cpp) ----
@@ -487,47 +512,17 @@ class ReliableChannel {
   void remap_beat(std::uint64_t logical, std::uint64_t spare);
 
   board::Vcu128Board& board_;
-  unsigned pc_global_;
-  hbm::PcId pc_;
+  hbm::PcId pc_;  // state_.pc_global's stack and index
   ReliableChannelConfig config_;
   // unique_ptr so adopt_device can re-point the channel at a spare PC.
   std::unique_ptr<ecc::EccChannel> ecc_;
   ErrorBudget budget_;
-  bool device_lost_ = false;
+  ChannelState state_;
 
-  std::vector<std::uint32_t> remap_;   // logical -> physical ECC data beat
-  std::vector<std::uint32_t> spares_;  // ascending physical beats
-  std::size_t spare_cursor_ = 0;
-
-  std::vector<hbm::Beat> journal_;  // last written data per logical beat
-  BitVec live_;
-
-  // Sparse exception sets over the logical space (flat_index.hpp).
-  SortedKeySet parked_;   // journal-backed beats (see header comment)
-  SortedKeySet special_;  // parked OR remapped: the range splitter's probe
-
-  RowEventCounts row_events_;
-  SortedKeySet offender_rows_;
-  SortedKeySet retired_rows_;
-
-  std::uint64_t ops_ = 0;
-  std::uint64_t scrub_cursor_ = 0;
-  bool escalation_pending_ = false;
-
-  // Clean-block bookkeeping for the patrol skip: a block is marked when a
-  // contiguous pass over it saw zero scrub events, or a bulk read decoded
-  // it entirely clean.
-  BitVec clean_blocks_;
-  std::uint64_t scan_block_ = kNoBlock;
-  bool scan_clean_ = false;
-
-  ChannelStats stats_;
-  ChannelStats flushed_;  // counts already exported to telemetry
   // Per-op serve latency, recorded locally (no atomics) only while a
   // Telemetry instance is active, merged + cleared at flush_telemetry().
   telemetry::HdrHistogram read_latency_;
   telemetry::HdrHistogram write_latency_;
-  std::vector<LadderEvent> ladder_trace_;
 
   // Bulk-path scratch (high-water reuse, no per-call allocation).
   std::vector<RangeBeatEvent> scratch_events_;

@@ -1111,7 +1111,7 @@ struct PatrolTwin {
     EXPECT_EQ(a.scan_block, b.scan_block) << where;
     EXPECT_EQ(a.scan_clean, b.scan_clean) << where;
     EXPECT_EQ(a.escalation_pending, b.escalation_pending) << where;
-    EXPECT_EQ(a.offender_rows, b.offender_rows) << where;
+    EXPECT_EQ(a.offender_rows.keys(), b.offender_rows.keys()) << where;
     EXPECT_EQ(a.row_events, b.row_events) << where;
     ASSERT_EQ(a.clean_blocks.size(), b.clean_blocks.size()) << where;
     for (std::uint64_t i = 0; i < a.clean_blocks.size(); ++i) {
@@ -1209,7 +1209,7 @@ TEST_P(PatrolWalkTest, MatchesBackToBackSlicesOverDeadRemappedBeats) {
   runtime::ChannelCheckpoint ck;
   twin.slices.capture(&ck);
   std::uint64_t dead_specials = 0;
-  for (const std::uint64_t beat : ck.special) {
+  for (const std::uint64_t beat : ck.special.keys()) {
     dead_specials += !twin.slices.journal_live(beat);
   }
   ASSERT_GT(dead_specials, 0u)

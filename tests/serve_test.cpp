@@ -617,11 +617,11 @@ TEST(FleetWorkerTest, RestoreRejectsMalformedCheckpoints) {
   // start that far into a fresh request and skip the beats before it.
   bad.emplace_back("progress with no pending request", good);
   bad.back().second.slots[1].pending.count = 0;
-  bad.back().second.slots[1].done = 3;
+  bad.back().second.slots[1].flight.done = 3;
   bad.emplace_back("progress at the request's end", good);
   bad.back().second.slots[2].pending.count = 4;
   bad.back().second.slots[2].pending.logical = 0;
-  bad.back().second.slots[2].done = 4;
+  bad.back().second.slots[2].flight.done = 4;
   for (const auto& [what, ck] : bad) {
     EXPECT_EQ(restore(ck).code(), StatusCode::kInvalidArgument) << what;
   }
@@ -711,7 +711,7 @@ TEST(FleetWorkerTest, CheckpointWithAParkedMultiBeatRequestResumes) {
         if (!result.value().halted) break;
         runtime::FleetCheckpoint ck = fleet.checkpoint();
         for (const runtime::FleetCheckpoint::Slot& slot : ck.slots) {
-          captured = captured || slot.done > 0;
+          captured = captured || slot.flight.done > 0;
         }
         if (captured) parked = std::move(ck);
       }
