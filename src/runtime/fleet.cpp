@@ -950,9 +950,13 @@ Status ServingFleet::restore(const FleetCheckpoint& ck) {
   }
   for (std::size_t g = 0; g < ck.groups.size(); ++g) {
     const std::size_t target = ck.groups[g].rebuilding;
-    if (target != StripeGroup::kIdle &&
-        (target >= channels_.size() || group_of(target) != g)) {
+    if (target == StripeGroup::kIdle) continue;
+    if (target >= channels_.size() || group_of(target) != g) {
       return invalid_argument("fleet checkpoint rebuilds outside its group");
+    }
+    // A cursor at the end would finish the rebuild without copying.
+    if (ck.groups[g].rebuild_cursor >= channels_[target]->capacity()) {
+      return invalid_argument("fleet checkpoint rebuild cursor past its end");
     }
   }
   for (unsigned pc = 0; pc < total; ++pc) {

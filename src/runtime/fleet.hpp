@@ -353,9 +353,9 @@ class ServingFleet {
   /// channel/slot/group state.  The fleet must have been constructed with
   /// the same config as the one that captured the checkpoint, and without
   /// an external source (invalid_argument otherwise).  A checkpoint that
-  /// does not fit -- its shape, any channel's (check_restorable), or a
-  /// pending request outside its slot -- is refused before the board is
-  /// touched.
+  /// does not fit -- its shape, any channel's (check_restorable), a
+  /// pending request outside its slot, or a rebuild cursor past its
+  /// target -- is refused before the board is touched.
   Status restore(const FleetCheckpoint& ck);
 
   [[nodiscard]] mitigate::MitigationKind scheme() const noexcept {

@@ -585,6 +585,11 @@ TEST(FleetWorkerTest, RestoreRejectsMalformedCheckpoints) {
   bad.back().second.groups[5].rebuilding = good.channels.size();
   bad.emplace_back("rebuilding another group's parity", good);
   bad.back().second.groups[0].rebuilding = good.slots.size() + 1;
+  // The first rebuild step would declare the target whole without
+  // copying the rest of its journal.
+  bad.emplace_back("rebuild cursor at the target's capacity", good);
+  bad.back().second.groups[0].rebuilding = 0;
+  bad.back().second.groups[0].rebuild_cursor = good.channels[0].journal.size();
   bad.emplace_back("last PC's array words short", good);
   bad.back().second.array_words.back().pop_back();
   // Channel checkpoints are vetted before the board is touched too, the
