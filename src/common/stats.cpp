@@ -150,20 +150,4 @@ double Histogram::bin_upper(std::size_t bin) const {
   return bin_lower(bin + 1);
 }
 
-double Histogram::quantile(double q) const {
-  HBMVOLT_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto c = static_cast<double>(counts_[i]);
-    if (cumulative + c >= target) {
-      const double frac = c > 0 ? (target - cumulative) / c : 0.0;
-      return bin_lower(i) + frac * (bin_upper(i) - bin_lower(i));
-    }
-    cumulative += c;
-  }
-  return hi_;
-}
-
 }  // namespace hbmvolt

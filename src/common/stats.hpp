@@ -93,8 +93,6 @@ class Histogram {
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   [[nodiscard]] double bin_lower(std::size_t bin) const;
   [[nodiscard]] double bin_upper(std::size_t bin) const;
-  /// Value below which `q` of the mass lies (bin-interpolated).
-  [[nodiscard]] double quantile(double q) const;
 
  private:
   double lo_;

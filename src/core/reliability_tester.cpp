@@ -16,19 +16,8 @@ ReliabilityTester::ReliabilityTester(board::Vcu128Board& board,
 Result<faults::FaultMap> ReliabilityTester::run(
     ThreadPool* pool, const ReliabilityResume* resume,
     const StepFn& on_step) {
-  return run_impl(-1, pool, resume, on_step);
-}
-
-Result<faults::FaultMap> ReliabilityTester::run_pc(unsigned pc_global) {
-  HBMVOLT_REQUIRE(pc_global < board_.geometry().total_pcs(),
-                  "PC index out of range");
-  return run_impl(static_cast<int>(pc_global), nullptr, nullptr, nullptr);
-}
-
-Result<faults::FaultMap> ReliabilityTester::run_impl(
-    int only_pc_global, ThreadPool* pool, const ReliabilityResume* resume,
-    const StepFn& on_step) {
-  telemetry::Span run_span("reliability.run", only_pc_global);
+  // Detail -1 marks a whole-device run in traces.
+  telemetry::Span run_span("reliability.run", -1);
   faults::FaultMap map(board_.geometry());
   if (resume != nullptr && resume->base != nullptr) {
     // Replay the completed steps from the checkpoint; the sweep skips
@@ -55,10 +44,8 @@ Result<faults::FaultMap> ReliabilityTester::run_impl(
                         hbm::kBeatAllZeros, true});
   }
 
-  // Whole-device runs drive every port.
-  if (only_pc_global < 0) {
-    board_.set_active_ports(board_.total_ports());
-  }
+  // Drive every AXI port of both stacks.
+  board_.set_active_ports(board_.total_ports());
 
   VoltageSweep sweep(board_, config_.sweep, config_.crash_policy);
   sweep.set_crash_retries(config_.crash_retries);
@@ -89,26 +76,14 @@ Result<faults::FaultMap> ReliabilityTester::run_impl(
                             : record.bits_tested_zeros) = stats.bits_checked;
               return record;
             };
-            if (only_pc_global >= 0) {
-              const unsigned stack =
-                  static_cast<unsigned>(only_pc_global) / per_stack;
-              const unsigned local =
-                  static_cast<unsigned>(only_pc_global) % per_stack;
-              const axi::RunResult result =
-                  board_.controller(stack).run_on_port(local, command);
-              const auto record = make_record(result.per_port[local]);
-              record_telemetry(record);
-              map.record(v, static_cast<unsigned>(only_pc_global), record);
-            } else {
-              const auto results = board_.run_traffic(command, pool);
-              for (unsigned s = 0; s < results.size(); ++s) {
-                for (unsigned p = 0; p < results[s].per_port.size(); ++p) {
-                  const axi::TgStats& stats = results[s].per_port[p];
-                  if (stats.bits_checked == 0) continue;
-                  const auto record = make_record(stats);
-                  record_telemetry(record);
-                  map.record(v, s * per_stack + p, record);
-                }
+            const auto results = board_.run_traffic(command, pool);
+            for (unsigned s = 0; s < results.size(); ++s) {
+              for (unsigned p = 0; p < results[s].per_port.size(); ++p) {
+                const axi::TgStats& stats = results[s].per_port[p];
+                if (stats.bits_checked == 0) continue;
+                const auto record = make_record(stats);
+                record_telemetry(record);
+                map.record(v, s * per_stack + p, record);
               }
             }
           }

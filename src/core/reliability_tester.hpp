@@ -66,14 +66,7 @@ class ReliabilityTester {
                                const ReliabilityResume* resume = nullptr,
                                const StepFn& on_step = nullptr);
 
-  /// Single-PC test (the paper's per-PC variant of Algorithm 1).
-  Result<faults::FaultMap> run_pc(unsigned pc_global);
-
  private:
-  Result<faults::FaultMap> run_impl(int only_pc_global, ThreadPool* pool,
-                                    const ReliabilityResume* resume,
-                                    const StepFn& on_step);
-
   board::Vcu128Board& board_;
   ReliabilityConfig config_;
 };

@@ -165,17 +165,6 @@ TEST_F(ReliabilityTest, MemBeatsLimitsCoverage) {
   EXPECT_EQ(map.pc_record(Millivolts{1000}, 0).bits_tested, 4u * 256 * 2);
 }
 
-TEST_F(ReliabilityTest, SinglePcRun) {
-  ReliabilityConfig config;
-  config.sweep = {Millivolts{960}, Millivolts{940}, 10};
-  config.batch_size = 1;
-  ReliabilityTester tester(board_, config);
-  const auto map = std::move(tester.run_pc(18)).value();
-  EXPECT_GT(map.pc_record(Millivolts{940}, 18).total_flips(), 0u);
-  // Other PCs were not tested at all.
-  EXPECT_EQ(map.pc_record(Millivolts{940}, 4).bits_tested, 0u);
-}
-
 TEST_F(ReliabilityTest, SweepIsDeterministic) {
   const auto a = run_map({Millivolts{960}, Millivolts{900}, 20});
   const auto b = run_map({Millivolts{960}, Millivolts{900}, 20});
