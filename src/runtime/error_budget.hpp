@@ -30,8 +30,9 @@ enum class BudgetVerdict {
   kUncorrectableBurn,  // uncorrectable words over tolerance
 };
 
-/// A budget's window accounting: everything record() and reset() change.
-/// ErrorBudget holds one, so a checkpoint copies it whole (see fleet.hpp).
+/// A budget's window accounting, all that record(), record_clean() and
+/// reset() change.  ErrorBudget holds one, so a checkpoint copies it whole
+/// (see fleet.hpp).
 struct ErrorBudgetState {
   std::uint64_t words = 0;
   std::uint64_t corrected = 0;

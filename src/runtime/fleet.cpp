@@ -71,7 +71,9 @@ std::uint64_t count_mismatched_beats(const hbm::Beat* got,
 /// effective direction (a read of a never-written beat is a write),
 /// capped at the slot's remaining epoch budget -- or a single record when
 /// a storm hook is set, so storms tick per op.  The payload identity is
-/// the record index.  Built-in requests never hedge or shed.
+/// the record index.  Built-in requests never hedge or shed.  Each
+/// slot's record cursor and request in flight are its PcState's
+/// `next_record` and `pending`, so a checkpoint carries them.
 class ServingFleet::StreamSource final : public RequestSource {
  public:
   explicit StreamSource(ServingFleet& fleet) : fleet_(fleet) {}

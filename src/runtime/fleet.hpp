@@ -428,7 +428,8 @@ class ServingFleet {
   };
 
   /// Per-PC worker state; owned by exactly one index during a fan-out.
-  /// The Slot base is what a checkpoint copies; the rest is per-epoch.
+  /// The Slot base is what a checkpoint copies; the rest is per-epoch
+  /// state and scratch.
   struct PcState : ParkState, FleetCheckpoint::Slot {
     std::uint64_t served = 0;  // beats served this epoch
     /// Payload/read buffer for coalesced bulk runs (high-water reuse).

@@ -353,11 +353,11 @@ class ReliableChannel {
   /// the ChannelState whole.  restore() re-points the channel at the
   /// checkpointed silicon (which may be an adopted spare) and assumes the
   /// caller already restored the board: voltage, killed PCs, burst extras,
-  /// and raw array words.  check_restorable() returns
-  /// invalid_argument for a checkpoint restore() would refuse (a PC off
-  /// the board, a scrub or spare cursor past its end, or a journal, live map,
-  /// remap, clean-block map or ECC shadow sized for another channel), so
-  /// callers can vet it first.
+  /// and raw array words.  check_restorable() returns invalid_argument for
+  /// a checkpoint restore() would refuse (a PC off the board, a scrub or
+  /// spare cursor past its end, or a journal, live map, remap, clean-block
+  /// map or ECC shadow sized for another channel), so callers can vet it
+  /// first.
   void capture(ChannelCheckpoint* out) const;
   [[nodiscard]] Status check_restorable(const ChannelCheckpoint& ck) const;
   void restore(const ChannelCheckpoint& ck);
