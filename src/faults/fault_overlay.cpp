@@ -75,46 +75,18 @@ void FaultOverlay::make_dense(std::uint64_t bits) {
   sparse_sa1_ = {};
 }
 
-void FaultOverlay::apply(std::uint64_t beat, hbm::Beat& data) const noexcept {
+void FaultOverlay::apply(std::uint64_t first_word,
+                         std::span<std::uint64_t> words) const noexcept {
   if (empty()) return;
-  const std::uint64_t lo = beat * 256;
-  if (!mask_.empty()) {
-    const std::uint64_t w = lo / 64;
-    for (int i = 0; i < 4; ++i) {
-      data[i] = (data[i] & ~mask_[w + i]) | (value_[w + i] & mask_[w + i]);
-    }
-    return;
-  }
-  const std::uint64_t hi = lo + 256;
-  auto patch = [&](const std::vector<std::uint32_t>& cells, bool stuck_one) {
-    auto it = std::lower_bound(cells.begin(), cells.end(), lo);
-    for (; it != cells.end() && *it < hi; ++it) {
-      const std::uint64_t offset = *it - lo;
-      const std::uint64_t bit = 1ull << (offset % 64);
-      if (stuck_one) {
-        data[offset / 64] |= bit;
-      } else {
-        data[offset / 64] &= ~bit;
-      }
-    }
-  };
-  patch(sparse_sa0_, false);
-  patch(sparse_sa1_, true);
-}
-
-void FaultOverlay::apply_range(std::uint64_t start_beat, std::uint64_t beats,
-                               std::span<std::uint64_t> words) const noexcept {
-  if (empty()) return;
-  const std::uint64_t w0 = start_beat * 4;
   if (!mask_.empty()) {
     for (std::uint64_t i = 0; i < words.size(); ++i) {
-      const std::uint64_t m = mask_[w0 + i];
-      words[i] = (words[i] & ~m) | (value_[w0 + i] & m);
+      const std::uint64_t m = mask_[first_word + i];
+      words[i] = (words[i] & ~m) | (value_[first_word + i] & m);
     }
     return;
   }
-  const std::uint64_t lo = start_beat * 256;
-  const std::uint64_t hi = lo + beats * 256;
+  const std::uint64_t lo = first_word * 64;
+  const std::uint64_t hi = lo + words.size() * 64;
   auto patch = [&](const std::vector<std::uint32_t>& cells, bool stuck_one) {
     auto it = std::lower_bound(cells.begin(), cells.end(), lo);
     for (; it != cells.end() && *it < hi; ++it) {
@@ -124,31 +96,6 @@ void FaultOverlay::apply_range(std::uint64_t start_beat, std::uint64_t beats,
         words[offset / 64] |= bit;
       } else {
         words[offset / 64] &= ~bit;
-      }
-    }
-  };
-  patch(sparse_sa0_, false);
-  patch(sparse_sa1_, true);
-}
-
-void FaultOverlay::apply_word(std::uint64_t word_index,
-                              std::uint64_t& word) const noexcept {
-  if (empty()) return;
-  if (!mask_.empty()) {
-    const std::uint64_t m = mask_[word_index];
-    word = (word & ~m) | (value_[word_index] & m);
-    return;
-  }
-  const std::uint64_t lo = word_index * 64;
-  const std::uint64_t hi = lo + 64;
-  auto patch = [&](const std::vector<std::uint32_t>& cells, bool stuck_one) {
-    auto it = std::lower_bound(cells.begin(), cells.end(), lo);
-    for (; it != cells.end() && *it < hi; ++it) {
-      const std::uint64_t bit = 1ull << (*it - lo);
-      if (stuck_one) {
-        word |= bit;
-      } else {
-        word &= ~bit;
       }
     }
   };
@@ -206,52 +153,6 @@ hbm::RangeFlips FaultOverlay::verify_after_fill(
       ++out.mismatched_beats;
       last_beat = beat;
     }
-  }
-  return out;
-}
-
-hbm::RangeFlips FaultOverlay::verify_stored(
-    std::uint64_t start_beat, std::uint64_t beats,
-    std::span<const std::uint64_t> stored, const hbm::WordPattern& pattern,
-    std::uint64_t* diff_out) const noexcept {
-  hbm::RangeFlips out;
-  const std::uint64_t w0 = start_beat * 4;
-  const bool dense = !mask_.empty();
-  // Sparse cursors advance monotonically alongside the word scan, so the
-  // patching cost is O(words + stuck) rather than a search per word.
-  const std::uint64_t lo = start_beat * 256;
-  auto it0 = std::lower_bound(sparse_sa0_.begin(), sparse_sa0_.end(), lo);
-  auto it1 = std::lower_bound(sparse_sa1_.begin(), sparse_sa1_.end(), lo);
-  for (std::uint64_t b = 0; b < beats; ++b) {
-    std::uint64_t any = 0;
-    for (unsigned w = 0; w < 4; ++w) {
-      const std::uint64_t i = b * 4 + w;
-      std::uint64_t observed = stored[i];
-      if (dense) {
-        const std::uint64_t m = mask_[w0 + i];
-        observed = (observed & ~m) | (value_[w0 + i] & m);
-      } else {
-        const std::uint64_t word_lo = lo + i * 64;
-        const std::uint64_t word_hi = word_lo + 64;
-        while (it0 != sparse_sa0_.end() && *it0 < word_hi) {
-          observed &= ~(1ull << (*it0 - word_lo));
-          ++it0;
-        }
-        while (it1 != sparse_sa1_.end() && *it1 < word_hi) {
-          observed |= 1ull << (*it1 - word_lo);
-          ++it1;
-        }
-      }
-      const std::uint64_t expected = pattern.word(w0 + i);
-      const std::uint64_t diff = observed ^ expected;
-      out.flips_1to0 +=
-          static_cast<unsigned>(std::popcount(diff & expected));
-      out.flips_0to1 +=
-          static_cast<unsigned>(std::popcount(diff & ~expected));
-      any |= diff;
-      if (diff_out != nullptr) diff_out[i] |= diff;
-    }
-    if (any != 0) ++out.mismatched_beats;
   }
   return out;
 }

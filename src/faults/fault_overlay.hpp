@@ -5,10 +5,16 @@
 // An overlay is the materialized set of stuck cells at one voltage: the
 // first count_sa0/count_sa1 cells of each polarity's weak-cell order.  Two
 // representations:
-//   * sparse -- two sorted cell-index vectors (one per polarity); beats
-//     are patched via binary search.  Used when few cells are stuck.
-//   * dense  -- stuck-mask and stuck-value bitmaps; beats are patched with
-//     four word operations.  Used deep in the unsafe region.
+//   * sparse -- two sorted cell-index vectors (one per polarity); a read
+//     patches only the stuck cells inside its words, found by one binary
+//     search per polarity.  Used when few cells are stuck.
+//   * dense  -- stuck-mask and stuck-value bitmaps; a read patches each
+//     word with one mask-and-merge.  Used deep in the unsafe region.
+//
+// apply() is the only routine that patches stored words: every overlaid
+// read (beat, word or range; see HbmStack) goes through it.
+// verify_after_fill() is the write-then-verify shortcut that needs no
+// stored words at all.
 //
 // Stuck sets only grow as voltage falls (or a weak-cell burst lands), so an
 // overlay grows in place: extend() adds the cells of ranks [k, k') of each
@@ -49,19 +55,13 @@ class FaultOverlay {
   void extend(const WeakCellOrder& order, std::uint64_t count_sa0,
               std::uint64_t count_sa1);
 
-  /// Patches one 256-bit beat in place.
-  void apply(std::uint64_t beat, hbm::Beat& data) const noexcept;
-
-  /// Patches the words of a whole beat range in place.  `words` spans
-  /// exactly the range: words[0] is the first word of `start_beat`.
-  /// Sparse overlays visit only the stuck cells inside the range.
-  void apply_range(std::uint64_t start_beat, std::uint64_t beats,
-                   std::span<std::uint64_t> words) const noexcept;
-
-  /// Patches a single 64-bit word in place (`word_index` counts words from
-  /// the start of the PC): the narrow sibling of apply(), for readers that
-  /// only need one word of a beat (e.g. the ECC channel's check bytes).
-  void apply_word(std::uint64_t word_index, std::uint64_t& word) const noexcept;
+  /// Patches stored words in place with the stuck cells they hold: the
+  /// one read-path transform, for a single word, a beat or a beat range
+  /// alike.  `words[0]` is word `first_word` of the PC (a beat's words
+  /// start at beat * 4).  Dense overlays mask each word; sparse ones
+  /// visit only the stuck cells inside the words.
+  void apply(std::uint64_t first_word,
+             std::span<std::uint64_t> words) const noexcept;
 
   /// Bulk verify assuming the stored data equals `pattern` over the range
   /// (it was just bulk-filled with it): only stuck cells can differ, so
@@ -73,15 +73,6 @@ class FaultOverlay {
   [[nodiscard]] hbm::RangeFlips verify_after_fill(
       std::uint64_t start_beat, std::uint64_t beats,
       const hbm::WordPattern& pattern,
-      std::uint64_t* diff_out = nullptr) const noexcept;
-
-  /// Bulk verify of arbitrary stored words against `pattern`: counts the
-  /// flips of observed = overlay(stored) word-wise, without materializing
-  /// Beats or a patched copy.  `stored` spans the range like apply_range's
-  /// `words`; `diff_out` as in verify_after_fill.
-  [[nodiscard]] hbm::RangeFlips verify_stored(
-      std::uint64_t start_beat, std::uint64_t beats,
-      std::span<const std::uint64_t> stored, const hbm::WordPattern& pattern,
       std::uint64_t* diff_out = nullptr) const noexcept;
 
   [[nodiscard]] bool is_stuck(std::uint64_t bit) const noexcept;

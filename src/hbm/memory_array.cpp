@@ -50,22 +50,11 @@ bool MemoryArray::read_bit(std::uint64_t bit) const noexcept {
   return (words_[bit / 64] >> (bit % 64)) & 1ull;
 }
 
-void MemoryArray::read_words(std::uint64_t first_word, std::uint64_t count,
-                             std::uint64_t* out) const noexcept {
-  ensure_materialized();
-  std::memcpy(out, words_.data() + first_word, count * sizeof(std::uint64_t));
-}
-
 void MemoryArray::write_words(std::uint64_t first_word, std::uint64_t count,
                               const std::uint64_t* data) noexcept {
   ensure_materialized();
   std::memcpy(words_.data() + first_word, data,
               count * sizeof(std::uint64_t));
-}
-
-std::uint64_t MemoryArray::read_word(std::uint64_t word) const noexcept {
-  ensure_materialized();
-  return words_[word];
 }
 
 void MemoryArray::scramble(std::uint64_t seed) {
@@ -91,20 +80,18 @@ void MemoryArray::fill_range(std::uint64_t start_beat, std::uint64_t beats,
   for (std::uint64_t i = 0; i < count; ++i) dst[i] = pattern.word(w0 + i);
 }
 
-RangeFlips MemoryArray::compare_range(std::uint64_t start_beat,
-                                      std::uint64_t beats,
-                                      const WordPattern& pattern,
-                                      std::uint64_t* diff_out) const noexcept {
-  ensure_materialized();
+RangeFlips compare_range(std::uint64_t start_beat,
+                         std::span<const std::uint64_t> words,
+                         const WordPattern& pattern,
+                         std::uint64_t* diff_out) noexcept {
   RangeFlips out;
   const std::uint64_t w0 = start_beat * 4;
-  const std::uint64_t* src = words_.data() + w0;
-  for (std::uint64_t b = 0; b < beats; ++b) {
+  for (std::uint64_t b = 0; b < words.size() / 4; ++b) {
     std::uint64_t any = 0;
     for (unsigned w = 0; w < 4; ++w) {
       const std::uint64_t i = b * 4 + w;
       const std::uint64_t expected = pattern.word(w0 + i);
-      const std::uint64_t diff = src[i] ^ expected;
+      const std::uint64_t diff = words[i] ^ expected;
       out.flips_1to0 +=
           static_cast<unsigned>(std::popcount(diff & expected));
       out.flips_0to1 +=

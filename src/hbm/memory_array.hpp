@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -33,6 +34,16 @@ struct RangeFlips {
   std::uint64_t flips_0to1 = 0;  // expected 0, observed 1
   std::uint64_t mismatched_beats = 0;
 };
+
+/// Compares beat-aligned words against `pattern` with popcount-based flip
+/// counting; `words` spans whole beats and words[0] is the first word of
+/// `start_beat`.  When `diff_out` is non-null it receives OR-ed per-word
+/// diffs (diff_out[0] = words[0]).  The words are compared as given: pass
+/// an overlaid read (HbmStack::read_range_words) to verify what a read
+/// observes, or MemoryArray::words() for the raw stored contents.
+[[nodiscard]] RangeFlips compare_range(
+    std::uint64_t start_beat, std::span<const std::uint64_t> words,
+    const WordPattern& pattern, std::uint64_t* diff_out = nullptr) noexcept;
 
 class MemoryArray {
  public:
@@ -67,24 +78,16 @@ class MemoryArray {
   void fill_range(std::uint64_t start_beat, std::uint64_t beats,
                   const WordPattern& pattern) noexcept;
 
-  /// Compares a beat range against `pattern` with popcount-based flip
-  /// counting; no Beat is materialized.  When `diff_out` is non-null it
-  /// receives OR-ed per-word diffs (diff_out[0] = first word of
-  /// `start_beat`).  Fault overlays are NOT applied here -- this is the
-  /// raw stored-vs-pattern comparison (see HbmStack::read_verify_range
-  /// for the overlay-aware verify).
-  [[nodiscard]] RangeFlips compare_range(
-      std::uint64_t start_beat, std::uint64_t beats,
-      const WordPattern& pattern,
-      std::uint64_t* diff_out = nullptr) const noexcept;
-
   /// Bulk word copies for the beat-range engines: `first_word` indexes
-  /// 64-bit words from the start of the array (beat * 4).
+  /// 64-bit words from the start of the array (beat * 4).  read_words is
+  /// inline so a one-beat read copies four words without a memcpy call.
   void read_words(std::uint64_t first_word, std::uint64_t count,
-                  std::uint64_t* out) const noexcept;
+                  std::uint64_t* out) const noexcept {
+    std::memcpy(out, words().data() + first_word,
+                count * sizeof(std::uint64_t));
+  }
   void write_words(std::uint64_t first_word, std::uint64_t count,
                    const std::uint64_t* data) noexcept;
-  [[nodiscard]] std::uint64_t read_word(std::uint64_t word) const noexcept;
 
   /// Raw word view (read-only) for whole-array scans.
   [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {

@@ -70,10 +70,8 @@ Status HbmStack::write_beat(unsigned pc_local, std::uint64_t beat,
 }
 
 Result<Beat> HbmStack::read_beat(unsigned pc_local, std::uint64_t beat) {
-  const Status access = check_access(pc_local, beat);
-  if (!access.is_ok()) return access;
-  Beat data = arrays_[pc_local]->read_beat(beat);
-  injector_.overlay(global_pc(pc_local)).apply(beat, data);
+  Beat data{};
+  HBMVOLT_RETURN_IF_ERROR(read_words(pc_local, beat, 0, data));
   return data;
 }
 
@@ -97,28 +95,21 @@ Result<RangeFlips> HbmStack::read_verify_range(
     unsigned pc_local, std::uint64_t start_beat, std::uint64_t beats,
     const WordPattern& pattern, bool after_matching_write,
     std::uint64_t* diff_out) {
-  const Status access = check_range(pc_local, start_beat, beats);
-  if (!access.is_ok()) return access;
-  const faults::FaultOverlay& overlay = injector_.overlay(global_pc(pc_local));
+  HBMVOLT_RETURN_IF_ERROR(check_range(pc_local, start_beat, beats));
   if (after_matching_write) {
-    return overlay.verify_after_fill(start_beat, beats, pattern, diff_out);
+    return injector_.overlay(global_pc(pc_local))
+        .verify_after_fill(start_beat, beats, pattern, diff_out);
   }
-  if (overlay.empty()) {
-    return arrays_[pc_local]->compare_range(start_beat, beats, pattern,
-                                            diff_out);
-  }
-  const auto stored =
-      arrays_[pc_local]->words().subspan(start_beat * 4, beats * 4);
-  return overlay.verify_stored(start_beat, beats, stored, pattern, diff_out);
+  // Per call, not per stack: a fan-out reads the stack's PCs in parallel.
+  std::vector<std::uint64_t> observed(beats * 4);
+  HBMVOLT_RETURN_IF_ERROR(read_words(pc_local, start_beat, 0, observed));
+  return compare_range(start_beat, observed, pattern, diff_out);
 }
 
 Status HbmStack::read_range_words(unsigned pc_local, std::uint64_t start_beat,
                                   std::uint64_t beats, std::uint64_t* out) {
-  HBMVOLT_RETURN_IF_ERROR(check_range(pc_local, start_beat, beats));
-  arrays_[pc_local]->read_words(start_beat * 4, beats * 4, out);
-  injector_.overlay(global_pc(pc_local))
-      .apply_range(start_beat, beats, std::span<std::uint64_t>(out, beats * 4));
-  return Status::ok();
+  return read_words(pc_local, start_beat, 0,
+                    std::span<std::uint64_t>(out, beats * 4));
 }
 
 Status HbmStack::write_range_words(unsigned pc_local, std::uint64_t start_beat,
@@ -131,11 +122,23 @@ Status HbmStack::write_range_words(unsigned pc_local, std::uint64_t start_beat,
 
 Result<std::uint64_t> HbmStack::read_word(unsigned pc_local,
                                           std::uint64_t word_index) {
-  const Status access = check_access(pc_local, word_index / 4);
-  if (!access.is_ok()) return access;
-  std::uint64_t word = arrays_[pc_local]->read_word(word_index);
-  injector_.overlay(global_pc(pc_local)).apply_word(word_index, word);
+  std::uint64_t word = 0;
+  HBMVOLT_RETURN_IF_ERROR(read_words(pc_local, word_index / 4, word_index % 4,
+                                     std::span<std::uint64_t>(&word, 1)));
   return word;
+}
+
+Status HbmStack::read_words(unsigned pc_local, std::uint64_t beat,
+                            std::uint64_t word_in_beat,
+                            std::span<std::uint64_t> out) {
+  HBMVOLT_RETURN_IF_ERROR(check_access(pc_local, beat));
+  const std::uint64_t first_word = beat * 4 + word_in_beat;
+  if (out.empty() || out.size() > geometry_.bits_per_pc / 64 - first_word) {
+    return out_of_range("beat range beyond PC capacity");
+  }
+  arrays_[pc_local]->read_words(first_word, out.size(), out.data());
+  injector_.overlay(global_pc(pc_local)).apply(first_word, out);
+  return Status::ok();
 }
 
 MemoryArray& HbmStack::array(unsigned pc_local) {

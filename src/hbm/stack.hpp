@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.hpp"
@@ -77,7 +78,9 @@ class HbmStack {
   Status write_beat(unsigned pc_local, std::uint64_t beat, const Beat& data);
 
   /// Reads one 256-bit beat with the stuck-at overlay of the current
-  /// voltage applied.  UNAVAILABLE when crashed or powered off.
+  /// voltage applied.  UNAVAILABLE when crashed or powered off.  Like
+  /// read_word and read_range_words, a view of the one overlaid read
+  /// (read_words below).
   Result<Beat> read_beat(unsigned pc_local, std::uint64_t beat);
 
   // ---- Batched beat-range engine ----
@@ -95,13 +98,15 @@ class HbmStack {
                      std::uint64_t beats, const WordPattern& pattern);
 
   /// Bulk read-verify of the beat range against `pattern` with the current
-  /// voltage's overlay applied word-wise.  With `after_matching_write` the
-  /// stored data is known to equal the pattern (the range was just written
-  /// with it), so only stuck cells can differ and the verify touches no
+  /// voltage's overlay applied.  With `after_matching_write` the stored
+  /// data is known to equal the pattern (the range was just written with
+  /// it), so only stuck cells can differ and the verify touches no
   /// memory-array words: O(stuck cells) sparse, a single pattern-vs-pattern
   /// O(1) comparison when the overlay is empty (the whole guardband).
-  /// `diff_out`, when non-null, receives OR-ed per-word diffs (diff_out[0]
-  /// = first word of `start_beat`).
+  /// Otherwise the range is read like read_range_words into a per-call
+  /// buffer and compared with hbm::compare_range.  `diff_out`, when
+  /// non-null, receives OR-ed per-word diffs (diff_out[0] = first word of
+  /// `start_beat`).
   Result<RangeFlips> read_verify_range(unsigned pc_local,
                                        std::uint64_t start_beat,
                                        std::uint64_t beats,
@@ -109,9 +114,9 @@ class HbmStack {
                                        bool after_matching_write,
                                        std::uint64_t* diff_out = nullptr);
 
-  /// Raw bulk read of a beat range into `out` (beats * 4 words) with the
-  /// current voltage's overlay applied -- the word-span sibling of
-  /// read_beat for engines that carry their own buffers (ECC decode_range).
+  /// Bulk read of a beat range into `out` (beats * 4 words) with the
+  /// current voltage's overlay applied, for engines that carry their own
+  /// buffers (ECC decode_range).
   Status read_range_words(unsigned pc_local, std::uint64_t start_beat,
                           std::uint64_t beats, std::uint64_t* out);
 
@@ -120,8 +125,8 @@ class HbmStack {
                            std::uint64_t beats, const std::uint64_t* data);
 
   /// Reads one 64-bit word (index counted from the start of the PC) with
-  /// the overlay applied: a quarter of a read_beat for readers that only
-  /// need one word (e.g. a beat's ECC check bytes).
+  /// the overlay applied, for readers that only need one word of a beat
+  /// (e.g. its ECC check bytes).
   Result<std::uint64_t> read_word(unsigned pc_local, std::uint64_t word_index);
 
   /// Direct array access for tests and white-box analyses.
@@ -134,6 +139,15 @@ class HbmStack {
 
  private:
   Status check_access(unsigned pc_local, std::uint64_t beat) const;
+
+  /// The one overlaid read behind read_beat, read_word and
+  /// read_range_words: checks state and bounds, copies `out.size()` words
+  /// starting at word `word_in_beat` of `beat` from the array, and patches
+  /// them with the current voltage's overlay (FaultOverlay::apply).  The
+  /// address comes as a beat so it is checked before any word arithmetic
+  /// could wrap.
+  Status read_words(unsigned pc_local, std::uint64_t beat,
+                    std::uint64_t word_in_beat, std::span<std::uint64_t> out);
 
   HbmGeometry geometry_;
   unsigned index_;

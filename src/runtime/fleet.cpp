@@ -454,31 +454,35 @@ bool ServingFleet::serve_slot_epoch(std::size_t i) {
                           : ServeOutcome::kStale;
         }
         ran = true;
-      } else if (n >= 2 &&
-                 (write_op || (!config_.storm_hook && !lost))) {
+      } else if (write_op) {
+        // Payloads are pure in the request's payload identity, so a
+        // re-served run rewrites identical data.
         st.beats.resize(n);
-        Status bulk = Status::ok();
-        if (write_op) {
-          // Payloads are pure in the request's payload identity, so a
-          // re-served run rewrites identical data.
-          for (std::uint64_t k = 0; k < n; ++k) {
-            st.beats[k] = make_payload(data_seed_, pc, r.payload + f.done + k);
-          }
-          bulk = do_write(i, logical, n, st.beats.data());
-        } else {
-          bulk = channel.read_range(logical, n, st.beats.data());
+        for (std::uint64_t k = 0; k < n; ++k) {
+          st.beats[k] = make_payload(data_seed_, pc, r.payload + f.done + k);
         }
+        const Status wrote = do_write(i, logical, n, st.beats.data());
+        if (!wrote.is_ok()) {
+          if (wrote.code() != StatusCode::kUnavailable) return st.fail(wrote);
+          // Whole-PC death is absorbed locally (journal/stripe serving);
+          // a crashed stack requests rung 3 and ends the epoch -- the run
+          // is retried after the barrier's power-cycle + restore.
+          if (absorb_device_loss(channel)) continue;
+          ++st.attempts;
+          return st.park(LadderRung::kPowerCycle);
+        }
+        st.report.writes += n;
+        f.model_ns += n * (channel.device_lost() ? kModelJournalNs
+                                                 : kModelDeviceWriteNs);
+        ran = true;
+      } else if (n >= 2 && !config_.storm_hook && !lost) {
+        st.beats.resize(n);
+        const Status bulk = channel.read_range(logical, n, st.beats.data());
         if (bulk.is_ok()) {
-          if (write_op) {
-            st.report.writes += n;
-            f.model_ns += n * (channel.device_lost() ? kModelJournalNs
-                                                     : kModelDeviceWriteNs);
-          } else {
-            st.report.corrupt_reads += count_mismatched_beats(
-                st.beats.data(), &channel.journal_beat(logical), n);
-            st.report.reads += n;
-            f.model_ns += n * kModelDeviceReadNs;
-          }
+          st.report.corrupt_reads += count_mismatched_beats(
+              st.beats.data(), &channel.journal_beat(logical), n);
+          st.report.reads += n;
+          f.model_ns += n * kModelDeviceReadNs;
           ran = true;
         } else if (bulk.code() != StatusCode::kDataLoss &&
                    bulk.code() != StatusCode::kUnavailable) {
@@ -489,65 +493,46 @@ bool ServingFleet::serve_slot_epoch(std::size_t i) {
       }
       if (!ran) {
         n = 1;
-        if (write_op) {
-          const hbm::Beat payload =
-              make_payload(data_seed_, pc, r.payload + f.done);
-          const Status wrote = do_write(i, logical, 1, &payload);
-          if (!wrote.is_ok()) {
-            if (st.wants_global) return false;  // parked by a stripe fetch
-            if (wrote.code() != StatusCode::kUnavailable) return st.fail(wrote);
-            // Whole-PC death is absorbed locally (journal/stripe serving);
-            // a crashed stack requests rung 3 and ends the epoch -- the op
-            // is retried after the barrier's power-cycle + restore.
-            if (absorb_device_loss(channel)) continue;
-            ++st.attempts;
+        auto got = do_read(i, logical);
+        if (!got.is_ok()) {
+          ++f.rounds;
+          if (++st.attempts > kMaxBeatAttempts) return st.fail(got.status());
+          if (st.wants_global) return false;  // parked by a stripe fetch
+          if (got.status().code() == StatusCode::kUnavailable) {
+            if (absorb_device_loss(channel)) continue;  // journal/stripe
             return st.park(LadderRung::kPowerCycle);
           }
-          ++st.report.writes;
-          f.model_ns += channel.device_lost() ? kModelJournalNs
-                                              : kModelDeviceWriteNs;
-        } else {
-          auto got = do_read(i, logical);
-          if (!got.is_ok()) {
-            ++f.rounds;
-            if (++st.attempts > kMaxBeatAttempts) return st.fail(got.status());
-            if (st.wants_global) return false;  // parked by a stripe fetch
-            if (got.status().code() == StatusCode::kUnavailable) {
-              if (absorb_device_loss(channel)) continue;  // journal/stripe
-              return st.park(LadderRung::kPowerCycle);
-            }
-            if (got.status().code() != StatusCode::kDataLoss) {
-              return st.fail(got.status());
-            }
-            auto rung = channel.escalate();
-            if (!rung.is_ok()) return st.fail(rung.status());
-            f.model_ns += kModelEscalateNs;
-            if (f.rounds > r.deadline_attempts ||
-                !source.spend_retry(i, r.tenant)) {
-              // Deadline blown (or the tenant's retry slice is dry):
-              // guaranteed tenants hedge the rest of the request to the
-              // journal, best-effort requests are shed mid-serve.
-              if (r.hedge) {
-                f.hedging = true;
-                continue;
-              }
-              shed = true;
-              break;
-            }
-            if (!st.take(rung)) return false;  // retried after the barrier
-            continue;  // local correction: retry the same beat now
+          if (got.status().code() != StatusCode::kDataLoss) {
+            return st.fail(got.status());
           }
-          if (got.value() != channel.journal_beat(logical)) {
-            ++st.report.corrupt_reads;
+          auto rung = channel.escalate();
+          if (!rung.is_ok()) return st.fail(rung.status());
+          f.model_ns += kModelEscalateNs;
+          if (f.rounds > r.deadline_attempts ||
+              !source.spend_retry(i, r.tenant)) {
+            // Deadline blown (or the tenant's retry slice is dry):
+            // guaranteed tenants hedge the rest of the request to the
+            // journal, best-effort requests are shed mid-serve.
+            if (r.hedge) {
+              f.hedging = true;
+              continue;
+            }
+            shed = true;
+            break;
           }
-          ++st.report.reads;
-          if (st.attempts > 0) ++st.report.escalated_reads;
-          const std::uint64_t js = channel.stats().journal_served_reads;
-          const std::uint64_t rc = channel.stats().reconstructed_reads;
-          f.model_ns += rc > rc_prev   ? reconstruct_ns
-                        : js > js_prev ? kModelJournalNs
-                                       : kModelDeviceReadNs;
+          if (!st.take(rung)) return false;  // retried after the barrier
+          continue;  // local correction: retry the same beat now
         }
+        if (got.value() != channel.journal_beat(logical)) {
+          ++st.report.corrupt_reads;
+        }
+        ++st.report.reads;
+        if (st.attempts > 0) ++st.report.escalated_reads;
+        const std::uint64_t js = channel.stats().journal_served_reads;
+        const std::uint64_t rc = channel.stats().reconstructed_reads;
+        f.model_ns += rc > rc_prev   ? reconstruct_ns
+                      : js > js_prev ? kModelJournalNs
+                                     : kModelDeviceReadNs;
       }
       js_prev = channel.stats().journal_served_reads;
       rc_prev = channel.stats().reconstructed_reads;

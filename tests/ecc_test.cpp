@@ -331,7 +331,7 @@ TEST_F(EccChannelTest, DectedCorrectsTheDoubleUpsetSecdedCannot) {
                             0x9999AAAABBBBCCCCull, 0xDDDDEEEEFFFF0000ull};
   auto plant_double_flip = [this](unsigned pc) {
     // Data beat 0 word 0 lives at array word 0 (identity data layout).
-    const std::uint64_t raw = stack_.array(pc).read_word(0);
+    const std::uint64_t raw = stack_.array(pc).words()[0];
     const std::uint64_t upset = raw ^ 0x0000000000000041ull;  // bits 0, 6
     stack_.array(pc).write_words(0, 1, &upset);
   };

@@ -19,6 +19,7 @@
 #include "faults/fault_overlay.hpp"
 #include "faults/weak_cells.hpp"
 #include "hbm/geometry.hpp"
+#include "hbm/stack.hpp"
 
 namespace hbmvolt {
 namespace {
@@ -624,8 +625,8 @@ TEST_F(OverlayTest, ApplyMatchesIsStuck) {
   for (std::uint64_t beat = 0; beat < geometry_.beats_per_pc(); ++beat) {
     hbm::Beat ones = hbm::kBeatAllOnes;
     hbm::Beat zeros = hbm::kBeatAllZeros;
-    overlay.apply(beat, ones);
-    overlay.apply(beat, zeros);
+    overlay.apply(beat * 4, ones);
+    overlay.apply(beat * 4, zeros);
     for (unsigned bit = 0; bit < 256; ++bit) {
       const std::uint64_t cell = beat * 256 + bit;
       const bool one_read = (ones[bit / 64] >> (bit % 64)) & 1;
@@ -666,8 +667,22 @@ TEST_F(OverlayTest, LowerVoltageSetContainsHigherVoltageSet) {
 
 // ----------------------------------------------- FaultOverlay range ops
 
-/// Reference flip count: per-beat apply + per-word popcount, the loop the
-/// bulk verifies replace.
+/// Per-cell reference read of one stored word: a stuck cell reads its
+/// stuck value, any other cell its stored bit.  Built on is_stuck and
+/// stuck_value alone, so it shares no code with FaultOverlay::apply.
+std::uint64_t reference_word(const FaultOverlay& overlay,
+                             std::uint64_t word_index, std::uint64_t stored) {
+  for (unsigned bit = 0; bit < 64; ++bit) {
+    const std::uint64_t cell = word_index * 64 + bit;
+    if (!overlay.is_stuck(cell)) continue;
+    const std::uint64_t mask = 1ull << bit;
+    stored = overlay.stuck_value(cell) ? stored | mask : stored & ~mask;
+  }
+  return stored;
+}
+
+/// Reference flip count: per-cell reads + per-word popcount over whole
+/// beats; `stored` spans the range.
 hbm::RangeFlips reference_verify(const FaultOverlay& overlay,
                                  std::uint64_t start_beat,
                                  std::uint64_t beats,
@@ -675,13 +690,12 @@ hbm::RangeFlips reference_verify(const FaultOverlay& overlay,
                                  std::span<const std::uint64_t> stored) {
   hbm::RangeFlips flips;
   for (std::uint64_t b = 0; b < beats; ++b) {
-    hbm::Beat data;
-    for (unsigned w = 0; w < 4; ++w) data[w] = stored[b * 4 + w];
-    overlay.apply(start_beat + b, data);
     bool any = false;
     for (unsigned w = 0; w < 4; ++w) {
-      const std::uint64_t expected = pattern.word((start_beat + b) * 4 + w);
-      const std::uint64_t diff = data[w] ^ expected;
+      const std::uint64_t word = (start_beat + b) * 4 + w;
+      const std::uint64_t expected = pattern.word(word);
+      const std::uint64_t diff =
+          reference_word(overlay, word, stored[b * 4 + w]) ^ expected;
       any = any || diff != 0;
       flips.flips_1to0 += static_cast<unsigned>(std::popcount(diff & expected));
       flips.flips_0to1 +=
@@ -696,36 +710,46 @@ class RangeOpsTest : public OverlayTest,
                      public ::testing::WithParamInterface<bool> {
  protected:
   /// Sparse (220 stuck <= 256 words) or dense (500 stuck) per the param.
+  static constexpr std::uint64_t kSa0[2] = {100, 200};
+  static constexpr std::uint64_t kSa1[2] = {120, 300};
   FaultOverlay make_overlay() const {
-    return GetParam() ? FaultOverlay::build(order_, 200, 300)
-                      : FaultOverlay::build(order_, 100, 120);
+    return FaultOverlay::build(order_, kSa0[GetParam()], kSa1[GetParam()]);
   }
 };
 
-TEST_P(RangeOpsTest, ApplyRangeMatchesPerBeatApply) {
+TEST_P(RangeOpsTest, ApplyMatchesPerCellReference) {
   const auto overlay = make_overlay();
   ASSERT_EQ(overlay.dense(), GetParam());
   const auto pattern = hbm::WordPattern::hashed(13);
-  const std::uint64_t beats = geometry_.beats_per_pc();
-  for (const auto& [start, count] :
-       std::vector<std::pair<std::uint64_t, std::uint64_t>>{
-           {0, beats}, {7, 12}, {beats - 3, 3}}) {
-    std::vector<std::uint64_t> bulk(count * 4);
-    for (std::uint64_t i = 0; i < bulk.size(); ++i) {
-      bulk[i] = pattern.word(start * 4 + i);
-    }
-    overlay.apply_range(start, count, bulk);
-    for (std::uint64_t b = 0; b < count; ++b) {
-      hbm::Beat data;
-      for (unsigned w = 0; w < 4; ++w) {
-        data[w] = pattern.word((start + b) * 4 + w);
-      }
-      overlay.apply(start + b, data);
-      for (unsigned w = 0; w < 4; ++w) {
-        ASSERT_EQ(bulk[b * 4 + w], data[w]) << "beat " << b << " word " << w;
-      }
+  const std::uint64_t words = geometry_.bits_per_pc / 64;
+  std::uint64_t first_stuck = ~0ull;
+  std::uint64_t last_stuck = 0;
+  overlay.for_each([&](std::uint64_t bit, StuckPolarity) {
+    first_stuck = std::min(first_stuck, bit / 64);
+    last_stuck = std::max(last_stuck, bit / 64);
+  });
+  // (first word, word count): beat-aligned ranges, unaligned word ranges,
+  // and single words at the PC edges, at the edges of the ranges above
+  // and at the overlay's first and last stuck words.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges = {
+      {0, words}, {28, 48}, {words - 4, 4},                   // aligned
+      {5, 17}, {1, words - 2}, {words - 7, 7},                // unaligned
+      {0, 1}, {3, 1}, {4, 1}, {words - 1, 1},                 // PC edges
+      {27, 1}, {28, 1}, {75, 1}, {76, 1},                     // range edges
+      {first_stuck, 1}, {last_stuck, 1}};
+  std::uint64_t patched = 0;
+  for (const auto& [first, count] : ranges) {
+    std::vector<std::uint64_t> got(count);
+    for (std::uint64_t i = 0; i < count; ++i) got[i] = pattern.word(first + i);
+    overlay.apply(first, got);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t stored = pattern.word(first + i);
+      ASSERT_EQ(got[i], reference_word(overlay, first + i, stored))
+          << "range [" << first << ", +" << count << ") word " << i;
+      patched += got[i] != stored ? 1 : 0;
     }
   }
+  EXPECT_GT(patched, 0u);
 }
 
 TEST_P(RangeOpsTest, VerifyAfterFillMatchesReference) {
@@ -761,27 +785,45 @@ TEST_P(RangeOpsTest, VerifyAfterFillMatchesReference) {
   }
 }
 
-TEST_P(RangeOpsTest, VerifyStoredMatchesReference) {
-  const auto overlay = make_overlay();
+TEST_P(RangeOpsTest, ReadVerifyOfStoredWordsMatchesReference) {
+  // The stack's read-then-compare verify (after_matching_write=false) over
+  // stored contents deliberately different from the expected pattern: it
+  // must count pattern mismatches and stuck cells alike.  At the guardband
+  // only the burst is stuck, so the PC's overlay is sized like
+  // make_overlay()'s.
+  FaultInjector injector(make_model(geometry_));
+  injector.set_voltage(Millivolts{1200});
+  hbm::HbmStack stack(geometry_, 0, injector, 7);
+  constexpr unsigned kPc = 3;
+  injector.add_burst(kPc, kSa0[GetParam()], kSa1[GetParam()]);
+  const FaultOverlay& overlay = injector.overlay(kPc);
+  ASSERT_EQ(overlay.dense(), GetParam());
   const std::uint64_t beats = geometry_.beats_per_pc();
-  // Stored contents deliberately different from the expected pattern:
-  // the general verify must count pattern mismatches and stuck cells.
-  const auto stored_pattern = hbm::WordPattern::hashed(21);
+  ASSERT_TRUE(
+      stack.write_range(kPc, 0, beats, hbm::WordPattern::hashed(21)).is_ok());
+  const auto stored = stack.array(kPc).words();
   const auto expected_pattern = hbm::WordPattern::repeat(hbm::kBeatAllOnes);
   for (const auto& [start, count] :
        std::vector<std::pair<std::uint64_t, std::uint64_t>>{
            {0, beats}, {11, 30}, {beats - 2, 2}}) {
-    std::vector<std::uint64_t> stored(count * 4);
-    for (std::uint64_t i = 0; i < stored.size(); ++i) {
-      stored[i] = stored_pattern.word(start * 4 + i);
-    }
+    const auto range = stored.subspan(start * 4, count * 4);
     const auto expected =
-        reference_verify(overlay, start, count, expected_pattern, stored);
-    const auto got =
-        overlay.verify_stored(start, count, stored, expected_pattern);
-    EXPECT_EQ(got.flips_1to0, expected.flips_1to0);
-    EXPECT_EQ(got.flips_0to1, expected.flips_0to1);
-    EXPECT_EQ(got.mismatched_beats, expected.mismatched_beats);
+        reference_verify(overlay, start, count, expected_pattern, range);
+    std::vector<std::uint64_t> diff(count * 4, 0);
+    const auto got = stack.read_verify_range(kPc, start, count,
+                                             expected_pattern,
+                                             /*after_matching_write=*/false,
+                                             diff.data());
+    ASSERT_TRUE(got.is_ok());
+    EXPECT_EQ(got.value().flips_1to0, expected.flips_1to0);
+    EXPECT_EQ(got.value().flips_0to1, expected.flips_0to1);
+    EXPECT_EQ(got.value().mismatched_beats, expected.mismatched_beats);
+    for (std::uint64_t i = 0; i < diff.size(); ++i) {
+      const std::uint64_t word = start * 4 + i;
+      ASSERT_EQ(diff[i], reference_word(overlay, word, range[i]) ^
+                             expected_pattern.word(word))
+          << "word " << word;
+    }
   }
 }
 

@@ -233,7 +233,7 @@ TEST(MemoryArrayTest, CompareRangeCountsFlipsAndDiffs) {
   array.write_bit(6 * 256 + 200, true);  // beat 6
   const auto zeros = hbm::WordPattern::repeat(hbm::kBeatAllZeros);
   std::vector<std::uint64_t> diff(array.beats() * 4, 0);
-  const auto flips = array.compare_range(0, array.beats(), zeros, diff.data());
+  const auto flips = hbm::compare_range(0, array.words(), zeros, diff.data());
   EXPECT_EQ(flips.flips_0to1, 2u);
   EXPECT_EQ(flips.flips_1to0, 0u);
   EXPECT_EQ(flips.mismatched_beats, 2u);
@@ -241,7 +241,7 @@ TEST(MemoryArrayTest, CompareRangeCountsFlipsAndDiffs) {
   EXPECT_EQ(diff[6 * 4 + 3], 1ull << (200 - 192));
   // Against all-ones, every other bit is a 1->0 flip.
   const auto ones = hbm::WordPattern::repeat(hbm::kBeatAllOnes);
-  const auto inverse = array.compare_range(0, array.beats(), ones);
+  const auto inverse = hbm::compare_range(0, array.words(), ones);
   EXPECT_EQ(inverse.flips_1to0, (1u << 12) - 2);
   EXPECT_EQ(inverse.mismatched_beats, array.beats());
 }

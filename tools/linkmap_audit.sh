@@ -16,6 +16,13 @@
 # design).  A function inlined into every caller would show up as a false
 # positive, which is why inlining is off.
 #
+# Special members -- default, copy and move constructors, copy and move
+# assignment operators, destructors -- are set aside from the test-only
+# list and only counted: the compiler emits them for any class a test
+# copies or destroys, and no one can delete them.  They are recognised by
+# signature alone, so a user-written special member is set aside too.  The
+# dead list keeps them.
+#
 # Usage: tools/linkmap_audit.sh [BUILD_DIR]   (default: build-linkmap)
 # Needs cmake, g++, GoogleTest and Google Benchmark, like the main build.
 
@@ -51,6 +58,15 @@ functions() {
     c++filt | LC_ALL=C sort -u
 }
 
+# The special members among a sorted function list (see the header).
+special_members() {
+  { grep -E '^(.+)::([A-Za-z_][A-Za-z0-9_]*)::~?\2\(\)$' "$1" || true
+    grep -E '^(.+)::([A-Za-z_][A-Za-z0-9_]*)::\2\(\1::\2( const&|&&)\)$' \
+      "$1" || true
+    grep -E '^(.+)::operator=\(\1( const&|&&)\)$' "$1" || true
+  } | LC_ALL=C sort -u
+}
+
 executables() {
   find "$@" -maxdepth 1 -type f -perm -u+x | LC_ALL=C sort
 }
@@ -70,12 +86,16 @@ functions "${shipped[@]}" > "$out/shipped.txt"
 functions "${tests[@]}" > "$out/tests.txt"
 
 LC_ALL=C comm -23 "$out/library.txt" "$out/shipped.txt" > "$out/unshipped.txt"
-LC_ALL=C comm -12 "$out/unshipped.txt" "$out/tests.txt" > "$out/test_only.txt"
+LC_ALL=C comm -12 "$out/unshipped.txt" "$out/tests.txt" > "$out/test_reached.txt"
 LC_ALL=C comm -23 "$out/unshipped.txt" "$out/tests.txt" > "$out/dead.txt"
+special_members "$out/test_reached.txt" > "$out/special.txt"
+LC_ALL=C comm -23 "$out/test_reached.txt" "$out/special.txt" \
+  > "$out/test_only.txt"
 
 echo "== ${#shipped[@]} shipped binaries, ${#tests[@]} test binaries"
 echo "== library functions: $(wc -l < "$out/library.txt")"
-echo "== test-only: $(wc -l < "$out/test_only.txt") (reached only by tests)"
+echo "== test-only: $(wc -l < "$out/test_only.txt") (reached only by tests;" \
+  "$(wc -l < "$out/special.txt") special members set aside)"
 sed 's/^/  /' "$out/test_only.txt"
 echo "== dead: $(wc -l < "$out/dead.txt") (reached by nothing)"
 sed 's/^/  /' "$out/dead.txt"
