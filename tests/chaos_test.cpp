@@ -8,6 +8,7 @@
 // Persistent faults must instead degrade gracefully -- structured errors
 // plus partial artifacts, never a process death.
 
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -555,11 +556,88 @@ class ResumeTest : public ::testing::Test {
     ASSERT_FALSE(run.value().halted);
     // A clean finish removes its own checkpoint.
     EXPECT_FALSE(fs::exists(*clean_dir_ / "checkpoint.json"));
+    clean_result_ = new core::CampaignResult(std::move(run).value());
   }
 
   static void TearDownTestSuite() {
     delete clean_dir_;
     clean_dir_ = nullptr;
+    delete clean_result_;
+    clean_result_ = nullptr;
+  }
+
+  /// Halts a campaign after `halt_after` steps and checks the returned
+  /// partial result: the rows measured so far, exactly as the clean run
+  /// measured them, with the series utilizations and the normalization
+  /// reference derived as a finished power sweep derives them.
+  static void check_halted_result(unsigned halt_after,
+                                  std::size_t expected_voltages,
+                                  std::size_t expected_power_rows,
+                                  const std::string& label) {
+    core::CampaignConfig config = artifact_campaign(scratch_dir(label));
+    config.halt_after_steps = halt_after;
+    board::Vcu128Board board(tiny_board());
+    core::Campaign campaign(board, config);
+    auto run = campaign.run();
+    ASSERT_TRUE(run.is_ok()) << label << ": " << run.status().to_string();
+    const core::CampaignResult& halted = run.value();
+    ASSERT_TRUE(halted.halted) << label;
+    const core::CampaignResult& clean = *clean_result_;
+
+    const std::vector<Millivolts> voltages = halted.fault_map.voltages();
+    EXPECT_EQ(voltages.size(), expected_voltages) << label;
+    for (const Millivolts v : voltages) {
+      const faults::VoltageObservation* got = halted.fault_map.at(v);
+      const faults::VoltageObservation* want = clean.fault_map.at(v);
+      ASSERT_NE(want, nullptr) << label << ": " << v.value << " mV";
+      EXPECT_EQ(got->crashed, want->crashed) << label << ": " << v.value;
+      ASSERT_EQ(got->pcs.size(), want->pcs.size()) << label;
+      for (std::size_t pc = 0; pc < got->pcs.size(); ++pc) {
+        const faults::PcFaultRecord& a = got->pcs[pc];
+        const faults::PcFaultRecord& b = want->pcs[pc];
+        EXPECT_TRUE(a.bits_tested == b.bits_tested &&
+                    a.flips_1to0 == b.flips_1to0 &&
+                    a.flips_0to1 == b.flips_0to1 &&
+                    a.bits_tested_ones == b.bits_tested_ones &&
+                    a.bits_tested_zeros == b.bits_tested_zeros)
+            << label << ": PC " << pc << " at " << v.value << " mV";
+      }
+    }
+
+    const double total_pcs = board.geometry().total_pcs();
+    std::size_t power_rows = 0;
+    const core::PowerSeries* max_series = nullptr;
+    for (const core::PowerSeries& series : halted.power.series) {
+      EXPECT_EQ(series.utilization, series.ports / total_pcs) << label;
+      const core::PowerSeries* want = nullptr;
+      for (const core::PowerSeries& s : clean.power.series) {
+        if (s.ports == series.ports) want = &s;
+      }
+      ASSERT_NE(want, nullptr) << label << ": ports " << series.ports;
+      ASSERT_EQ(series.voltages.size(), series.power.size()) << label;
+      ASSERT_LE(series.voltages.size(), want->voltages.size()) << label;
+      for (std::size_t i = 0; i < series.voltages.size(); ++i) {
+        EXPECT_EQ(series.voltages[i], want->voltages[i]) << label;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(series.power[i].value),
+                  std::bit_cast<std::uint64_t>(want->power[i].value))
+            << label << ": ports " << series.ports << " row " << i;
+      }
+      power_rows += series.voltages.size();
+      if (max_series == nullptr || series.ports > max_series->ports) {
+        max_series = &series;
+      }
+    }
+    EXPECT_EQ(power_rows, expected_power_rows) << label;
+
+    const Millivolts v_nom = board.config().regulator_config.vout_default;
+    EXPECT_EQ(halted.power.v_nom, v_nom) << label;
+    const Watts reference =
+        max_series == nullptr
+            ? Watts{0.0}
+            : max_series->power_at(v_nom).value_or(Watts{0.0});
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(halted.power.reference.value),
+              std::bit_cast<std::uint64_t>(reference.value))
+        << label;
   }
 
   /// Kills a campaign after `halt_after` steps, then resumes it on a
@@ -597,9 +675,19 @@ class ResumeTest : public ::testing::Test {
   }
 
   static fs::path* clean_dir_;
+  static core::CampaignResult* clean_result_;
 };
 
 fs::path* ResumeTest::clean_dir_ = nullptr;
+core::CampaignResult* ResumeTest::clean_result_ = nullptr;
+
+TEST_F(ResumeTest, HaltedResultHoldsTheMeasuredPrefix) {
+  // Step 5 halts inside the reliability phase (no power row yet); step 24
+  // halts three rows into the power phase's first series, after all 21
+  // reliability steps.
+  check_halted_result(5, 5, 0, "halted_reliability");
+  check_halted_result(24, 21, 3, "halted_power");
+}
 
 TEST_F(ResumeTest, KillDuringReliabilityPhaseResumesByteIdentical) {
   check_kill_resume(5, chaos::ChaosConfig{}, "kill_reliability");
