@@ -1,10 +1,11 @@
 // Performance microbenchmarks (google-benchmark): the hot paths of the
 // simulator itself -- beat reads with sparse/dense overlays, overlay
 // construction and growth over a descent, weak-cell order construction,
-// and the Feistel PRP.
+// the Feistel PRP, and the campaign's checkpoint save.
 // These guard the "full sweep in seconds" property the fig benches rely
 // on.
 
+#include <filesystem>
 #include <optional>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "axi/traffic_gen.hpp"
 #include "bench_common.hpp"
 #include "common/prp.hpp"
+#include "core/checkpoint.hpp"
 #include "core/parallel.hpp"
 #include "ecc/ecc_channel.hpp"
 #include "ecc/secded_gfni.hpp"
@@ -248,6 +250,57 @@ BENCHMARK(BM_SweepThroughput)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+// One campaign checkpoint save (core/checkpoint.hpp): the whole
+// default-geometry file a campaign rewrites after each sweep step once its
+// power phase is under way -- 41 reliability rows x 32 PCs (flip-free
+// above 900 mV, growing below, a crash row at 800 mV) plus 5 power series
+// x 40 rows, about 58 KB.  A default campaign saves it ~241 times;
+// trended only.
+void BM_CampaignCheckpoint(benchmark::State& state) {
+  const hbm::HbmGeometry geometry = bench_geometry();
+  core::CampaignCheckpoint ckpt(geometry);
+  ckpt.fingerprint = 0xC4A05F1;
+  ckpt.reliability_done = true;
+  ckpt.power_snapshot_seq = 1600;
+  for (const Millivolts v :
+       core::sweep_grid({Millivolts{1200}, Millivolts{810}, 10})) {
+    const std::uint64_t depth = v.value < 900 ? 900 - v.value : 0;
+    for (unsigned pc = 0; pc < geometry.total_pcs(); ++pc) {
+      const std::uint64_t flips = depth * depth * (pc + 1);
+      ckpt.fault_map.record(v, pc,
+                            {2u << 20, flips, flips / 2, 1u << 20, 1u << 20});
+    }
+  }
+  ckpt.fault_map.record_crash(Millivolts{800});
+  for (const unsigned ports : {0u, 8u, 16u, 24u, 32u}) {
+    core::PowerSeries series;
+    series.ports = ports;
+    for (const Millivolts v :
+         core::sweep_grid({Millivolts{1200}, Millivolts{810}, 10})) {
+      series.voltages.push_back(v);
+      series.power.push_back(
+          Watts{(0.5 + 0.05 * ports) * v.volts() * v.volts()});
+    }
+    ckpt.power.push_back(std::move(series));
+  }
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "hbmvolt_bm_checkpoint.json")
+                               .string();
+  for (auto _ : state) {
+    if (!core::save_checkpoint(ckpt, path).is_ok()) {
+      state.SkipWithError("checkpoint save failed");
+      break;
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  const std::size_t bytes = core::checkpoint_to_json(ckpt).size();
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * bytes));
+  state.counters["file_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_CampaignCheckpoint)->Unit(benchmark::kMicrosecond);
 
 // Telemetry overhead on the serial sweep plus a nominal-voltage
 // ReliableChannel::serve_trace pass (docs/observability.md, CI telemetry

@@ -13,11 +13,6 @@ const Value* Value::find(std::string_view key) const noexcept {
   return nullptr;
 }
 
-std::int64_t Value::as_int() const noexcept {
-  if (kind != Kind::kNumber) return 0;
-  return is_integer ? integer : static_cast<std::int64_t>(number);
-}
-
 namespace {
 
 class Parser {

@@ -57,13 +57,6 @@ class Value {
 
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const Value* find(std::string_view key) const noexcept;
-
-  /// Integral value of this number (0 when not a number; truncates
-  /// non-integral doubles).
-  [[nodiscard]] std::int64_t as_int() const noexcept;
-  [[nodiscard]] std::uint64_t as_uint() const noexcept {
-    return static_cast<std::uint64_t>(as_int());
-  }
 };
 
 /// Parses one JSON document (surrounding whitespace allowed; trailing

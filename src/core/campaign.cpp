@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <climits>
 #include <cmath>
@@ -186,53 +187,6 @@ std::uint64_t Campaign::config_fingerprint() const {
   return fp;
 }
 
-namespace {
-
-/// Rebuilds the merged FaultMap from checkpointed rows.
-faults::FaultMap map_from_checkpoint(const hbm::HbmGeometry& geometry,
-                                     const CampaignCheckpoint& ckpt) {
-  faults::FaultMap map(geometry);
-  for (const CheckpointFaultRow& row : ckpt.reliability) {
-    const Millivolts v{row.mv};
-    if (row.crashed) map.record_crash(v);
-    for (unsigned pc = 0; pc < row.pcs.size(); ++pc) {
-      map.record(v, pc, row.pcs[pc]);
-    }
-  }
-  return map;
-}
-
-/// Rebuilds a (possibly partial) power characterization from checkpointed
-/// rows -- the degraded-result path when the power phase died.
-PowerCharacterization power_from_checkpoint(const board::Vcu128Board& board,
-                                            const CampaignCheckpoint& ckpt,
-                                            Millivolts v_nom) {
-  PowerCharacterization out;
-  out.v_nom = v_nom;
-  const double total =
-      static_cast<double>(board.geometry().total_pcs());
-  for (const CheckpointPowerSeries& series : ckpt.power) {
-    PowerSeries s;
-    s.ports = series.ports;
-    s.utilization = total > 0.0 ? series.ports / total : 0.0;
-    for (const CheckpointPowerRow& row : series.rows) {
-      s.voltages.push_back(Millivolts{row.mv});
-      s.power.push_back(row.watts);
-    }
-    out.series.push_back(std::move(s));
-  }
-  if (!out.series.empty()) {
-    const auto* max_series = &out.series.front();
-    for (const auto& s : out.series) {
-      if (s.ports > max_series->ports) max_series = &s;
-    }
-    if (const auto p = max_series->power_at(v_nom)) out.reference = *p;
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<CampaignResult> Campaign::run() {
   namespace fs = std::filesystem;
   // The telemetry scope covers the whole run.  A disabled config installs
@@ -259,21 +213,21 @@ Result<CampaignResult> Campaign::run() {
   const bool checkpointing = !config_.dry_run && config_.checkpoint;
   const std::string ckpt_path =
       (fs::path(config_.output_dir) / "checkpoint.json").string();
-  CampaignCheckpoint ckpt;
+  CampaignCheckpoint ckpt(board_.geometry());
   ckpt.fingerprint = fingerprint;
   bool resumed = false;
   if (checkpointing) {
     std::error_code ec;
     fs::create_directories(config_.output_dir, ec);
-    auto loaded = load_checkpoint(ckpt_path);
+    auto loaded = load_checkpoint(ckpt_path, board_.geometry());
     if (loaded.is_ok()) {
       if (loaded.value().fingerprint == fingerprint) {
         ckpt = std::move(loaded).value();
         resumed = true;
         HBMVOLT_LOG_INFO("campaign: resuming from %s (%zu reliability "
                          "steps, %zu power series)",
-                         ckpt_path.c_str(), ckpt.reliability.size(),
-                         ckpt.power.size());
+                         ckpt_path.c_str(),
+                         ckpt.fault_map.voltages().size(), ckpt.power.size());
         telemetry.count("checkpoint.loads");
       } else {
         HBMVOLT_LOG_WARN("campaign: checkpoint at %s belongs to a different "
@@ -325,94 +279,78 @@ Result<CampaignResult> Campaign::run() {
     const Millivolts v_nom = board_.config().regulator_config.vout_default;
 
     // ---- Reliability phase ----
-    faults::FaultMap restored = map_from_checkpoint(board_.geometry(), ckpt);
-    std::optional<Result<faults::FaultMap>> map;
+    std::optional<faults::FaultMap> map;
     if (resumed && ckpt.reliability_done) {
-      map.emplace(std::move(restored));
+      map.emplace(ckpt.fault_map);
     } else {
       telemetry::Span span("campaign.reliability");
       HBMVOLT_LOG_INFO("campaign: reliability sweep (Algorithm 1)");
       ReliabilityTester tester(board_, config_.reliability);
-      ReliabilityResume resume;
-      resume.base = &restored;
-      for (const CheckpointFaultRow& row : ckpt.reliability) {
-        resume.completed.push_back({Millivolts{row.mv}, row.crashed});
-      }
       ReliabilityTester::StepFn on_step;
       if (checkpointing || config_.halt_after_steps > 0) {
         on_step = [&](Millivolts v, const faults::FaultMap& m) {
           if (const faults::VoltageObservation* obs = m.at(v)) {
-            ckpt.reliability.push_back({v.value, obs->crashed, obs->pcs});
+            if (obs->crashed) ckpt.fault_map.record_crash(v);
+            for (unsigned pc = 0; pc < obs->pcs.size(); ++pc) {
+              ckpt.fault_map.record(v, pc, obs->pcs[pc]);
+            }
           }
           return write_ckpt();
         };
       }
-      map.emplace(tester.run(pool.get(), resumed ? &resume : nullptr,
-                             on_step));
-      if (map->is_ok()) {
+      auto measured = tester.run(pool.get(), &ckpt.fault_map, on_step);
+      if (measured.is_ok()) {
+        map.emplace(std::move(measured).value());
         ckpt.reliability_done = true;
-        if (checkpointing && !halted) (void)save_checkpoint(ckpt, ckpt_path);
+        if (checkpointing) (void)save_checkpoint(ckpt, ckpt_path);
+      } else if (!halted) {
+        // Persistent fault mid-sweep: keep what was measured, report a
+        // structured error, and continue with partial data.
+        telemetry.count("campaign.phase_errors");
+        errors.push_back("reliability: " + measured.status().to_string());
+        HBMVOLT_LOG_WARN("campaign: reliability phase failed (%s); "
+                         "degrading to partial results",
+                         measured.status().to_string().c_str());
+        map.emplace(ckpt.fault_map);
       }
-    }
-    if (!map->is_ok() && !halted) {
-      // Persistent fault mid-sweep: keep what was measured, report a
-      // structured error, and continue with partial data.
-      telemetry.count("campaign.phase_errors");
-      errors.push_back("reliability: " + map->status().to_string());
-      HBMVOLT_LOG_WARN("campaign: reliability phase failed (%s); degrading "
-                       "to partial results",
-                       map->status().to_string().c_str());
-      map.emplace(map_from_checkpoint(board_.geometry(), ckpt));
     }
 
     // ---- Power phase ----
-    std::optional<Result<PowerCharacterization>> power;
+    std::optional<PowerCharacterization> power;
     if (!halted && errors.empty()) {
       telemetry::Span span("campaign.power");
       HBMVOLT_LOG_INFO("campaign: power sweep");
       PowerCharacterizer characterizer(board_, config_.power);
-      PowerResume resume;
       if (resumed) {
         // Replay the snapshot sequence so resumed measurements draw the
         // original per-sample noise streams.
         board_.set_power_snapshot_seq(ckpt.power_snapshot_seq);
-        resume.series =
-            power_from_checkpoint(board_, ckpt, v_nom).series;
       }
       PowerCharacterizer::StepFn on_step;
       if (checkpointing || config_.halt_after_steps > 0) {
         on_step = [&](const PowerSeries& s) {
-          CheckpointPowerSeries* slot = nullptr;
-          for (CheckpointPowerSeries& existing : ckpt.power) {
-            if (existing.ports == s.ports) {
-              slot = &existing;
-              break;
-            }
-          }
-          if (slot == nullptr) {
-            ckpt.power.push_back({s.ports, {}});
-            slot = &ckpt.power.back();
-          }
-          slot->rows.clear();
-          for (std::size_t i = 0; i < s.voltages.size(); ++i) {
-            slot->rows.push_back({s.voltages[i].value, s.power[i]});
+          const auto slot = std::find_if(
+              ckpt.power.begin(), ckpt.power.end(),
+              [&](const PowerSeries& p) { return p.ports == s.ports; });
+          if (slot == ckpt.power.end()) {
+            ckpt.power.push_back(s);
+          } else {
+            *slot = s;
           }
           ckpt.power_snapshot_seq = board_.power_snapshot_seq();
           return write_ckpt();
         };
       }
-      power.emplace(characterizer.run(pool.get(),
-                                      resumed ? &resume : nullptr, on_step));
-    }
-    if (!power.has_value() || (!power->is_ok() && !halted)) {
-      if (power.has_value() && !power->is_ok()) {
+      auto measured = characterizer.run(pool.get(), ckpt.power, on_step);
+      if (measured.is_ok()) {
+        power.emplace(std::move(measured).value());
+      } else if (!halted) {
         telemetry.count("campaign.phase_errors");
-        errors.push_back("power: " + power->status().to_string());
+        errors.push_back("power: " + measured.status().to_string());
         HBMVOLT_LOG_WARN("campaign: power phase failed (%s); degrading to "
                          "partial results",
-                         power->status().to_string().c_str());
+                         measured.status().to_string().c_str());
       }
-      power.emplace(power_from_checkpoint(board_, ckpt, v_nom));
     }
 
     if (halted) {
@@ -423,10 +361,9 @@ Result<CampaignResult> Campaign::run() {
                        steps_completed);
       CampaignResult out{/*guardband=*/{},
                          /*headline=*/{},
-                         /*fault_map=*/map_from_checkpoint(
-                             board_.geometry(), ckpt),
-                         /*power=*/power_from_checkpoint(board_, ckpt,
-                                                         v_nom),
+                         /*fault_map=*/std::move(ckpt.fault_map),
+                         /*power=*/PowerCharacterization::from_series(
+                             std::move(ckpt.power), v_nom),
                          /*tradeoff_points=*/{},
                          /*files_written=*/{},
                          /*telemetry_summary=*/{},
@@ -438,14 +375,16 @@ Result<CampaignResult> Campaign::run() {
       }
       return out;
     }
+    if (!power.has_value()) {
+      power.emplace(PowerCharacterization::from_series(ckpt.power, v_nom));
+    }
 
     telemetry::Span analyze_span("campaign.analyze");
     result.emplace(CampaignResult{
-        /*guardband=*/analyze_guardband(map->value(), v_nom),
-        /*headline=*/
-        collect_headline_numbers(map->value(), power->value(), v_nom),
-        /*fault_map=*/std::move(*map).value(),
-        /*power=*/std::move(*power).value(),
+        /*guardband=*/analyze_guardband(*map, v_nom),
+        /*headline=*/collect_headline_numbers(*map, *power, v_nom),
+        /*fault_map=*/std::move(*map),
+        /*power=*/std::move(*power),
         /*tradeoff_points=*/{},
         /*files_written=*/{},
         /*telemetry_summary=*/{},

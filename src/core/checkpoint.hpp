@@ -7,8 +7,8 @@
 //
 //  * a config fingerprint -- resume silently starts fresh when the
 //    campaign's physics-relevant configuration changed;
-//  * per-voltage fault rows (the merged FaultMap so far) and per-series
-//    power rows;
+//  * the merged FaultMap of the completed reliability steps and the power
+//    series measured so far -- the campaign's own result types;
 //  * the board's power-snapshot sequence number, so resumed measurements
 //    draw the exact noise streams the original run would have.
 //
@@ -25,39 +25,26 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "common/units.hpp"
+#include "core/power_characterizer.hpp"
 #include "faults/fault_map.hpp"
 
 namespace hbmvolt::core {
 
-/// One completed reliability sweep step: the per-PC records at `mv`, or a
-/// crash marker.
-struct CheckpointFaultRow {
-  int mv = 0;
-  bool crashed = false;
-  std::vector<faults::PcFaultRecord> pcs;
-};
-
-struct CheckpointPowerRow {
-  int mv = 0;
-  Watts watts{0.0};
-};
-
-/// One (possibly partial) power series at a fixed port count.
-struct CheckpointPowerSeries {
-  unsigned ports = 0;
-  std::vector<CheckpointPowerRow> rows;
-};
-
 struct CampaignCheckpoint {
   static constexpr int kVersion = 1;
+
+  explicit CampaignCheckpoint(const hbm::HbmGeometry& geometry)
+      : fault_map(geometry) {}
+
   /// Fingerprint of the physics-relevant campaign config (see
   /// campaign.cpp); a mismatch means the checkpoint belongs to a
   /// different experiment and resume must start fresh.
   std::uint64_t fingerprint = 0;
   bool reliability_done = false;
-  std::vector<CheckpointFaultRow> reliability;
-  std::vector<CheckpointPowerSeries> power;
+  /// One observation per completed reliability step (crash steps too).
+  faults::FaultMap fault_map;
+  /// One (possibly partial) series per port count, in measurement order.
+  std::vector<PowerSeries> power;
   /// Board power-snapshot sequence number at checkpoint time.
   std::uint64_t power_snapshot_seq = 0;
 };
@@ -65,18 +52,21 @@ struct CampaignCheckpoint {
 /// Serializes to the checkpoint.json text (stable field order).
 [[nodiscard]] std::string checkpoint_to_json(const CampaignCheckpoint& ckpt);
 
-/// Parses checkpoint.json text; kDataLoss on malformed or
-/// version-mismatched input.
+/// Parses checkpoint.json text for a board of `geometry`; kDataLoss on
+/// malformed or version-mismatched input, and on parseable input the
+/// campaign cannot resume from: a reliability row with a PC count other
+/// than the geometry's, a negative or non-integer counter or voltage, or
+/// a voltage repeated in the reliability rows or within one power series.
 [[nodiscard]] Result<CampaignCheckpoint> checkpoint_from_json(
-    std::string_view text);
+    std::string_view text, const hbm::HbmGeometry& geometry);
 
 /// Atomically writes the checkpoint to `path` (tmp file + rename).
 [[nodiscard]] Status save_checkpoint(const CampaignCheckpoint& ckpt,
                                      const std::string& path);
 
 /// Loads a checkpoint; kNotFound when the file does not exist, kDataLoss
-/// when it exists but cannot be parsed.
+/// when it exists but cannot be parsed (see checkpoint_from_json).
 [[nodiscard]] Result<CampaignCheckpoint> load_checkpoint(
-    const std::string& path);
+    const std::string& path, const hbm::HbmGeometry& geometry);
 
 }  // namespace hbmvolt::core

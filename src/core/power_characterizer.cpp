@@ -39,6 +39,22 @@ std::optional<double> PowerCharacterization::savings_factor(
   return at_nom->value / at_v->value;
 }
 
+PowerCharacterization PowerCharacterization::from_series(
+    std::vector<PowerSeries> series, Millivolts v_nom) {
+  PowerCharacterization out;
+  out.series = std::move(series);
+  out.v_nom = v_nom;
+  const auto max_series = std::max_element(
+      out.series.begin(), out.series.end(),
+      [](const PowerSeries& a, const PowerSeries& b) {
+        return a.ports < b.ports;
+      });
+  if (max_series != out.series.end()) {
+    out.reference = max_series->power_at(v_nom).value_or(Watts{0.0});
+  }
+  return out;
+}
+
 PowerCharacterizer::PowerCharacterizer(board::Vcu128Board& board,
                                        PowerSweepConfig config)
     : board_(board), config_(config) {
@@ -47,32 +63,28 @@ PowerCharacterizer::PowerCharacterizer(board::Vcu128Board& board,
 }
 
 Result<PowerCharacterization> PowerCharacterizer::run(
-    ThreadPool* pool, const PowerResume* resume, const StepFn& on_step) {
-  PowerCharacterization out;
-  out.v_nom = board_.config().regulator_config.vout_default;
-
+    ThreadPool* pool, std::vector<PowerSeries> restored,
+    const StepFn& on_step) {
+  std::vector<PowerSeries> measured;
   for (const unsigned ports : config_.port_counts) {
     telemetry::Span series_span("power.series", ports);
+    // Resume: adopt the restored rows of this series and skip their grid
+    // points.  Power-phase crash points are never checkpointed (no row was
+    // measured), so a resumed sweep re-discovers them deterministically.
     PowerSeries series;
+    for (PowerSeries& prior : restored) {
+      if (prior.ports == ports) {
+        series = std::move(prior);
+        break;
+      }
+    }
     series.ports = ports;
     board_.set_active_ports(ports);
     series.utilization = board_.utilization();
-
-    // Resume: adopt the checkpointed rows of this series and skip their
-    // grid points.  Crash points are never checkpointed (no row was
-    // measured), so a resumed sweep re-discovers them deterministically.
     std::vector<SweepSkip> skip;
-    if (resume != nullptr) {
-      for (const PowerSeries& prior : resume->series) {
-        if (prior.ports != ports) continue;
-        series.voltages = prior.voltages;
-        series.power = prior.power;
-        skip.reserve(prior.voltages.size());
-        for (const Millivolts v : prior.voltages) {
-          skip.push_back({v, /*crashed=*/false});
-        }
-        break;
-      }
+    skip.reserve(series.voltages.size());
+    for (const Millivolts v : series.voltages) {
+      skip.push_back({v, /*crashed=*/false});
     }
 
     VoltageSweep sweep(board_, config_.sweep, CrashPolicy::kStop);
@@ -87,8 +99,7 @@ Result<PowerCharacterization> PowerCharacterizer::run(
         return on_step(series);
       };
     }
-    Status run_status = sweep.run_resumable(
-        skip,
+    Status run_status = sweep.run(
         [&](Millivolts v) {
           if (ports > 0 && config_.traffic_beats > 0) {
             // Keep live transactions flowing during the measurement window.
@@ -107,20 +118,14 @@ Result<PowerCharacterization> PowerCharacterizer::run(
           series.power.push_back(power.value());
           row_added = true;
         },
-        nullptr, step_hook);
+        nullptr, skip, step_hook);
     if (!run_status.is_ok()) return run_status;
-    out.series.push_back(std::move(series));
+    measured.push_back(std::move(series));
   }
-
-  // Reference: nominal-voltage power of the series with the most ports.
-  const auto* max_series = &out.series.front();
-  for (const auto& s : out.series) {
-    if (s.ports > max_series->ports) max_series = &s;
-  }
-  if (const auto p = max_series->power_at(out.v_nom)) out.reference = *p;
 
   board_.set_active_ports(0);
-  return out;
+  return PowerCharacterization::from_series(
+      std::move(measured), board_.config().regulator_config.vout_default);
 }
 
 }  // namespace hbmvolt::core

@@ -54,12 +54,12 @@ struct PowerCharacterization {
   /// Power-savings factor P(v_nom)/P(v) within one series.
   [[nodiscard]] std::optional<double> savings_factor(const PowerSeries& s,
                                                      Millivolts v) const;
-};
 
-/// Resume state for an interrupted run: the (possibly partial) series
-/// measured so far, matched to the config's port counts by `ports`.
-struct PowerResume {
-  std::vector<PowerSeries> series;
+  /// The characterization of `series` (complete or partial), referenced
+  /// to the nominal-voltage power of the series with the most ports (0
+  /// when that series has no nominal row).
+  [[nodiscard]] static PowerCharacterization from_series(
+      std::vector<PowerSeries> series, Millivolts v_nom);
 };
 
 class PowerCharacterizer {
@@ -74,11 +74,12 @@ class PowerCharacterizer {
   /// Runs the sweep.  Measurements go through the board's snapshot path
   /// (per-step frozen rail + counter-seeded per-sample noise) whether or
   /// not a pool is given, so serial and parallel runs agree bit-for-bit.
-  /// With `resume`, already-measured rows are replayed instead of
-  /// re-measured (the caller must also restore the board's power-snapshot
-  /// sequence number so later samples draw the original noise streams).
+  /// Rows of a `restored` series with a configured port count are
+  /// replayed instead of re-measured (the caller must also restore the
+  /// board's power-snapshot sequence number so later samples draw the
+  /// original noise streams).
   Result<PowerCharacterization> run(ThreadPool* pool = nullptr,
-                                    const PowerResume* resume = nullptr,
+                                    std::vector<PowerSeries> restored = {},
                                     const StepFn& on_step = nullptr);
 
  private:

@@ -14,15 +14,15 @@ ReliabilityTester::ReliabilityTester(board::Vcu128Board& board,
 }
 
 Result<faults::FaultMap> ReliabilityTester::run(
-    ThreadPool* pool, const ReliabilityResume* resume,
+    ThreadPool* pool, const faults::FaultMap* restored,
     const StepFn& on_step) {
   // Detail -1 marks a whole-device run in traces.
   telemetry::Span run_span("reliability.run", -1);
   faults::FaultMap map(board_.geometry());
-  if (resume != nullptr && resume->base != nullptr) {
-    // Replay the completed steps from the checkpoint; the sweep skips
-    // their grid points below.
-    map.merge(*resume->base);
+  if (restored != nullptr) map.merge(*restored);
+  std::vector<SweepSkip> skip;
+  for (const Millivolts v : map.voltages()) {
+    skip.push_back({v, map.at(v)->crashed});
   }
   const unsigned per_stack = board_.geometry().pcs_per_stack();
 
@@ -53,8 +53,7 @@ Result<faults::FaultMap> ReliabilityTester::run(
   if (on_step) {
     step_hook = [&](Millivolts v) { return on_step(v, map); };
   }
-  const Status status = sweep.run_resumable(
-      resume != nullptr ? resume->completed : std::vector<SweepSkip>{},
+  const Status status = sweep.run(
       [&](Millivolts v) {
         for (unsigned b = 0; b < config_.batch_size; ++b) {
           if (auto* tel = telemetry::Telemetry::active()) {
@@ -89,7 +88,7 @@ Result<faults::FaultMap> ReliabilityTester::run(
           }
         }
       },
-      [&](Millivolts v) { map.record_crash(v); }, step_hook);
+      [&](Millivolts v) { map.record_crash(v); }, skip, step_hook);
   if (!status.is_ok()) return status;
   return map;
 }

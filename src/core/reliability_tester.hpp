@@ -15,8 +15,6 @@
 
 #pragma once
 
-#include <vector>
-
 #include "board/vcu128.hpp"
 #include "common/status.hpp"
 #include "core/voltage_sweep.hpp"
@@ -41,13 +39,6 @@ struct ReliabilityConfig {
   unsigned crash_retries = 2;
 };
 
-/// Resume state for an interrupted run: the merged fault map of the
-/// completed voltage steps plus which grid points they were.
-struct ReliabilityResume {
-  const faults::FaultMap* base = nullptr;
-  std::vector<SweepSkip> completed;
-};
-
 class ReliabilityTester {
  public:
   ReliabilityTester(board::Vcu128Board& board, ReliabilityConfig config);
@@ -60,10 +51,11 @@ class ReliabilityTester {
   /// Full-device test: every AXI port of both stacks.  With a pool, the
   /// 32 per-PC pattern tests of each voltage step fan out across workers;
   /// the resulting FaultMap is byte-identical to the serial run.  With
-  /// `resume`, the checkpointed steps are replayed from its map instead
-  /// of re-measured.
+  /// `restored`, the map of checkpointed steps, those steps are replayed
+  /// from it instead of re-measured: the sweep skips its voltages, and a
+  /// crashed one replays the crash policy.
   Result<faults::FaultMap> run(ThreadPool* pool = nullptr,
-                               const ReliabilityResume* resume = nullptr,
+                               const faults::FaultMap* restored = nullptr,
                                const StepFn& on_step = nullptr);
 
  private:

@@ -48,14 +48,9 @@ Result<bool> crash_watchdog_recover(board::Vcu128Board& board, Millivolts v,
 }
 
 Status VoltageSweep::run(const std::function<void(Millivolts)>& body,
-                         const std::function<void(Millivolts)>& on_crash) {
-  return run_resumable({}, body, on_crash, nullptr);
-}
-
-Status VoltageSweep::run_resumable(
-    const std::vector<SweepSkip>& skip,
-    const std::function<void(Millivolts)>& body,
-    const std::function<void(Millivolts)>& on_crash, const StepFn& on_step) {
+                         const std::function<void(Millivolts)>& on_crash,
+                         const std::vector<SweepSkip>& skip,
+                         const StepFn& on_step) {
   bool crashed_any = false;
   for (const Millivolts v : sweep_grid(config_)) {
     // Resume: replay a checkpointed point without touching the board.

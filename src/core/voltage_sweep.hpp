@@ -14,10 +14,10 @@
 //    re-scramble is seed-deterministic and the fault model is
 //    content-independent.
 //
-//  * Resumability.  `run_resumable` takes the list of grid points a
-//    previous (interrupted) run already completed and skips them without
-//    touching the board, plus an `on_step` callback after each completed
-//    point -- the campaign checkpoints there.  `on_step` returning false
+//  * Resumability.  `run` takes the list of grid points a previous
+//    (interrupted) run already completed and skips them without touching
+//    the board, plus an `on_step` callback after each completed point --
+//    the campaign checkpoints there.  `on_step` returning false
 //    halts the sweep *without* the end-of-sweep restore, simulating the
 //    process dying mid-campaign.
 
@@ -85,17 +85,13 @@ class VoltageSweep {
   /// Runs `body(v)` at every grid voltage the device survives.  When a
   /// voltage crashes the stacks, `on_crash(v)` fires instead of body and
   /// the policy decides whether to continue.  The board is returned to
-  /// nominal voltage afterwards (power-cycled if it crashed).
+  /// nominal voltage afterwards (power-cycled if it crashed).  Grid points
+  /// in `skip` are replayed from a checkpoint (body and on_crash do not
+  /// fire for them), and `on_step` fires after each newly completed point.
   Status run(const std::function<void(Millivolts)>& body,
-             const std::function<void(Millivolts)>& on_crash = nullptr);
-
-  /// run() plus resume support: grid points in `skip` are replayed from
-  /// the checkpoint (body and on_crash do not fire for them), and
-  /// `on_step` fires after each newly completed point.
-  Status run_resumable(const std::vector<SweepSkip>& skip,
-                       const std::function<void(Millivolts)>& body,
-                       const std::function<void(Millivolts)>& on_crash,
-                       const StepFn& on_step);
+             const std::function<void(Millivolts)>& on_crash = nullptr,
+             const std::vector<SweepSkip>& skip = {},
+             const StepFn& on_step = nullptr);
 
  private:
   board::Vcu128Board& board_;

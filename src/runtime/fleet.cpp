@@ -12,14 +12,14 @@
 namespace hbmvolt::runtime {
 namespace {
 
-/// The fleet's standing rules when the caller supplies none: page when
-/// the corrected rate burns the channel budget's own SLO, when reads
+/// The fleet's burn-rate alert rules, evaluated at every barrier: page
+/// when the corrected rate burns the channel budget's own SLO, when reads
 /// start leaking into the host journal faster than 1%, and when stripe
 /// reconstruction serves more than 1% of reads (a dead PC whose rebuild
 /// is not keeping up) -- each with a sharp fast window and a calmer slow
-/// window (see telemetry/alerts.hpp).
-std::vector<telemetry::AlertRule> resolve_rules(const FleetConfig& config) {
-  if (!config.alert_rules.empty()) return config.alert_rules;
+/// window.  Deterministic regardless of thread count or telemetry state
+/// (see telemetry/alerts.hpp).
+std::vector<telemetry::AlertRule> alert_rules(const FleetConfig& config) {
   std::vector<telemetry::AlertRule> rules = {
       {"corrected_burn", telemetry::AlertSignal::kCorrectedRate,
        config.channel.budget.corrected_slo, 1, 4.0, 4, 1.0},
@@ -40,6 +40,9 @@ std::vector<telemetry::AlertRule> resolve_rules(const FleetConfig& config) {
 void xor_into(hbm::Beat& acc, const hbm::Beat& b) noexcept {
   for (unsigned w = 0; w < 4; ++w) acc[w] ^= b[w];
 }
+
+/// Share of writes in the built-in uniform-random streams.
+constexpr double kWriteFraction = 0.25;
 
 /// Failed reads of one beat before the run fails outright.
 constexpr unsigned kMaxBeatAttempts = 64;
@@ -154,7 +157,7 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
     : board_(board),
       config_(std::move(config)),
       data_seed_(mix_seed(config_.seed, 0xDA7A)),
-      alerts_(resolve_rules(config_)) {
+      alerts_(alert_rules(config_)) {
   HBMVOLT_REQUIRE(config_.ops_per_epoch > 0, "epoch must serve ops");
   if (config_.pcs.empty()) {
     for (unsigned pc = 0; pc < board_.geometry().total_pcs(); ++pc) {
@@ -200,7 +203,7 @@ ServingFleet::ServingFleet(board::Vcu128Board& board, FleetConfig config)
         config_.streaming_passes > 0
             ? workload::DemandStream::sweep(capacity, config_.streaming_passes)
             : workload::DemandStream::replay(workload::make_uniform_random(
-                  capacity, config_.ops_per_pc, config_.write_fraction,
+                  capacity, config_.ops_per_pc, kWriteFraction,
                   stream_seed(config_.seed, 0xF1EE7, config_.pcs[i], 0))));
   }
   init_slots();
@@ -212,7 +215,7 @@ ServingFleet::ServingFleet(ReliableChannel& channel,
     : board_(channel.board_),
       config_(one_slot_config(channel, channel.config_, trace.size())),
       data_seed_(data_seed),
-      alerts_(resolve_rules(config_)) {
+      alerts_(alert_rules(config_)) {
   channels_.push_back(&channel);
   workload::AccessTrace wrapped = trace;
   wrapped.wrap_beats(channel.capacity());

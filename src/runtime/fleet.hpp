@@ -211,8 +211,7 @@ struct FleetConfig {
   std::uint64_t ops_per_pc = 1 << 14;
   /// Beats served per slot between global barriers.
   std::uint64_t ops_per_epoch = 1024;
-  double write_fraction = 0.25;
-  /// 0 = uniform-random traffic (ops_per_pc / write_fraction above).
+  /// 0 = uniform-random traffic (ops_per_pc above, one write in four).
   /// N > 0 = N sequential sweeps over each PC's full capacity instead
   /// (first touch writes, later passes read; ops_per_pc is ignored), the
   /// shape that lets the range engine coalesce -- the perf-gate workload
@@ -232,12 +231,6 @@ struct FleetConfig {
   /// journal refresh (see ReliableChannel::refresh_from_journal) -- the
   /// model for a droop detector or RAS interrupt in a real deployment.
   std::function<bool(unsigned pc_global, std::uint64_t tick)> storm_hook;
-  /// Burn-rate alert rules evaluated at every barrier (empty = defaults
-  /// derived from the channel budget: a corrected-rate rule at the budget
-  /// SLO, a journal-served-rate rule, and a reconstructed-reads rule).
-  /// Deterministic regardless of thread count or telemetry state -- see
-  /// telemetry/alerts.hpp.
-  std::vector<telemetry::AlertRule> alert_rules;
   /// Called serially after every barrier with the refreshed health
   /// registry and alert engine -- the live-dashboard seam
   /// (examples/resilient_serving renders it under HBMVOLT_SOAK_DASHBOARD).
@@ -246,10 +239,9 @@ struct FleetConfig {
   /// Optional request plane (borrowed; must outlive the fleet).  When
   /// set, it replaces the built-in per-PC streams: begin_epoch admits
   /// work at every barrier, the worker drains each slot's queue, and
-  /// end_epoch folds the per-tenant accounting; ops_per_pc /
-  /// write_fraction / streaming_passes are ignored.  Incompatible with
-  /// the checkpoint seam: a source is not captured, and restore()
-  /// refuses such a fleet.
+  /// end_epoch folds the per-tenant accounting; ops_per_pc and
+  /// streaming_passes are ignored.  Incompatible with the checkpoint
+  /// seam: a source is not captured, and restore() refuses such a fleet.
   RequestSource* source = nullptr;
 };
 

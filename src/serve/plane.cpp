@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "chaos/chaos.hpp"
+#include "common/retry.hpp"
 #include "common/rng.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -15,6 +16,9 @@ constexpr std::uint64_t kTraceSalt = 0x7E4A47;
 constexpr std::uint64_t kSlotSalt = 0x51A7;
 constexpr std::uint64_t kChunkSalt = 0xBA5E;
 constexpr std::uint64_t kFingerprintSalt = 0x7E57A11;
+/// Request deadlines are clamped to the shared retry policy's attempt
+/// budget (4).
+constexpr unsigned kMaxAttempts = RetryPolicy{}.max_attempts;
 
 workload::DemandStream make_demand(const TenantSpec& spec,
                                    std::uint64_t seed) {
@@ -41,8 +45,6 @@ workload::DemandStream make_demand(const TenantSpec& spec,
 
 RequestPlane::RequestPlane(PlaneConfig config) : config_(std::move(config)) {
   HBMVOLT_REQUIRE(!config_.tenants.empty(), "request plane needs tenants");
-  HBMVOLT_REQUIRE(config_.retry.max_attempts > 0,
-                  "request plane retry policy needs at least one attempt");
   tenants_.resize(config_.tenants.size());
   for (std::size_t t = 0; t < config_.tenants.size(); ++t) {
     TenantSpec& spec = config_.tenants[t];
@@ -205,7 +207,7 @@ void RequestPlane::begin_epoch(const runtime::ServingFleet& fleet,
       req.count = static_cast<std::uint32_t>(run);
       req.payload = (static_cast<std::uint64_t>(t) << 40) | req.logical;
       req.deadline_attempts = std::min<unsigned>(spec.deadline_attempts,
-                                                 config_.retry.max_attempts);
+                                                 kMaxAttempts);
       Candidate cand;
       cand.slot = static_cast<std::size_t>(
           stream_seed(config_.seed, kSlotSalt, key) % slots_.size());

@@ -16,7 +16,7 @@
 //    (queue_deadline_epochs), and hot slots throttle best-effort traffic
 //    (shed.hot_shard).
 //  * Deadlines and retry budgets.  Requests carry an escalation-round
-//    deadline (clamped to the shared RetryPolicy's attempt budget); each
+//    deadline (clamped to the shared retry budget of 4 attempts); each
 //    slot holds a per-tenant retry slice sized from the beats placed on
 //    it, so a fault storm cannot amplify retries fleet-wide.  Guaranteed
 //    tenants hedge blown deadlines to the journal copy; best-effort
@@ -42,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "common/retry.hpp"
 #include "common/status.hpp"
 #include "runtime/fleet.hpp"
 #include "serve/tenant.hpp"
@@ -68,9 +67,6 @@ struct PlaneConfig {
   /// A slot whose placed + backlogged beats exceed this multiple of the
   /// per-slot mean is "hot": best-effort placements onto it are shed.
   double hot_shard_factor = 4.0;
-  /// Shared bounded-retry policy (common/retry.hpp): request deadlines
-  /// are clamped to its attempt budget.
-  RetryPolicy retry;
   /// Per-epoch retry slice per (slot, tenant), as a fraction of the beats
   /// placed there (minimum 2 rounds) -- the anti-amplification bound.
   double retry_budget_fraction = 0.10;

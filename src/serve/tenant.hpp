@@ -63,7 +63,7 @@ struct TenantSpec {
   /// Queued requests older than this many epochs are shed at admission.
   std::uint64_t queue_deadline_epochs = 4;
   /// Escalation rounds a request may absorb before its deadline is
-  /// blown (clamped to the plane's RetryPolicy::max_attempts).
+  /// blown (clamped to the plane's attempt budget, 4).
   unsigned deadline_attempts = 4;
   /// Per-request latency SLO in model nanoseconds (see the deterministic
   /// service-time model in runtime/fleet.hpp).  Checked against the

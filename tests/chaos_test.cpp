@@ -301,59 +301,133 @@ TEST(ChaosScheduleTest, RateScalesFireFrequency) {
 // Checkpoint serialization
 // ---------------------------------------------------------------------------
 
-TEST(CheckpointTest, JsonRoundTripIsExact) {
-  core::CampaignCheckpoint ckpt;
+/// A checkpoint for the tiny board: two reliability rows (one crashed)
+/// and two power series.
+core::CampaignCheckpoint sample_checkpoint() {
+  core::CampaignCheckpoint ckpt(tiny_board().geometry);
   ckpt.fingerprint = 0xDEADBEEFCAFE1234ull;
   ckpt.reliability_done = true;
   ckpt.power_snapshot_seq = 17;
-  ckpt.reliability.push_back(
-      {1200, false, {{1000, 3, 5, 500, 500}, {1000, 0, 0, 500, 500}}});
-  ckpt.reliability.push_back({800, true, {}});
+  ckpt.fault_map.record(Millivolts{1200}, 0, {1000, 3, 5, 500, 500});
+  ckpt.fault_map.record(Millivolts{1200}, 1, {1000, 0, 0, 500, 500});
+  ckpt.fault_map.record_crash(Millivolts{800});
   // Awkward doubles a decimal round-trip would perturb.
-  ckpt.power.push_back({0, {{1200, Watts{1.0 / 3.0}}}});
-  ckpt.power.push_back({32, {{1200, Watts{6.02214076e23}},
-                             {1150, Watts{-0.0}}}});
+  ckpt.power.push_back({0, 0.0, {Millivolts{1200}}, {Watts{1.0 / 3.0}}});
+  ckpt.power.push_back({32,
+                        1.0,
+                        {Millivolts{1200}, Millivolts{1150}},
+                        {Watts{6.02214076e23}, Watts{-0.0}}});
+  return ckpt;
+}
 
+/// `text` with the first `from` replaced by `to`.
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << "no " << from << " to replace";
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+void expect_refused(const std::string& text, const std::string& label) {
+  EXPECT_EQ(core::checkpoint_from_json(text, tiny_board().geometry)
+                .status()
+                .code(),
+            StatusCode::kDataLoss)
+      << label;
+}
+
+TEST(CheckpointTest, JsonRoundTripIsExact) {
+  const core::CampaignCheckpoint ckpt = sample_checkpoint();
   const std::string text = core::checkpoint_to_json(ckpt);
-  auto parsed = core::checkpoint_from_json(text);
+  auto parsed = core::checkpoint_from_json(text, tiny_board().geometry);
   ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
   const core::CampaignCheckpoint& back = parsed.value();
 
   EXPECT_EQ(back.fingerprint, ckpt.fingerprint);
   EXPECT_EQ(back.reliability_done, ckpt.reliability_done);
   EXPECT_EQ(back.power_snapshot_seq, ckpt.power_snapshot_seq);
-  ASSERT_EQ(back.reliability.size(), 2u);
-  EXPECT_EQ(back.reliability[0].mv, 1200);
-  ASSERT_EQ(back.reliability[0].pcs.size(), 2u);
-  EXPECT_EQ(back.reliability[0].pcs[0].flips_1to0, 3u);
-  EXPECT_EQ(back.reliability[0].pcs[0].flips_0to1, 5u);
-  EXPECT_TRUE(back.reliability[1].crashed);
+  ASSERT_EQ(back.fault_map.voltages().size(), 2u);
+  const faults::PcFaultRecord pc0 =
+      back.fault_map.pc_record(Millivolts{1200}, 0);
+  EXPECT_EQ(pc0.flips_1to0, 3u);
+  EXPECT_EQ(pc0.flips_0to1, 5u);
+  EXPECT_FALSE(back.fault_map.at(Millivolts{1200})->crashed);
+  EXPECT_TRUE(back.fault_map.at(Millivolts{800})->crashed);
   ASSERT_EQ(back.power.size(), 2u);
+  EXPECT_EQ(back.power[1].ports, 32u);
+  EXPECT_EQ(back.power[1].utilization, 1.0);
   // Bit-exact doubles: serialize again and compare text.
   EXPECT_EQ(core::checkpoint_to_json(back), text);
 }
 
 TEST(CheckpointTest, LoadMissingFileIsNotFound) {
-  const auto loaded =
-      core::load_checkpoint("chaos_test_tmp/does_not_exist.json");
+  const auto loaded = core::load_checkpoint(
+      "chaos_test_tmp/does_not_exist.json", tiny_board().geometry);
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
 
 TEST(CheckpointTest, MalformedTextIsDataLoss) {
-  EXPECT_EQ(core::checkpoint_from_json("not json").status().code(),
-            StatusCode::kDataLoss);
-  EXPECT_EQ(core::checkpoint_from_json("{\"version\": 99}").status().code(),
-            StatusCode::kDataLoss);
+  expect_refused("not json", "not json");
+  expect_refused("{\"version\": 99}", "version 99");
+  const std::string text = core::checkpoint_to_json(sample_checkpoint());
+  expect_refused(replaced(text, "cafe1234\"", "cafe12345\""),
+                 "17-digit fingerprint");
+}
+
+TEST(CheckpointTest, RowNotCoveringEveryPcIsDataLoss) {
+  // A row must hold one record per PC of the board it resumes on; an
+  // extra or a missing record would index past the map or shift PCs.
+  const std::string text = core::checkpoint_to_json(sample_checkpoint());
+  expect_refused(replaced(text, "\"pcs\": [", "\"pcs\": [[1, 0, 0, 0, 0], "),
+                 "33 records");
+  expect_refused(replaced(text, "\"pcs\": [[1000, 3, 5, 500, 500], ",
+                          "\"pcs\": ["),
+                 "31 records");
+  hbm::HbmGeometry half = tiny_board().geometry;
+  half.channels_per_stack /= 2;
+  core::CampaignCheckpoint other(half);
+  other.fault_map.record_crash(Millivolts{800});
+  expect_refused(core::checkpoint_to_json(other), "16-PC checkpoint");
+}
+
+TEST(CheckpointTest, NegativeOrNonIntegerNumberIsDataLoss) {
+  const std::string text = core::checkpoint_to_json(sample_checkpoint());
+  expect_refused(replaced(text, "\"power_snapshot_seq\": 17",
+                          "\"power_snapshot_seq\": -5"),
+                 "negative sequence number");
+  expect_refused(replaced(text, "[1000, 3, 5,", "[1e30, 3, 5,"),
+                 "1e30 counter");
+  expect_refused(replaced(text, "[1000, 3, 5,", "[1000, 3.5, 5,"),
+                 "fractional counter");
+  expect_refused(replaced(text, "[1000, 3, 5,", "[1000, -3, 5,"),
+                 "negative counter");
+  expect_refused(replaced(text, "{\"mv\": 800,", "{\"mv\": -800,"),
+                 "negative reliability voltage");
+  expect_refused(replaced(text, "{\"mv\": 1150,", "{\"mv\": 1150.5,"),
+                 "fractional power voltage");
+  expect_refused(replaced(text, "\"ports\": 32", "\"ports\": -32"),
+                 "negative port count");
+  expect_refused(replaced(text, "\"version\": 1", "\"version\": 1.0"),
+                 "fractional version");
+}
+
+TEST(CheckpointTest, RepeatedVoltageIsDataLoss) {
+  const std::string text = core::checkpoint_to_json(sample_checkpoint());
+  expect_refused(replaced(text, "{\"mv\": 800,", "{\"mv\": 1200,"),
+                 "repeated reliability voltage");
+  expect_refused(replaced(text, "{\"mv\": 1150,", "{\"mv\": 1200,"),
+                 "repeated voltage within a power series");
 }
 
 TEST(CheckpointTest, SaveIsAtomicViaRename) {
   const fs::path dir = scratch_dir("ckpt_atomic");
   const std::string path = (dir / "checkpoint.json").string();
-  core::CampaignCheckpoint ckpt;
+  core::CampaignCheckpoint ckpt(tiny_board().geometry);
   ckpt.fingerprint = 42;
   ASSERT_TRUE(core::save_checkpoint(ckpt, path).is_ok());
   EXPECT_FALSE(fs::exists(path + ".tmp"));
-  auto loaded = core::load_checkpoint(path);
+  auto loaded = core::load_checkpoint(path, tiny_board().geometry);
   ASSERT_TRUE(loaded.is_ok());
   EXPECT_EQ(loaded.value().fingerprint, 42u);
 }
@@ -708,10 +782,10 @@ TEST_F(ResumeTest, KillAndResumeUnderTransientChaos) {
 
 TEST_F(ResumeTest, FingerprintMismatchStartsFresh) {
   const fs::path dir = scratch_dir("stale_ckpt");
-  core::CampaignCheckpoint stale;
+  core::CampaignCheckpoint stale(tiny_board().geometry);
   stale.fingerprint = 0x1234;  // no real config hashes to this
   stale.reliability_done = true;
-  stale.reliability.push_back({1200, true, {}});
+  stale.fault_map.record_crash(Millivolts{1200});
   ASSERT_TRUE(
       core::save_checkpoint(stale, (dir / "checkpoint.json").string())
           .is_ok());
@@ -721,6 +795,39 @@ TEST_F(ResumeTest, FingerprintMismatchStartsFresh) {
   auto run = campaign.run();
   ASSERT_TRUE(run.is_ok()) << run.status().to_string();
   expect_artifacts_match(dir, *clean_dir_, "stale_ckpt");
+}
+
+TEST_F(ResumeTest, MalformedCheckpointStartsFresh) {
+  // Parseable checkpoints the campaign cannot resume from: a row with one
+  // record too many, a repeated voltage, a negative counter.  Each must be
+  // refused as unreadable, so the re-run starts fresh and still matches.
+  const fs::path halted = scratch_dir("malformed_source");
+  {
+    core::CampaignConfig config = artifact_campaign(halted);
+    config.halt_after_steps = 2;
+    board::Vcu128Board board(tiny_board());
+    core::Campaign campaign(board, config);
+    ASSERT_TRUE(campaign.run().is_ok());
+  }
+  const std::string text = read_file(halted / "checkpoint.json");
+  const std::string corruptions[][3] = {
+      {"extra_record", "\"pcs\": [", "\"pcs\": [[1, 0, 0, 0, 0], "},
+      {"repeated_voltage", "{\"mv\": 1180,", "{\"mv\": 1200,"},
+      {"negative_counter", "[32768, 0, 0,", "[32768, -1, 0,"},
+  };
+  for (const auto& [name, from, to] : corruptions) {
+    const fs::path dir = scratch_dir("malformed_" + name);
+    {
+      std::ofstream out(dir / "checkpoint.json", std::ios::binary);
+      out << replaced(text, from, to);
+    }
+    board::Vcu128Board board(tiny_board());
+    core::Campaign campaign(board, artifact_campaign(dir));
+    auto run = campaign.run();
+    ASSERT_TRUE(run.is_ok()) << name << ": " << run.status().to_string();
+    EXPECT_FALSE(fs::exists(dir / "checkpoint.json")) << name;
+    expect_artifacts_match(dir, *clean_dir_, name);
+  }
 }
 
 TEST_F(ResumeTest, CheckpointDisabledWritesNoFile) {
