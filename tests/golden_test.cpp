@@ -19,9 +19,12 @@
 // channel_serve.txt pins ReliableChannel::serve_trace: one row per
 // (PC, voltage, traffic) case with the report counters, the channel
 // stats, a ladder-trace digest and a journal digest.
+// checkpoint_fingerprints.txt pins the campaign's checkpoint.json: one row
+// per halt step of the artifact campaign, with the file's size and digest.
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -30,6 +33,7 @@
 
 #include "chaos/chaos.hpp"
 #include "core/campaign.hpp"
+#include "core/checkpoint.hpp"
 #include "core/report.hpp"
 #include "runtime/fleet.hpp"
 #include "serve/plane.hpp"
@@ -156,6 +160,89 @@ TEST_F(GoldenTest, Fig5PerPcCsvMatches) {
 
 TEST_F(GoldenTest, HeadlineNumbersMatch) {
   check("headline.txt", headline_text(result_->headline));
+}
+
+// ---------------------------------------------------------------------------
+// Campaign checkpoint bytes
+// ---------------------------------------------------------------------------
+
+/// Halt steps at which checkpoint.json is pinned.  The campaign has 21
+/// reliability steps, then 5 power series of 8 voltages (61 steps): 2, 5
+/// and 20 halt inside the reliability phase, 21 at its last step, 22 at
+/// the first power step, 24 and 29 inside the first and second series,
+/// and 60 one step before the end.
+constexpr unsigned kCheckpointHalts[] = {2, 5, 20, 21, 22, 24, 29, 60};
+
+class CheckpointGoldenTest : public ::testing::Test {
+ protected:
+  /// Runs the artifact campaign once per halt step, each into its own
+  /// directory, and keeps the checkpoint.json it leaves behind.
+  static void SetUpTestSuite() {
+    paths_ = new std::vector<std::string>;
+    texts_ = new std::vector<std::string>;
+    for (const unsigned halt : kCheckpointHalts) {
+      const std::filesystem::path dir =
+          std::filesystem::path("golden_test_tmp") /
+          ("ckpt_halt_" + std::to_string(halt));
+      std::filesystem::remove_all(dir);
+      core::CampaignConfig config = fast_campaign();
+      config.dry_run = false;
+      config.output_dir = dir.string();
+      config.halt_after_steps = halt;
+      board::Vcu128Board board(tiny_board());
+      core::Campaign campaign(board, config);
+      auto run = campaign.run();
+      ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+      ASSERT_TRUE(run.value().halted) << "halt " << halt;
+      const std::string path = (dir / "checkpoint.json").string();
+      std::ifstream in(path, std::ios::binary);
+      ASSERT_TRUE(in.good()) << "no checkpoint after halt " << halt;
+      std::ostringstream text;
+      text << in.rdbuf();
+      paths_->push_back(path);
+      texts_->push_back(text.str());
+    }
+  }
+
+  static void TearDownTestSuite() {
+    delete paths_;
+    paths_ = nullptr;
+    delete texts_;
+    texts_ = nullptr;
+  }
+
+  static std::vector<std::string>* paths_;
+  static std::vector<std::string>* texts_;
+};
+
+std::vector<std::string>* CheckpointGoldenTest::paths_ = nullptr;
+std::vector<std::string>* CheckpointGoldenTest::texts_ = nullptr;
+
+TEST_F(CheckpointGoldenTest, HaltedCheckpointBytesMatch) {
+  std::string rows;
+  for (std::size_t i = 0; i < texts_->size(); ++i) {
+    // FNV-1a over the file's bytes.
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (const unsigned char c : (*texts_)[i]) {
+      digest = (digest ^ c) * 0x100000001b3ull;
+    }
+    char buffer[96];
+    std::snprintf(buffer, sizeof(buffer), "halt=%u bytes=%zu fnv1a=%016llx\n",
+                  kCheckpointHalts[i], (*texts_)[i].size(),
+                  static_cast<unsigned long long>(digest));
+    rows += buffer;
+  }
+  check_golden("checkpoint_fingerprints.txt", rows);
+}
+
+TEST_F(CheckpointGoldenTest, HaltedFileReencodesToItself) {
+  for (std::size_t i = 0; i < texts_->size(); ++i) {
+    auto loaded =
+        core::load_checkpoint((*paths_)[i], tiny_board().geometry);
+    ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
+    EXPECT_EQ(core::checkpoint_to_json(loaded.value()), (*texts_)[i])
+        << "halt " << kCheckpointHalts[i];
+  }
 }
 
 // ---------------------------------------------------------------------------
