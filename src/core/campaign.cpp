@@ -241,28 +241,34 @@ Result<CampaignResult> Campaign::run() {
     }
   }
 
+  // Every save goes through one writer, which encodes the reliability
+  // rows once the fault map is final, and through one accounting path.
+  CheckpointWriter writer;
+  bool save_warned = false;
+  const auto save_ckpt = [&]() {
+    if (!checkpointing) return;
+    const Status saved = writer.save(ckpt, ckpt_path);
+    if (saved.is_ok()) {
+      telemetry.count("checkpoint.writes");
+    } else {
+      // A broken checkpoint disk must not kill the measurement run; the
+      // campaign just loses resumability.
+      telemetry.count("checkpoint.write_failures");
+      if (!save_warned) {
+        save_warned = true;
+        HBMVOLT_LOG_WARN("campaign: checkpoint save failed (%s); "
+                         "continuing without resumability",
+                         saved.to_string().c_str());
+      }
+    }
+  };
+
   // Shared step bookkeeping: every completed sweep step saves the
   // checkpoint, and halt_after_steps simulates dying after step N.
   unsigned steps_completed = 0;
   bool halted = false;
-  bool save_warned = false;
   const auto write_ckpt = [&]() -> bool {
-    if (checkpointing) {
-      const Status saved = save_checkpoint(ckpt, ckpt_path);
-      if (saved.is_ok()) {
-        telemetry.count("checkpoint.writes");
-      } else {
-        // A broken checkpoint disk must not kill the measurement run; the
-        // campaign just loses resumability.
-        telemetry.count("checkpoint.write_failures");
-        if (!save_warned) {
-          save_warned = true;
-          HBMVOLT_LOG_WARN("campaign: checkpoint save failed (%s); "
-                           "continuing without resumability",
-                           saved.to_string().c_str());
-        }
-      }
-    }
+    save_ckpt();
     ++steps_completed;
     if (config_.halt_after_steps > 0 &&
         steps_completed >= config_.halt_after_steps) {
@@ -302,7 +308,7 @@ Result<CampaignResult> Campaign::run() {
       if (measured.is_ok()) {
         map.emplace(std::move(measured).value());
         ckpt.reliability_done = true;
-        if (checkpointing) (void)save_checkpoint(ckpt, ckpt_path);
+        save_ckpt();
       } else if (!halted) {
         // Persistent fault mid-sweep: keep what was measured, report a
         // structured error, and continue with partial data.

@@ -1,9 +1,8 @@
 #include "core/checkpoint.hpp"
 
 #include <bit>
-#include <cinttypes>
+#include <charconv>
 #include <climits>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -14,10 +13,83 @@ namespace hbmvolt::core {
 
 namespace {
 
-std::string hex_u64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, value);
-  return buf;
+/// Appends `value` in decimal.
+template <typename T>
+void append_number(std::string& out, T value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+/// Appends `value` as 16 lower-case hex digits.
+void append_hex(std::string& out, std::uint64_t value) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  char buf[16];
+  for (int i = 15; i >= 0; --i) {
+    buf[i] = kDigits[value & 0xF];
+    value >>= 4;
+  }
+  out.append(buf, sizeof(buf));
+}
+
+void append_bool(std::string& out, bool value) {
+  out += value ? "true" : "false";
+}
+
+/// The `"reliability": [...]` member, through its trailing ",\n".
+void append_reliability(std::string& out, const faults::FaultMap& map) {
+  out += "  \"reliability\": [";
+  const std::vector<Millivolts> voltages = map.voltages();
+  for (std::size_t i = 0; i < voltages.size(); ++i) {
+    const faults::VoltageObservation& row = *map.at(voltages[i]);
+    out += i == 0 ? "\n    {\"mv\": " : ",\n    {\"mv\": ";
+    append_number(out, voltages[i].value);
+    out += ", \"crashed\": ";
+    append_bool(out, row.crashed);
+    out += ", \"pcs\": [";
+    for (std::size_t p = 0; p < row.pcs.size(); ++p) {
+      const faults::PcFaultRecord& pc = row.pcs[p];
+      out += p == 0 ? "[" : ", [";
+      append_number(out, pc.bits_tested);
+      out += ", ";
+      append_number(out, pc.flips_1to0);
+      out += ", ";
+      append_number(out, pc.flips_0to1);
+      out += ", ";
+      append_number(out, pc.bits_tested_ones);
+      out += ", ";
+      append_number(out, pc.bits_tested_zeros);
+      out += ']';
+    }
+    out += "]}";
+  }
+  out += voltages.empty() ? "],\n" : "\n  ],\n";
+}
+
+/// The `"power": [...]` member, through its trailing "\n".
+void append_power(std::string& out, const std::vector<PowerSeries>& power) {
+  out += "  \"power\": [";
+  for (std::size_t i = 0; i < power.size(); ++i) {
+    const PowerSeries& series = power[i];
+    out += i == 0 ? "\n    {\"ports\": " : ",\n    {\"ports\": ";
+    append_number(out, series.ports);
+    out += ", \"rows\": [";
+    for (std::size_t r = 0; r < series.voltages.size(); ++r) {
+      out += r == 0 ? "{\"mv\": " : ", {\"mv\": ";
+      append_number(out, series.voltages[r].value);
+      out += ", \"watts\": \"";
+      append_hex(out, std::bit_cast<std::uint64_t>(series.power[r].value));
+      out += "\"}";
+    }
+    out += "]}";
+  }
+  out += power.empty() ? "]\n" : "\n  ]\n";
+}
+
+/// Room for a reliability section of up-to-7-digit counters, so an
+/// encode reserves once: a row header, then one five-counter tuple per PC.
+std::size_t reliability_bytes(const faults::FaultMap& map) {
+  return 32 + map.voltages().size() *
+                  (48 + std::size_t{map.geometry().total_pcs()} * 40);
 }
 
 Result<std::uint64_t> parse_hex_u64(const json::Value* value,
@@ -67,47 +139,61 @@ const json::Value* find_array(const json::Value& parent, const char* key) {
 
 }  // namespace
 
+const std::string& CheckpointWriter::encode(const CampaignCheckpoint& ckpt) {
+  const bool reuse = ckpt.reliability_done && !reliability_.empty();
+  std::size_t power_rows = 0;
+  for (const PowerSeries& series : ckpt.power) {
+    power_rows += series.voltages.size();
+  }
+  text_.clear();
+  text_.reserve(160 +
+                (reuse ? reliability_.size()
+                       : reliability_bytes(ckpt.fault_map)) +
+                32 * ckpt.power.size() + 48 * power_rows);
+  text_ += "{\n  \"version\": ";
+  append_number(text_, CampaignCheckpoint::kVersion);
+  text_ += ",\n  \"fingerprint\": \"";
+  append_hex(text_, ckpt.fingerprint);
+  text_ += "\",\n  \"reliability_done\": ";
+  append_bool(text_, ckpt.reliability_done);
+  text_ += ",\n  \"power_snapshot_seq\": ";
+  append_number(text_, ckpt.power_snapshot_seq);
+  text_ += ",\n";
+  if (reuse) {
+    text_ += reliability_;
+  } else {
+    const std::size_t start = text_.size();
+    append_reliability(text_, ckpt.fault_map);
+    // Once reliability_done is set the map is final: keep its text.
+    if (ckpt.reliability_done) reliability_.assign(text_, start);
+  }
+  append_power(text_, ckpt.power);
+  text_ += "}\n";
+  return text_;
+}
+
+Status CheckpointWriter::save(const CampaignCheckpoint& ckpt,
+                              const std::string& path) {
+  const std::string& text = encode(ckpt);
+  // Atomic write: the previous checkpoint survives a kill at any point.
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return unavailable("cannot open checkpoint tmp file: " + tmp);
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
+    if (!out.good()) return unavailable("checkpoint write failed: " + tmp);
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    return unavailable("checkpoint rename failed: " + ec.message());
+  }
+  return Status::ok();
+}
+
 std::string checkpoint_to_json(const CampaignCheckpoint& ckpt) {
-  std::ostringstream out;
-  out << "{\n";
-  out << "  \"version\": " << CampaignCheckpoint::kVersion << ",\n";
-  out << "  \"fingerprint\": \"" << hex_u64(ckpt.fingerprint) << "\",\n";
-  out << "  \"reliability_done\": "
-      << (ckpt.reliability_done ? "true" : "false") << ",\n";
-  out << "  \"power_snapshot_seq\": " << ckpt.power_snapshot_seq << ",\n";
-  out << "  \"reliability\": [";
-  const std::vector<Millivolts> voltages = ckpt.fault_map.voltages();
-  for (std::size_t i = 0; i < voltages.size(); ++i) {
-    const faults::VoltageObservation& row = *ckpt.fault_map.at(voltages[i]);
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"mv\": " << voltages[i].value << ", \"crashed\": "
-        << (row.crashed ? "true" : "false") << ", \"pcs\": [";
-    for (std::size_t p = 0; p < row.pcs.size(); ++p) {
-      const faults::PcFaultRecord& pc = row.pcs[p];
-      if (p != 0) out << ", ";
-      out << '[' << pc.bits_tested << ", " << pc.flips_1to0 << ", "
-          << pc.flips_0to1 << ", " << pc.bits_tested_ones << ", "
-          << pc.bits_tested_zeros << ']';
-    }
-    out << "]}";
-  }
-  out << (voltages.empty() ? "],\n" : "\n  ],\n");
-  out << "  \"power\": [";
-  for (std::size_t i = 0; i < ckpt.power.size(); ++i) {
-    const PowerSeries& series = ckpt.power[i];
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"ports\": " << series.ports << ", \"rows\": [";
-    for (std::size_t r = 0; r < series.voltages.size(); ++r) {
-      if (r != 0) out << ", ";
-      out << "{\"mv\": " << series.voltages[r].value << ", \"watts\": \""
-          << hex_u64(std::bit_cast<std::uint64_t>(series.power[r].value))
-          << "\"}";
-    }
-    out << "]}";
-  }
-  out << (ckpt.power.empty() ? "]\n" : "\n  ]\n");
-  out << "}\n";
-  return out.str();
+  CheckpointWriter writer;
+  return writer.encode(ckpt);
 }
 
 Result<CampaignCheckpoint> checkpoint_from_json(
@@ -201,20 +287,8 @@ Result<CampaignCheckpoint> checkpoint_from_json(
 
 Status save_checkpoint(const CampaignCheckpoint& ckpt,
                        const std::string& path) {
-  // Atomic write: the previous checkpoint survives a kill at any point.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return unavailable("cannot open checkpoint tmp file: " + tmp);
-    out << checkpoint_to_json(ckpt);
-    if (!out.good()) return unavailable("checkpoint write failed: " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    return unavailable("checkpoint rename failed: " + ec.message());
-  }
-  return Status::ok();
+  CheckpointWriter writer;
+  return writer.save(ckpt, path);
 }
 
 Result<CampaignCheckpoint> load_checkpoint(const std::string& path,

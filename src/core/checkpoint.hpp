@@ -15,7 +15,9 @@
 // Serialization detail that byte-identity depends on: Watts values are
 // stored as 16-digit hex bit patterns of the IEEE-754 double, never as
 // decimal text -- a decimal round-trip is one ulp away from a diff in
-// fig2.csv.  Counters are exact JSON integers.
+// fig2.csv.  Counters are exact JSON integers.  The encoder writes
+// straight into one string (std::to_chars, no stream or locale), so the
+// bytes do not depend on the process's locale either.
 
 #pragma once
 
@@ -49,7 +51,34 @@ struct CampaignCheckpoint {
   std::uint64_t power_snapshot_seq = 0;
 };
 
-/// Serializes to the checkpoint.json text (stable field order).
+/// Encodes and saves the successive checkpoints of one campaign.  Once
+/// `reliability_done` is set the fault map is final, so the writer encodes
+/// the reliability section once and reuses that text for every later save;
+/// the header and the power section are encoded on every save.  Every
+/// checkpoint passed to one writer must therefore come from the same
+/// campaign (a resumed campaign starts with a new writer).
+class CheckpointWriter {
+ public:
+  /// The checkpoint.json text of `ckpt` (stable field order), valid until
+  /// the next call.  The reliability section is reused when `ckpt` has
+  /// `reliability_done` set and an earlier call encoded it with the flag
+  /// set; otherwise it is encoded from `ckpt.fault_map`.
+  [[nodiscard]] const std::string& encode(const CampaignCheckpoint& ckpt);
+
+  /// Atomically writes the encoded checkpoint to `path` (tmp file +
+  /// rename).
+  [[nodiscard]] Status save(const CampaignCheckpoint& ckpt,
+                            const std::string& path);
+
+ private:
+  /// The reliability section, once `reliability_done` is set; empty
+  /// before.
+  std::string reliability_;
+  /// The whole text, rebuilt in place by each encode.
+  std::string text_;
+};
+
+/// Serializes to the checkpoint.json text (a fresh writer's encode).
 [[nodiscard]] std::string checkpoint_to_json(const CampaignCheckpoint& ckpt);
 
 /// Parses checkpoint.json text for a board of `geometry`; kDataLoss on
@@ -60,7 +89,7 @@ struct CampaignCheckpoint {
 [[nodiscard]] Result<CampaignCheckpoint> checkpoint_from_json(
     std::string_view text, const hbm::HbmGeometry& geometry);
 
-/// Atomically writes the checkpoint to `path` (tmp file + rename).
+/// Atomically writes the checkpoint to `path` (a fresh writer's save).
 [[nodiscard]] Status save_checkpoint(const CampaignCheckpoint& ckpt,
                                      const std::string& path);
 

@@ -8,6 +8,7 @@
 // Persistent faults must instead degrade gracefully -- structured errors
 // plus partial artifacts, never a process death.
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
@@ -20,7 +21,9 @@
 
 #include "board/vcu128.hpp"
 #include "chaos/chaos.hpp"
+#include "common/json.hpp"
 #include "common/retry.hpp"
+#include "common/rng.hpp"
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
 #include "core/report.hpp"
@@ -359,6 +362,26 @@ TEST(CheckpointTest, JsonRoundTripIsExact) {
   EXPECT_EQ(back.power[1].utilization, 1.0);
   // Bit-exact doubles: serialize again and compare text.
   EXPECT_EQ(core::checkpoint_to_json(back), text);
+}
+
+TEST(CheckpointTest, WriterMatchesAFreshEncodeAtEverySave) {
+  // A campaign's saves in order: reliability rows still growing, the save
+  // that sets reliability_done, then power rows.  Each must equal a fresh
+  // encode, whatever the writer kept from the saves before it.
+  core::CampaignCheckpoint ckpt = sample_checkpoint();
+  ckpt.reliability_done = false;
+  core::CheckpointWriter writer;
+  EXPECT_EQ(writer.encode(ckpt), core::checkpoint_to_json(ckpt));
+  ckpt.fault_map.record(Millivolts{1000}, 0, {1000, 1, 2, 500, 500});
+  EXPECT_EQ(writer.encode(ckpt), core::checkpoint_to_json(ckpt));
+  ckpt.reliability_done = true;
+  EXPECT_EQ(writer.encode(ckpt), core::checkpoint_to_json(ckpt));
+  for (int mv = 1100; mv >= 1000; mv -= 50) {
+    ckpt.power[1].voltages.push_back(Millivolts{mv});
+    ckpt.power[1].power.push_back(Watts{mv / 7.0});
+    ckpt.power_snapshot_seq += 1000;
+    EXPECT_EQ(writer.encode(ckpt), core::checkpoint_to_json(ckpt)) << mv;
+  }
 }
 
 TEST(CheckpointTest, LoadMissingFileIsNotFound) {
@@ -830,6 +853,39 @@ TEST_F(ResumeTest, MalformedCheckpointStartsFresh) {
   }
 }
 
+TEST_F(ResumeTest, FailedSavesAreCountedAndFigureNeutral) {
+  // A directory where the tmp file goes makes every save fail, the one
+  // that marks the reliability phase done included: the run must still
+  // finish with the clean run's artifacts, and count each failure.
+  const fs::path dir = scratch_dir("ckpt_unwritable");
+  fs::create_directories(dir / "checkpoint.json.tmp");
+  core::CampaignConfig config = artifact_campaign(dir);
+  config.telemetry.enabled = true;
+  board::Vcu128Board board(tiny_board());
+  core::Campaign campaign(board, config);
+  auto run = campaign.run();
+  ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+  EXPECT_TRUE(run.value().errors.empty());
+  EXPECT_FALSE(fs::exists(dir / "checkpoint.json"));
+  expect_artifacts_match(dir, *clean_dir_, "ckpt_unwritable");
+
+  // One save per sweep step, plus the one that sets reliability_done.
+  const std::uint64_t saves =
+      core::sweep_grid(config.reliability.sweep).size() +
+      core::sweep_grid(config.power.sweep).size() *
+          config.power.port_counts.size() +
+      1;
+  auto manifest = json::parse(read_file(dir / "manifest.json"));
+  ASSERT_TRUE(manifest.is_ok()) << manifest.status().to_string();
+  const json::Value* metrics = manifest.value().find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  EXPECT_EQ(metrics->find("checkpoint.writes"), nullptr)
+      << "no save can have succeeded";
+  const json::Value* failures = metrics->find("checkpoint.write_failures");
+  ASSERT_NE(failures, nullptr);
+  EXPECT_EQ(static_cast<std::uint64_t>(failures->integer), saves);
+}
+
 TEST_F(ResumeTest, CheckpointDisabledWritesNoFile) {
   const fs::path dir = scratch_dir("no_ckpt");
   core::CampaignConfig config = artifact_campaign(dir);
@@ -840,6 +896,123 @@ TEST_F(ResumeTest, CheckpointDisabledWritesNoFile) {
   ASSERT_TRUE(run.is_ok()) << run.status().to_string();
   EXPECT_FALSE(fs::exists(dir / "checkpoint.json"));
   expect_artifacts_match(dir, *clean_dir_, "no_ckpt");
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint loader fuzz
+// ---------------------------------------------------------------------------
+
+/// Field-by-field equality of two checkpoints, doubles by bit pattern.
+void expect_same_checkpoint(const core::CampaignCheckpoint& a,
+                            const core::CampaignCheckpoint& b,
+                            const std::string& label) {
+  EXPECT_EQ(a.fingerprint, b.fingerprint) << label;
+  EXPECT_EQ(a.reliability_done, b.reliability_done) << label;
+  EXPECT_EQ(a.power_snapshot_seq, b.power_snapshot_seq) << label;
+  const std::vector<Millivolts> voltages = a.fault_map.voltages();
+  ASSERT_EQ(voltages, b.fault_map.voltages()) << label;
+  for (const Millivolts v : voltages) {
+    const faults::VoltageObservation& x = *a.fault_map.at(v);
+    const faults::VoltageObservation& y = *b.fault_map.at(v);
+    EXPECT_EQ(x.crashed, y.crashed) << label << ": " << v.value << " mV";
+    ASSERT_EQ(x.pcs.size(), y.pcs.size()) << label;
+    for (std::size_t pc = 0; pc < x.pcs.size(); ++pc) {
+      EXPECT_TRUE(x.pcs[pc].bits_tested == y.pcs[pc].bits_tested &&
+                  x.pcs[pc].flips_1to0 == y.pcs[pc].flips_1to0 &&
+                  x.pcs[pc].flips_0to1 == y.pcs[pc].flips_0to1 &&
+                  x.pcs[pc].bits_tested_ones == y.pcs[pc].bits_tested_ones &&
+                  x.pcs[pc].bits_tested_zeros == y.pcs[pc].bits_tested_zeros)
+          << label << ": PC " << pc << " at " << v.value << " mV";
+    }
+  }
+  ASSERT_EQ(a.power.size(), b.power.size()) << label;
+  for (std::size_t i = 0; i < a.power.size(); ++i) {
+    EXPECT_EQ(a.power[i].ports, b.power[i].ports) << label;
+    EXPECT_EQ(a.power[i].utilization, b.power[i].utilization) << label;
+    EXPECT_EQ(a.power[i].voltages, b.power[i].voltages) << label;
+    ASSERT_EQ(a.power[i].power.size(), b.power[i].power.size()) << label;
+    for (std::size_t r = 0; r < a.power[i].power.size(); ++r) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.power[i].power[r].value),
+                std::bit_cast<std::uint64_t>(b.power[i].power[r].value))
+          << label << ": series " << i << " row " << r;
+    }
+  }
+}
+
+TEST(CheckpointFuzzTest, MutatedCheckpointsLoadOrAreRefused) {
+  // Seed text: a real checkpoint halted three rows into the power phase,
+  // so both sections and every field kind are present.
+  const fs::path dir = scratch_dir("fuzz_source");
+  {
+    core::CampaignConfig config = artifact_campaign(dir);
+    config.halt_after_steps = 24;
+    board::Vcu128Board board(tiny_board());
+    core::Campaign campaign(board, config);
+    ASSERT_TRUE(campaign.run().is_ok());
+  }
+  const std::string seed = read_file(dir / "checkpoint.json");
+  ASSERT_FALSE(seed.empty());
+  const hbm::HbmGeometry geometry = tiny_board().geometry;
+
+  // Bytes a flip writes: JSON structure, number and hex characters, and a
+  // few that are never valid.
+  static constexpr char kAlphabet[] = "{}[]\",:-+.eE0123456789abcdefAF \n\t";
+  Xoshiro256 rng(0xF022C4E7);
+  const auto pick = [&rng](std::size_t bound) {
+    return static_cast<std::size_t>(rng.bounded(bound));
+  };
+  constexpr unsigned kMutants = 4000;
+  unsigned accepted = 0;
+  for (unsigned i = 0; i < kMutants; ++i) {
+    std::string text = seed;
+    switch (i % 5) {
+      case 0: {  // a digit rewritten: counters, voltages and hex change
+        std::size_t at = pick(text.size());
+        while (text[at] < '0' || text[at] > '9') at = (at + 1) % text.size();
+        text[at] = static_cast<char>('0' + pick(10));
+        break;
+      }
+      case 1:  // one to four byte flips
+        for (std::size_t n = 1 + pick(4); n > 0; --n) {
+          text[pick(text.size())] =
+              rng.bernoulli(0.5)
+                  ? kAlphabet[pick(sizeof(kAlphabet) - 1)]
+                  : static_cast<char>(rng.bounded(256));
+        }
+        break;
+      case 2:  // truncation
+        text.resize(pick(text.size()));
+        break;
+      case 3: {  // splice: a prefix joined to a suffix from elsewhere
+        const std::size_t cut = pick(text.size());
+        text = text.substr(0, cut) + seed.substr(pick(seed.size()));
+        break;
+      }
+      default: {  // a copied span inserted at a random point
+        const std::size_t from = pick(seed.size());
+        const std::size_t length = 1 + pick(std::min<std::size_t>(
+                                           64, seed.size() - from));
+        text.insert(pick(text.size() + 1), seed.substr(from, length));
+        break;
+      }
+    }
+    const std::string label = "mutant " + std::to_string(i);
+    auto loaded = core::checkpoint_from_json(text, geometry);
+    if (!loaded.is_ok()) {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << label;
+      continue;
+    }
+    ++accepted;
+    const std::string first = core::checkpoint_to_json(loaded.value());
+    auto reloaded = core::checkpoint_from_json(first, geometry);
+    ASSERT_TRUE(reloaded.is_ok())
+        << label << ": " << reloaded.status().to_string();
+    expect_same_checkpoint(reloaded.value(), loaded.value(), label);
+    EXPECT_EQ(core::checkpoint_to_json(reloaded.value()), first) << label;
+  }
+  // Both outcomes must occur, or the mutations proved nothing.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, kMutants);
 }
 
 // ---------------------------------------------------------------------------
