@@ -941,11 +941,13 @@ void expect_same_checkpoint(const core::CampaignCheckpoint& a,
 
 TEST(CheckpointFuzzTest, MutatedCheckpointsLoadOrAreRefused) {
   // Seed text: a real checkpoint halted three rows into the power phase,
-  // so both sections and every field kind are present.
+  // so both sections and every field kind are present.  A 100 mV
+  // reliability step keeps it to five rows, so each parse is short.
   const fs::path dir = scratch_dir("fuzz_source");
   {
     core::CampaignConfig config = artifact_campaign(dir);
-    config.halt_after_steps = 24;
+    config.reliability.sweep.step_mv = 100;
+    config.halt_after_steps = 8;
     board::Vcu128Board board(tiny_board());
     core::Campaign campaign(board, config);
     ASSERT_TRUE(campaign.run().is_ok());
