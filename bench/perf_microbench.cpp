@@ -44,13 +44,21 @@ void BM_FeistelForward(benchmark::State& state) {
 }
 BENCHMARK(BM_FeistelForward);
 
-void BM_WeakCellOrderBuild(benchmark::State& state) {
+hbm::HbmGeometry order_geometry(const benchmark::State& state) {
   auto geometry = bench_geometry();
   geometry.bits_per_pc = 1ull << static_cast<unsigned>(state.range(0));
   geometry.banks_per_pc = 2;
   geometry.beats_per_row = 8;
+  return geometry;
+}
+
+// The full weak-cell order a PC pays for once its stuck counts outgrow
+// the weakest bucket: construction, then grow().
+void BM_WeakCellOrderBuild(benchmark::State& state) {
+  const auto geometry = order_geometry(state);
   for (auto _ : state) {
     faults::WeakCellOrder order(geometry, 42, faults::WeakCellConfig{});
+    order.grow();
     benchmark::DoNotOptimize(order.size(faults::StuckPolarity::kStuckAt0));
   }
   state.SetItemsProcessed(state.iterations() *
@@ -58,9 +66,23 @@ void BM_WeakCellOrderBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_WeakCellOrderBuild)->Arg(14)->Arg(17)->Arg(19);
 
+// Construction alone: the bucket-0 prefix every faulty PC builds, and all
+// a PC serving at 950 mV ever builds.
+void BM_WeakCellOrderPrefix(benchmark::State& state) {
+  const auto geometry = order_geometry(state);
+  for (auto _ : state) {
+    faults::WeakCellOrder order(geometry, 42, faults::WeakCellConfig{});
+    benchmark::DoNotOptimize(order.reach(faults::StuckPolarity::kStuckAt0));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(geometry.bits_per_pc));
+}
+BENCHMARK(BM_WeakCellOrderPrefix)->Arg(19);
+
 void BM_OverlayBuildSparse(benchmark::State& state) {
   const auto geometry = bench_geometry();
   faults::WeakCellOrder order(geometry, 42, faults::WeakCellConfig{});
+  order.grow();
   for (auto _ : state) {
     auto overlay = faults::FaultOverlay::build(order, 500, 500);
     benchmark::DoNotOptimize(overlay.total_count());
@@ -71,6 +93,7 @@ BENCHMARK(BM_OverlayBuildSparse);
 void BM_OverlayBuildDense(benchmark::State& state) {
   const auto geometry = bench_geometry();
   faults::WeakCellOrder order(geometry, 42, faults::WeakCellConfig{});
+  order.grow();
   const std::uint64_t k = geometry.bits_per_pc / 4;
   for (auto _ : state) {
     auto overlay = faults::FaultOverlay::build(order, k, k);
@@ -81,8 +104,9 @@ BENCHMARK(BM_OverlayBuildDense);
 
 // A campaign's overlay work on one PC: the weakest default PC through
 // FaultInjector from 980 to 810 mV in 10 mV steps, reading the overlay at
-// each step.  The weak-cell order is built once, outside the timed loop;
-// each iteration starts from the empty guardband overlay.
+// each step.  The weak-cell order is built and grown once, outside the
+// timed loop (one read at 810 mV); each iteration starts from the empty
+// guardband overlay.
 void BM_OverlayDescend(benchmark::State& state) {
   const faults::FaultModel model(bench_geometry(), faults::FaultModelConfig{});
   unsigned pc = 0;
@@ -90,7 +114,8 @@ void BM_OverlayDescend(benchmark::State& state) {
     if (model.onset_voltage(p).value > model.onset_voltage(pc).value) pc = p;
   }
   faults::FaultInjector injector(model);
-  benchmark::DoNotOptimize(&injector.order(pc));
+  injector.set_voltage(Millivolts{810});
+  benchmark::DoNotOptimize(injector.overlay(pc).total_count());
   for (auto _ : state) {
     state.PauseTiming();
     injector.set_voltage(Millivolts{1200});

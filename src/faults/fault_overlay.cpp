@@ -15,6 +15,18 @@ bool should_use_dense(std::uint64_t stuck, std::uint64_t bits) {
   return stuck > bits / 64;
 }
 
+/// The first cell of a sorted list at or above `lo`, or the list's end
+/// when no cell lies in [lo, hi).  A range outside the list's span (or an
+/// empty list) costs two compares instead of a search.
+std::vector<std::uint32_t>::const_iterator first_in(
+    const std::vector<std::uint32_t>& cells, std::uint64_t lo,
+    std::uint64_t hi) {
+  if (cells.empty() || cells.front() >= hi || cells.back() < lo) {
+    return cells.end();
+  }
+  return std::lower_bound(cells.begin(), cells.end(), lo);
+}
+
 }  // namespace
 
 FaultOverlay FaultOverlay::build(const WeakCellOrder& order,
@@ -34,20 +46,19 @@ void FaultOverlay::extend(const WeakCellOrder& order, std::uint64_t count_sa0,
   if (!dense() && should_use_dense(count_sa0 + count_sa1, order.bits())) {
     make_dense(order.bits());
   }
-  std::vector<std::uint32_t> cells;
   for (const auto polarity :
        {StuckPolarity::kStuckAt0, StuckPolarity::kStuckAt1}) {
     const bool one = polarity == StuckPolarity::kStuckAt1;
     const std::uint64_t from = count(polarity);
     const std::uint64_t to = one ? count_sa1 : count_sa0;
     if (dense()) {
-      cells.clear();
-      order.ranks(polarity, from, to, cells);
-      for (const std::uint32_t cell : cells) {
-        const std::uint64_t bit = 1ull << (cell % 64);
-        mask_[cell / 64] |= bit;
-        if (one) value_[cell / 64] |= bit;
-      }
+      std::vector<std::uint64_t>& stuck = one ? stuck1_ : stuck0_;
+      order.visit_ranks(polarity, from, to,
+                        [&stuck](std::span<const std::uint32_t> run) {
+                          for (const std::uint32_t cell : run) {
+                            stuck[cell / 64] |= 1ull << (cell % 64);
+                          }
+                        });
     } else {
       // Sort the new cells and merge them behind the sorted old ones.
       std::vector<std::uint32_t>& list = one ? sparse_sa1_ : sparse_sa0_;
@@ -62,14 +73,13 @@ void FaultOverlay::extend(const WeakCellOrder& order, std::uint64_t count_sa0,
 }
 
 void FaultOverlay::make_dense(std::uint64_t bits) {
-  mask_.assign(bits / 64, 0);
-  value_.assign(bits / 64, 0);
+  stuck0_.assign(bits / 64, 0);
+  stuck1_.assign(bits / 64, 0);
   for (const std::uint32_t cell : sparse_sa0_) {
-    mask_[cell / 64] |= 1ull << (cell % 64);
+    stuck0_[cell / 64] |= 1ull << (cell % 64);
   }
   for (const std::uint32_t cell : sparse_sa1_) {
-    mask_[cell / 64] |= 1ull << (cell % 64);
-    value_[cell / 64] |= 1ull << (cell % 64);
+    stuck1_[cell / 64] |= 1ull << (cell % 64);
   }
   sparse_sa0_ = {};
   sparse_sa1_ = {};
@@ -78,18 +88,18 @@ void FaultOverlay::make_dense(std::uint64_t bits) {
 void FaultOverlay::apply(std::uint64_t first_word,
                          std::span<std::uint64_t> words) const noexcept {
   if (empty()) return;
-  if (!mask_.empty()) {
+  if (dense()) {
     for (std::uint64_t i = 0; i < words.size(); ++i) {
-      const std::uint64_t m = mask_[first_word + i];
-      words[i] = (words[i] & ~m) | (value_[first_word + i] & m);
+      const std::uint64_t w = first_word + i;
+      words[i] = (words[i] & ~stuck0_[w]) | stuck1_[w];
     }
     return;
   }
   const std::uint64_t lo = first_word * 64;
   const std::uint64_t hi = lo + words.size() * 64;
   auto patch = [&](const std::vector<std::uint32_t>& cells, bool stuck_one) {
-    auto it = std::lower_bound(cells.begin(), cells.end(), lo);
-    for (; it != cells.end() && *it < hi; ++it) {
+    for (auto it = first_in(cells, lo, hi); it != cells.end() && *it < hi;
+         ++it) {
       const std::uint64_t offset = *it - lo;
       const std::uint64_t bit = 1ull << (offset % 64);
       if (stuck_one) {
@@ -109,15 +119,16 @@ hbm::RangeFlips FaultOverlay::verify_after_fill(
   hbm::RangeFlips out;
   if (empty()) return out;  // stored == pattern: nothing can differ
   const std::uint64_t w0 = start_beat * 4;
-  if (!mask_.empty()) {
+  if (dense()) {
     for (std::uint64_t b = 0; b < beats; ++b) {
       std::uint64_t any = 0;
       for (unsigned w = 0; w < 4; ++w) {
         const std::uint64_t i = b * 4 + w;
-        const std::uint64_t m = mask_[w0 + i];
-        if (m == 0) continue;
+        const std::uint64_t m0 = stuck0_[w0 + i];
+        const std::uint64_t m1 = stuck1_[w0 + i];
+        if ((m0 | m1) == 0) continue;
         const std::uint64_t expected = pattern.word(w0 + i);
-        const std::uint64_t diff = (value_[w0 + i] ^ expected) & m;
+        const std::uint64_t diff = (m0 & expected) | (m1 & ~expected);
         out.flips_1to0 +=
             static_cast<unsigned>(std::popcount(diff & expected));
         out.flips_0to1 +=
@@ -133,8 +144,8 @@ hbm::RangeFlips FaultOverlay::verify_after_fill(
   // beats) are visited in ascending order -- O(stuck cells in range).
   const std::uint64_t lo = start_beat * 256;
   const std::uint64_t hi = lo + beats * 256;
-  auto it0 = std::lower_bound(sparse_sa0_.begin(), sparse_sa0_.end(), lo);
-  auto it1 = std::lower_bound(sparse_sa1_.begin(), sparse_sa1_.end(), lo);
+  auto it0 = first_in(sparse_sa0_, lo, hi);
+  auto it1 = first_in(sparse_sa1_, lo, hi);
   std::uint64_t last_beat = ~0ull;
   while (true) {
     const bool has0 = it0 != sparse_sa0_.end() && *it0 < hi;
@@ -158,8 +169,8 @@ hbm::RangeFlips FaultOverlay::verify_after_fill(
 }
 
 bool FaultOverlay::is_stuck(std::uint64_t bit) const noexcept {
-  if (!mask_.empty()) {
-    return (mask_[bit / 64] >> (bit % 64)) & 1ull;
+  if (dense()) {
+    return ((stuck0_[bit / 64] | stuck1_[bit / 64]) >> (bit % 64)) & 1ull;
   }
   const auto cell = static_cast<std::uint32_t>(bit);
   return std::binary_search(sparse_sa0_.begin(), sparse_sa0_.end(), cell) ||
@@ -167,8 +178,8 @@ bool FaultOverlay::is_stuck(std::uint64_t bit) const noexcept {
 }
 
 bool FaultOverlay::stuck_value(std::uint64_t bit) const noexcept {
-  if (!mask_.empty()) {
-    return (value_[bit / 64] >> (bit % 64)) & 1ull;
+  if (dense()) {
+    return (stuck1_[bit / 64] >> (bit % 64)) & 1ull;
   }
   return std::binary_search(sparse_sa1_.begin(), sparse_sa1_.end(),
                             static_cast<std::uint32_t>(bit));
@@ -176,14 +187,14 @@ bool FaultOverlay::stuck_value(std::uint64_t bit) const noexcept {
 
 void FaultOverlay::for_each(
     const std::function<void(std::uint64_t, StuckPolarity)>& fn) const {
-  if (!mask_.empty()) {
-    for (std::uint64_t w = 0; w < mask_.size(); ++w) {
-      std::uint64_t bits = mask_[w];
+  if (dense()) {
+    for (std::uint64_t w = 0; w < stuck0_.size(); ++w) {
+      std::uint64_t bits = stuck0_[w] | stuck1_[w];
       while (bits != 0) {
         const int offset = __builtin_ctzll(bits);
         bits &= bits - 1;
         const std::uint64_t cell = w * 64 + static_cast<unsigned>(offset);
-        const bool one = (value_[w] >> offset) & 1ull;
+        const bool one = (stuck1_[w] >> offset) & 1ull;
         fn(cell, one ? StuckPolarity::kStuckAt1 : StuckPolarity::kStuckAt0);
       }
     }
@@ -227,6 +238,10 @@ void FaultInjector::set_voltage(Millivolts v) {
 
 const WeakCellOrder& FaultInjector::order(unsigned pc_global) {
   HBMVOLT_REQUIRE(pc_global < orders_.size(), "PC index out of range");
+  return built_order(pc_global);
+}
+
+WeakCellOrder& FaultInjector::built_order(unsigned pc_global) {
   auto& slot = orders_[pc_global];
   if (!slot) {
     telemetry::Span span("faults.order_build", pc_global);
@@ -258,7 +273,7 @@ void FaultInjector::refresh(unsigned pc_global) {
     if (!slot.overlay.empty()) slot.overlay = FaultOverlay();
     return;
   }
-  const WeakCellOrder& cells = order(pc_global);
+  WeakCellOrder& cells = built_order(pc_global);
   const std::uint64_t c0 =
       std::min(k0, cells.size(StuckPolarity::kStuckAt0));
   const std::uint64_t c1 =
@@ -267,6 +282,12 @@ void FaultInjector::refresh(unsigned pc_global) {
   const std::uint64_t have0 = overlay.count(StuckPolarity::kStuckAt0);
   const std::uint64_t have1 = overlay.count(StuckPolarity::kStuckAt1);
   if (c0 == have0 && c1 == have1) return;
+  // The first count past the order's weakest bucket grows the whole order.
+  if (c0 > cells.reach(StuckPolarity::kStuckAt0) ||
+      c1 > cells.reach(StuckPolarity::kStuckAt1)) {
+    telemetry::Span span("faults.order_scatter", pc_global);
+    cells.grow();
+  }
   telemetry::Span span("faults.overlay_build", pc_global);
   // A raise shrinks the stuck set: start over from an empty overlay.
   if (c0 < have0 || c1 < have1) overlay = FaultOverlay();

@@ -7,9 +7,11 @@
 // representations:
 //   * sparse -- two sorted cell-index vectors (one per polarity); a read
 //     patches only the stuck cells inside its words, found by one binary
-//     search per polarity.  Used when few cells are stuck.
-//   * dense  -- stuck-mask and stuck-value bitmaps; a read patches each
-//     word with one mask-and-merge.  Used deep in the unsafe region.
+//     search per polarity whose span the words overlap.  Used when few
+//     cells are stuck.
+//   * dense  -- a stuck-at-0 and a stuck-at-1 bitmap; a read patches
+//     each word with one clear and one set.  Used deep in the unsafe
+//     region.
 //
 // apply() is the only routine that patches stored words: every overlaid
 // read (beat, word or range; see HbmStack) goes through it.
@@ -43,7 +45,8 @@ class FaultOverlay {
   FaultOverlay() = default;
 
   /// Materializes the first `count_sa0`/`count_sa1` cells of each polarity
-  /// order (counts are clamped to the order sizes).
+  /// order (counts are clamped to the order sizes).  The clamped counts
+  /// must lie within the order's reach().
   static FaultOverlay build(const WeakCellOrder& order,
                             std::uint64_t count_sa0, std::uint64_t count_sa1);
 
@@ -51,7 +54,8 @@ class FaultOverlay {
   /// polarity order (clamped to the order sizes), adding only the cells it
   /// lacks.  The result equals build(order, count_sa0, count_sa1),
   /// representation included.  `order` must be the one the overlay was
-  /// built from, and neither clamped count may be below count().
+  /// built from, and neither clamped count may be below count() or past
+  /// the order's reach().
   void extend(const WeakCellOrder& order, std::uint64_t count_sa0,
               std::uint64_t count_sa1);
 
@@ -86,7 +90,7 @@ class FaultOverlay {
     return count_sa0_ + count_sa1_;
   }
   [[nodiscard]] bool empty() const noexcept { return total_count() == 0; }
-  [[nodiscard]] bool dense() const noexcept { return !mask_.empty(); }
+  [[nodiscard]] bool dense() const noexcept { return !stuck0_.empty(); }
 
   /// Invokes fn(bit_index, polarity) for every stuck cell, in ascending
   /// bit order within each polarity.
@@ -100,9 +104,11 @@ class FaultOverlay {
   // Sparse form: sorted stuck-cell indices per polarity.
   std::vector<std::uint32_t> sparse_sa0_;
   std::vector<std::uint32_t> sparse_sa1_;
-  // Dense form: bit i stuck iff mask_[i]; reads as value_[i].
-  std::vector<std::uint64_t> mask_;
-  std::vector<std::uint64_t> value_;
+  // Dense form: one bitmap per polarity; bit i of stuck1_ (stuck0_) is
+  // set iff cell i is stuck-at-1 (stuck-at-0), so growing it sets one bit
+  // per cell and a read patches a word with one clear and one set.
+  std::vector<std::uint64_t> stuck0_;
+  std::vector<std::uint64_t> stuck1_;
 
   std::uint64_t count_sa0_ = 0;
   std::uint64_t count_sa1_ = 0;
@@ -115,7 +121,11 @@ class FaultOverlay {
 /// overlay(pc) recomputes that PC's clamped stuck counts: equal counts
 /// reuse the overlay, grown counts extend it in place, and a shrunk count
 /// (after a raise) rebuilds it.  Each stuck cell is therefore placed once
-/// per descent.  An overlay's address never changes.
+/// per descent.  An overlay's address never changes.  The refresh that
+/// first needs ranks past a PC's weakest order bucket grows that PC's
+/// order (WeakCellOrder::grow); like the overlay, it is per-PC state that
+/// only the PC's one reader touches, so concurrent workers on other PCs
+/// are unaffected.
 class FaultInjector {
  public:
   explicit FaultInjector(FaultModel model, WeakCellConfig weak_config = {});
@@ -130,7 +140,10 @@ class FaultInjector {
   /// demand; a fresh one costs a single flag test).
   const FaultOverlay& overlay(unsigned pc_global);
 
-  /// Weak-cell order for a PC (built lazily; stable across voltages).
+  /// Weak-cell order for a PC (built lazily; the cells it selects are
+  /// stable across voltages).  It holds only its weakest bucket until a
+  /// stuck count outgrows it; the overlay refresh that first needs more
+  /// grows it, once.
   const WeakCellOrder& order(unsigned pc_global);
 
   /// Permanently weakens a PC: the next `extra_sa0`/`extra_sa1` cells of
@@ -155,8 +168,12 @@ class FaultInjector {
     bool stale = true;
   };
 
-  /// Brings a stale overlay to the PC's current stuck counts.
+  /// Brings a stale overlay to the PC's current stuck counts, growing the
+  /// PC's weak-cell order first if a count lies past its reach.
   void refresh(unsigned pc_global);
+
+  /// The PC's weak-cell order, built on first use.
+  WeakCellOrder& built_order(unsigned pc_global);
 
   FaultModel model_;
   WeakCellConfig weak_config_;

@@ -22,36 +22,87 @@ namespace {
 #define HBMVOLT_TAG_CLONES
 #endif
 
-/// Writes the bucket tag of every cell in [lo, hi): polarity in the top
-/// tag bit, then the top `bucket_bits` of the key shifted right by
-/// `shift`.
+/// Writes the bucket tag of every cell in [lo, hi) to tags[0, hi - lo):
+/// polarity in the top tag bit, then the top `bucket_bits` of the key
+/// shifted right by `shift`.
 HBMVOLT_TAG_CLONES void tag_cells(std::uint16_t* tags, std::uint64_t lo,
                                   std::uint64_t hi, std::uint64_t key_seed,
                                   unsigned shift, std::uint64_t polarity_seed,
                                   std::uint64_t share1_threshold,
                                   unsigned bucket_bits) {
   const std::uint64_t stuck1_tag = std::uint64_t{1} << bucket_bits;
-  for (std::uint64_t cell = lo; cell < hi; ++cell) {
+  for (std::uint64_t i = 0; i < hi - lo; ++i) {
+    const std::uint64_t cell = lo + i;
     const std::uint64_t key = splitmix64(key_seed ^ cell) >> shift;
     const bool stuck1 = splitmix64(polarity_seed ^ cell) < share1_threshold;
-    tags[cell] = static_cast<std::uint16_t>((stuck1 ? stuck1_tag : 0) +
-                                            (key >> (64 - bucket_bits)));
+    tags[i] = static_cast<std::uint16_t>((stuck1 ? stuck1_tag : 0) +
+                                         (key >> (64 - bucket_bits)));
   }
 }
 
+/// A cell with its strength key, ordered by (key, cell): the order ranks
+/// count in.
+struct Keyed {
+  std::uint64_t key;
+  std::uint32_t cell;
+};
+
+bool by_key(const Keyed& a, const Keyed& b) {
+  return a.key < b.key || (a.key == b.key && a.cell < b.cell);
+}
+
+/// Cells per chunk of the hashing pass (rounded to whole beats): the
+/// chunk's 8 KiB of tags stay in L1 until they are counted or scattered.
+constexpr std::uint64_t kChunkCells = 4096;
+
 }  // namespace
+
+template <typename Visit>
+void WeakCellOrder::for_each_tag_chunk(Visit&& visit) const {
+  const std::uint64_t n = geometry_.bits_per_pc;
+  const std::uint64_t bits_per_beat = geometry_.bits_per_beat;
+  const std::uint64_t beats = beat_in_cluster_.size();
+  const std::uint64_t chunk_beats =
+      std::max<std::uint64_t>(1, kChunkCells / bits_per_beat);
+  const auto tags = std::make_unique_for_overwrite<std::uint16_t[]>(
+      std::min(n, chunk_beats * bits_per_beat));
+  for (std::uint64_t first_beat = 0; first_beat < beats;
+       first_beat += chunk_beats) {
+    const std::uint64_t first = first_beat * bits_per_beat;
+    const std::uint64_t end_beat = std::min(beats, first_beat + chunk_beats);
+    const std::uint64_t end = std::min(n, end_beat * bits_per_beat);
+    // One tagging call per run of beats that share a key shift.
+    for (std::uint64_t beat = first_beat; beat < end_beat;) {
+      const std::uint8_t in_cluster = beat_in_cluster_[beat];
+      std::uint64_t run_end = beat + 1;
+      while (run_end < end_beat && beat_in_cluster_[run_end] == in_cluster) {
+        ++run_end;
+      }
+      const std::uint64_t lo = beat * bits_per_beat;
+      tag_cells(tags.get() + (lo - first), lo,
+                std::min(n, run_end * bits_per_beat), key_seed_,
+                in_cluster != 0 ? cluster_key_shift_ : 0, polarity_seed_,
+                share1_threshold_, kBucketBits);
+      beat = run_end;
+    }
+    visit(first, static_cast<const std::uint16_t*>(tags.get()), end - first);
+  }
+}
 
 WeakCellOrder::WeakCellOrder(const hbm::HbmGeometry& geometry,
                              std::uint64_t pc_seed,
                              const WeakCellConfig& config)
     : geometry_(geometry),
       key_seed_(mix_seed(pc_seed, 0x57E26)),
+      polarity_seed_(mix_seed(pc_seed, 0x9012A)),
+      share1_threshold_(static_cast<std::uint64_t>(
+          config.stuck_at_one_share * 18446744073709551615.0)),
       cluster_key_shift_(config.cluster_key_shift) {
   HBMVOLT_REQUIRE(geometry_.bits_per_pc <= (1ull << 32),
                   "simulated PC capacity limited to 2^32 bits");
-  const std::uint64_t n = geometry_.bits_per_pc;
-  const std::uint64_t bits_per_beat = geometry_.bits_per_beat;
-  const std::uint64_t beats = (n + bits_per_beat - 1) / bits_per_beat;
+  const std::uint64_t beats =
+      (geometry_.bits_per_pc + geometry_.bits_per_beat - 1) /
+      geometry_.bits_per_beat;
 
   // Place cluster windows and flag the beats they cover.
   Xoshiro256 cluster_rng(mix_seed(pc_seed, 0xC1057E2));
@@ -77,34 +128,64 @@ WeakCellOrder::WeakCellOrder(const hbm::HbmGeometry& geometry,
     }
   }
 
-  // Group cells by (polarity, top key bits) with a counting sort that
-  // hashes every cell once.  The hashing pass only records each cell's
-  // bucket tag: counting inside it (a read-modify-write of a random
-  // bucket per cell) roughly doubled its time.  The buckets are sized
-  // from the tags, and the cells scattered from them, so each bucket
-  // lists its cells in ascending order.
+  // Count every (polarity, top key bits) bucket and collect the cells of
+  // bucket 0 of each polarity.  Counting reads each chunk's
+  // tags from L1 after the hashing loop wrote them: counting inside that
+  // loop (a read-modify-write of a random bucket per cell) roughly doubled
+  // its time.
   static_assert(2 * kBuckets <= 65536, "bucket tags are 16-bit");
-  const std::uint64_t polarity_seed = mix_seed(pc_seed, 0x9012A);
-  const auto share1_threshold = static_cast<std::uint64_t>(
-      config.stuck_at_one_share * 18446744073709551615.0);
-  // Both arrays are written in full before they are read, so neither is
-  // zero-filled first.
-  const auto tags = std::make_unique_for_overwrite<std::uint16_t[]>(n);
-  for (std::uint64_t beat = 0; beat < beats; ++beat) {
-    tag_cells(tags.get(), beat * bits_per_beat,
-              std::min(n, (beat + 1) * bits_per_beat), key_seed_,
-              beat_in_cluster_[beat] ? cluster_key_shift_ : 0, polarity_seed,
-              share1_threshold, kBucketBits);
-  }
   offsets_.assign(2 * kBuckets + 1, 0);
-  for (std::uint64_t cell = 0; cell < n; ++cell) ++offsets_[tags[cell] + 1];
+  std::uint64_t* const counts = offsets_.data() + 1;
+  std::vector<std::uint32_t> bucket0[2];
+  for_each_tag_chunk([&](std::uint64_t first, const std::uint16_t* tags,
+                         std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint16_t tag = tags[i];
+      ++counts[tag];
+      if ((tag & (kBuckets - 1)) == 0) {
+        bucket0[tag >> kBucketBits].push_back(
+            static_cast<std::uint32_t>(first + i));
+      }
+    }
+  });
   for (std::size_t b = 0; b < 2 * kBuckets; ++b) offsets_[b + 1] += offsets_[b];
-
-  std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  cells_ = std::make_unique_for_overwrite<std::uint32_t[]>(n);
-  for (std::uint64_t cell = 0; cell < n; ++cell) {
-    cells_[cursor[tags[cell]]++] = static_cast<std::uint32_t>(cell);
+  // Order each bucket 0 by (key, cell) once, so that any rank range inside
+  // it is a plain copy: a PC's stuck counts sit there from its first
+  // faulty step down to about 880 mV.
+  cells_ = std::make_unique_for_overwrite<std::uint32_t[]>(
+      bucket0[0].size() + bucket0[1].size());
+  std::uint32_t* next = cells_.get();
+  for (const auto& bucket : bucket0) {
+    std::vector<Keyed> keyed;
+    keyed.reserve(bucket.size());
+    for (const std::uint32_t cell : bucket) keyed.push_back({key(cell), cell});
+    std::sort(keyed.begin(), keyed.end(), by_key);
+    for (const Keyed& k : keyed) *next++ = k.cell;
   }
+}
+
+void WeakCellOrder::grow() {
+  if (grown_) return;
+  // Scatter each chunk's cells by their tags, from the saved offsets, so
+  // each bucket lists its cells in ascending order.  The array is written
+  // in full before it is read, so it is not zero-filled.
+  auto cells =
+      std::make_unique_for_overwrite<std::uint32_t[]>(geometry_.bits_per_pc);
+  std::vector<std::uint64_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  for_each_tag_chunk([&](std::uint64_t first, const std::uint16_t* tags,
+                         std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      cells[cursor[tags[i]]++] = static_cast<std::uint32_t>(first + i);
+    }
+  });
+  // Each bucket 0 keeps the (key, cell) order the prefix gave it.
+  const std::uint64_t reach0 = reach(StuckPolarity::kStuckAt0);
+  const std::uint64_t reach1 = reach(StuckPolarity::kStuckAt1);
+  std::copy(cells_.get(), cells_.get() + reach0, cells.get() + offsets_[0]);
+  std::copy(cells_.get() + reach0, cells_.get() + reach0 + reach1,
+            cells.get() + offsets_[kBuckets]);
+  cells_ = std::move(cells);
+  grown_ = true;
 }
 
 std::uint64_t WeakCellOrder::key(std::uint64_t cell) const noexcept {
@@ -118,58 +199,90 @@ std::uint64_t WeakCellOrder::size(StuckPolarity polarity) const noexcept {
              : offsets_[kBuckets];
 }
 
+std::uint64_t WeakCellOrder::reach(StuckPolarity polarity) const noexcept {
+  if (grown_) return size(polarity);
+  const std::size_t b = polarity == StuckPolarity::kStuckAt1 ? kBuckets : 0;
+  return offsets_[b + 1] - offsets_[b];
+}
+
 void WeakCellOrder::ranks(StuckPolarity polarity, std::uint64_t lo,
                           std::uint64_t hi,
                           std::vector<std::uint32_t>& out) const {
+  const std::uint64_t end = std::min(hi, size(polarity));
+  if (lo < end) out.reserve(out.size() + static_cast<std::size_t>(end - lo));
+  visit_ranks(polarity, lo, hi, [&out](std::span<const std::uint32_t> run) {
+    out.insert(out.end(), run.begin(), run.end());
+  });
+}
+
+void WeakCellOrder::visit_ranks(StuckPolarity polarity, std::uint64_t lo,
+                                std::uint64_t hi,
+                                const RunVisitor& visit) const {
   hi = std::min(hi, size(polarity));
   if (lo >= hi) return;
+  HBMVOLT_REQUIRE(hi <= reach(polarity),
+                  "ranks past bucket 0 need a grown weak-cell order");
+  // Cells [from, to) of cells_, as one run.
+  const auto run = [&](std::uint64_t from, std::uint64_t to) {
+    visit({cells_.get() + from, static_cast<std::size_t>(to - from)});
+  };
+  if (!grown_) {
+    // Bucket 0 of stuck-at-1 follows bucket 0 of stuck-at-0.
+    const std::uint64_t at =
+        polarity == StuckPolarity::kStuckAt1 ? offsets_[1] : 0;
+    run(at + lo, at + hi);
+    return;
+  }
   const auto first =
       offsets_.begin() + (polarity == StuckPolarity::kStuckAt1 ? kBuckets : 0);
   const auto last = first + kBuckets;
   const std::uint64_t begin = *first + lo;
   const std::uint64_t end = *first + hi;
-  out.reserve(out.size() + static_cast<std::size_t>(hi - lo));
+  // Positions [from, to) of the bucket that ends at offset *bucket_end.
+  std::vector<std::uint32_t> part;
+  const auto split = [&](auto bucket_end, std::uint64_t from,
+                         std::uint64_t to) {
+    const std::uint64_t start = *(bucket_end - 1);
+    // Bucket 0 is in (key, cell) order, and a whole bucket needs no order.
+    if (bucket_end == first + 1 || (from == start && to == *bucket_end)) {
+      run(from, to);
+      return;
+    }
+    part.clear();
+    split_bucket(cells_.get() + start, *bucket_end - start, from - start,
+                 to - start, part);
+    visit(part);
+  };
   // The bucket holding position `begin` ends at the first offset past it;
   // the one holding `end - 1` ends at the first offset >= end.
   const auto lo_end = std::upper_bound(first + 1, last + 1, begin);
   const auto hi_end = std::lower_bound(lo_end, last + 1, end);
   if (lo_end == hi_end) {
-    split_bucket(*(lo_end - 1), *lo_end, begin, end, out);
+    split(lo_end, begin, end);
     return;
   }
-  split_bucket(*(lo_end - 1), *lo_end, begin, *lo_end, out);
+  split(lo_end, begin, *lo_end);
   // Buckets strictly between the two ends lie wholly inside the range.
-  out.insert(out.end(), cells_.get() + *lo_end, cells_.get() + *(hi_end - 1));
-  split_bucket(*(hi_end - 1), *hi_end, *(hi_end - 1), end, out);
+  if (*lo_end < *(hi_end - 1)) run(*lo_end, *(hi_end - 1));
+  split(hi_end, *(hi_end - 1), end);
 }
 
-void WeakCellOrder::split_bucket(std::uint64_t lo, std::uint64_t hi,
+void WeakCellOrder::split_bucket(const std::uint32_t* cells, std::uint64_t n,
                                  std::uint64_t from, std::uint64_t to,
                                  std::vector<std::uint32_t>& out) const {
-  if (from == lo && to == hi) {
-    out.insert(out.end(), cells_.get() + lo, cells_.get() + hi);
-    return;
-  }
   // Partition the bucket by (key, cell) at the far end of the wanted
   // positions, then at the near end within the cells below it, and take
   // the cells between the two cuts.  Cutting the far end first keeps the
   // second cut small when the range sits at the weak end of a bucket.
-  struct Keyed {
-    std::uint64_t key;
-    std::uint32_t cell;
-  };
   std::vector<Keyed> keyed;
-  keyed.reserve(static_cast<std::size_t>(hi - lo));
-  for (std::uint64_t i = lo; i < hi; ++i) {
-    keyed.push_back({key(cells_[i]), cells_[i]});
+  keyed.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    keyed.push_back({key(cells[i]), cells[i]});
   }
-  const auto by_key = [](const Keyed& a, const Keyed& b) {
-    return a.key < b.key || (a.key == b.key && a.cell < b.cell);
-  };
-  const auto a = keyed.begin() + static_cast<std::ptrdiff_t>(from - lo);
-  const auto b = keyed.begin() + static_cast<std::ptrdiff_t>(to - lo);
-  if (to != hi) std::nth_element(keyed.begin(), b, keyed.end(), by_key);
-  if (from != lo) std::nth_element(keyed.begin(), a, b, by_key);
+  const auto a = keyed.begin() + static_cast<std::ptrdiff_t>(from);
+  const auto b = keyed.begin() + static_cast<std::ptrdiff_t>(to);
+  if (to != n) std::nth_element(keyed.begin(), b, keyed.end(), by_key);
+  if (from != 0) std::nth_element(keyed.begin(), a, b, by_key);
   for (auto it = a; it != b; ++it) out.push_back(it->cell);
 }
 

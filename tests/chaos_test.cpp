@@ -550,7 +550,13 @@ TEST_F(ChaosEquivalenceTest, AllKindsAcrossSeeds) {
 }
 
 TEST_F(ChaosEquivalenceTest, AllKindsAtFourThreads) {
-  check_equivalent(all_transient(3), 4, "all_kinds threads=4");
+  const auto result =
+      check_equivalent(all_transient(3), 4, "all_kinds threads=4");
+  // By 860 mV every tiny PC's stuck counts outgrow the weakest bucket
+  // of its weak-cell order, so pool workers grow orders while the others
+  // run their pattern tests: the ThreadSanitizer lane covers the growth.
+  EXPECT_NE(result.telemetry_summary.find("faults.order_scatter"),
+            std::string::npos);
 }
 
 TEST_F(ChaosEquivalenceTest, InaDropoutsAreValueNeutralOnBusReads) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -273,7 +274,8 @@ std::vector<std::uint32_t> weakest_set(const WeakCellOrder& order,
 
 TEST(WeakCellOrderTest, OrdersPartitionAllCells) {
   const auto g = HbmGeometry::test_tiny();
-  const WeakCellOrder order(g, 42, WeakCellConfig{});
+  WeakCellOrder order(g, 42, WeakCellConfig{});
+  order.grow();
   const auto sa0 = order.size(StuckPolarity::kStuckAt0);
   const auto sa1 = order.size(StuckPolarity::kStuckAt1);
   EXPECT_EQ(sa0 + sa1, g.bits_per_pc);
@@ -298,7 +300,8 @@ TEST(WeakCellOrderTest, PolaritySharesMatchConfig) {
 
 TEST(WeakCellOrderTest, EarlyRanksAreClustered) {
   const auto g = HbmGeometry::test_tiny();
-  const WeakCellOrder order(g, 42, WeakCellConfig{});
+  WeakCellOrder order(g, 42, WeakCellConfig{});
+  order.grow();
   // Most of the first 100 cells in each order lie inside cluster windows.
   unsigned in_cluster = 0;
   for (const auto polarity :
@@ -332,9 +335,10 @@ TEST(WeakCellOrderDeathTest, RejectsCapacityBeyond32BitCellIndices) {
 
 TEST(WeakCellOrderTest, DeterministicPerSeed) {
   const auto g = HbmGeometry::test_tiny();
-  const WeakCellOrder a(g, 42, WeakCellConfig{});
-  const WeakCellOrder b(g, 42, WeakCellConfig{});
-  const WeakCellOrder c(g, 43, WeakCellConfig{});
+  WeakCellOrder a(g, 42, WeakCellConfig{});
+  WeakCellOrder b(g, 42, WeakCellConfig{});
+  WeakCellOrder c(g, 43, WeakCellConfig{});
+  for (WeakCellOrder* order : {&a, &b, &c}) order->grow();
   const auto polarity = StuckPolarity::kStuckAt0;
   for (const std::uint64_t k :
        {std::uint64_t{1}, std::uint64_t{10}, std::uint64_t{100},
@@ -407,9 +411,9 @@ struct ReferenceOrder {
   }
 };
 
-/// Runs `fn(order, ref, label)` over the grid both order tests walk: two
+/// Runs `fn(order, ref, label)` over the grid the order tests walk: two
 /// geometries, clustering on and off, key shifts 5 and 40, and a balanced
-/// and a lopsided polarity share.
+/// and a lopsided polarity share.  `order` is fresh: not yet grown.
 template <typename Fn>
 void for_each_order_case(Fn&& fn) {
   HbmGeometry mid = HbmGeometry::test_tiny();
@@ -424,7 +428,7 @@ void for_each_order_case(Fn&& fn) {
           config.cluster_count = clusters;
           config.cluster_key_shift = shift;
           config.stuck_at_one_share = share;
-          const WeakCellOrder order(g, 42, config);
+          WeakCellOrder order(g, 42, config);
           const ReferenceOrder ref(g, 42, config, order.clusters());
           fn(order, ref,
              "bits " + std::to_string(g.bits_per_pc) + " clusters " +
@@ -443,8 +447,9 @@ std::uint64_t bucket_of(std::uint64_t key) {
 
 TEST(WeakCellOrderTest, WeakestMatchesSortedReference) {
   Xoshiro256 rng(7);
-  for_each_order_case([&](const WeakCellOrder& order, const ReferenceOrder& ref,
+  for_each_order_case([&](WeakCellOrder& order, const ReferenceOrder& ref,
                           const std::string& label) {
+    order.grow();
     const std::uint64_t bits = order.bits();
     for (int p = 0; p < 2; ++p) {
       const auto polarity =
@@ -495,8 +500,9 @@ TEST(WeakCellOrderTest, RanksSplitThePrefix) {
   Xoshiro256 rng(11);
   unsigned empty_bucket_cases = 0;
   unsigned one_bucket_cases = 0;
-  for_each_order_case([&](const WeakCellOrder& order, const ReferenceOrder& ref,
+  for_each_order_case([&](WeakCellOrder& order, const ReferenceOrder& ref,
                           const std::string& label) {
+    order.grow();
     for (int p = 0; p < 2; ++p) {
       const auto polarity =
           p == 1 ? StuckPolarity::kStuckAt1 : StuckPolarity::kStuckAt0;
@@ -578,13 +584,112 @@ TEST(WeakCellOrderTest, RanksSplitThePrefix) {
   EXPECT_GT(one_bucket_cases, 0u);
 }
 
+TEST(WeakCellOrderTest, PrefixAnswersBucketZeroBeforeAndAfterGrowth) {
+  // A fresh order holds only bucket 0 of each polarity.  Every k up to
+  // that bucket's count + 2 must select the reference's weakest k cells,
+  // from the prefix while k fits it and from the grown order after.
+  // Buckets of more than kEveryK cells (shift 40 on clustered PCs, up to
+  // about 24,000 cells) are covered at both edges and at random ranks in
+  // between: every k there would cost a quadratic number of key hashes.
+  constexpr std::uint64_t kEveryK = 4096;
+  constexpr std::uint64_t kEdge = 48;
+  Xoshiro256 rng(13);
+  unsigned tiny_prefixes = 0;
+  unsigned large_prefixes = 0;
+  for_each_order_case([&](WeakCellOrder& order, const ReferenceOrder& ref,
+                          const std::string& label) {
+    ASSERT_FALSE(order.grown()) << label;
+    std::vector<std::uint64_t> ks[2];
+    for (int p = 0; p < 2; ++p) {
+      const auto polarity =
+          p == 1 ? StuckPolarity::kStuckAt1 : StuckPolarity::kStuckAt0;
+      std::uint64_t bucket0 = 0;
+      while (bucket0 < ref.keys[p].size() &&
+             bucket_of(ref.keys[p][bucket0]) == 0) {
+        ++bucket0;
+      }
+      ASSERT_EQ(order.reach(polarity), bucket0) << label << " polarity " << p;
+      ASSERT_EQ(order.size(polarity), ref.order[p].size()) << label;
+      tiny_prefixes += bucket0 <= 2 ? 1 : 0;
+      large_prefixes += bucket0 > kEveryK ? 1 : 0;
+      for (std::uint64_t k = 0; k <= bucket0 + 2; ++k) {
+        if (bucket0 <= kEveryK || k <= kEdge || k + kEdge >= bucket0) {
+          ks[p].push_back(k);
+        }
+      }
+      if (bucket0 > kEveryK) {
+        for (int r = 0; r < 16; ++r) ks[p].push_back(rng.bounded(bucket0));
+      }
+    }
+
+    // weakest(k) is the reference's first k cells, and ranks(k / 2, k) is
+    // its cells of ranks [k / 2, k).  `stamp` marks the cells seen in one
+    // answer without clearing between answers.
+    std::vector<std::uint64_t> stamp(order.bits(), 0);
+    std::uint64_t answer = 0;
+    const auto check = [&](const std::string& state) {
+      for (int p = 0; p < 2; ++p) {
+        const auto polarity =
+            p == 1 ? StuckPolarity::kStuckAt1 : StuckPolarity::kStuckAt0;
+        for (const std::uint64_t k : ks[p]) {
+          if (k > order.reach(polarity)) continue;
+          const auto where = [&] {
+            return label + " " + state + " polarity " + std::to_string(p) +
+                   " k " + std::to_string(k);
+          };
+          for (const std::uint64_t lo : {std::uint64_t{0}, k / 2}) {
+            std::vector<std::uint32_t> cells;
+            order.ranks(polarity, lo, k, cells);
+            ASSERT_EQ(cells.size(), k - lo) << where() << " lo " << lo;
+            ++answer;
+            for (const std::uint32_t cell : cells) {
+              ASSERT_NE(stamp[cell], answer) << "repeated: " << where();
+              stamp[cell] = answer;
+              ASSERT_EQ(int{ref.stuck1[cell]}, p) << where();
+              ASSERT_GE(ref.rank[cell], lo) << where();
+              ASSERT_LT(ref.rank[cell], k) << where();
+            }
+          }
+        }
+      }
+    };
+    check("prefix");
+    order.grow();
+    ASSERT_TRUE(order.grown());
+    for (int p = 0; p < 2; ++p) {
+      const auto polarity =
+          p == 1 ? StuckPolarity::kStuckAt1 : StuckPolarity::kStuckAt0;
+      ASSERT_EQ(order.reach(polarity), ref.order[p].size()) << label;
+      ASSERT_TRUE(ks[p].back() <= order.reach(polarity) ||
+                  ks[p].back() > ref.order[p].size())
+          << label;
+    }
+    check("grown");
+  });
+  // Share 0.02 leaves stuck-at-1 a bucket 0 of at most two cells on some
+  // cases, and shift 40 a bucket 0 of thousands.
+  EXPECT_GT(tiny_prefixes, 0u);
+  EXPECT_GT(large_prefixes, 0u);
+}
+
+TEST(WeakCellOrderDeathTest, RanksPastThePrefixNeedGrowth) {
+  const WeakCellOrder order(HbmGeometry::test_tiny(), 42, WeakCellConfig{});
+  const auto polarity = StuckPolarity::kStuckAt0;
+  ASSERT_LT(order.reach(polarity), order.size(polarity));
+  std::vector<std::uint32_t> cells;
+  EXPECT_DEATH(order.weakest(polarity, order.reach(polarity) + 1, cells),
+               "grown weak-cell order");
+}
+
 // ---------------------------------------------------------- FaultOverlay
 
 class OverlayTest : public ::testing::Test {
  protected:
   OverlayTest()
       : geometry_(HbmGeometry::test_tiny()),
-        order_(geometry_, 42, WeakCellConfig{}) {}
+        order_(geometry_, 42, WeakCellConfig{}) {
+    order_.grow();
+  }
 
   HbmGeometry geometry_;
   WeakCellOrder order_;
@@ -939,6 +1044,96 @@ TEST(FaultInjectorTest, ExtendedOverlayEqualsFreshBuild) {
   }
 }
 
+TEST(FaultInjectorTest, PrefixOrdersServeLikeFullyGrownOnes) {
+  // The injector's orders start as bucket-0 prefixes and grow on the first
+  // refresh that needs more.  Through a 10 mV descent to 810 mV, a burst
+  // and a raise to 950 mV, every overlay must equal a fresh build from an
+  // order grown up front, and an order must grow exactly when a count
+  // first outgrows its prefix.
+  for (const HbmGeometry& g :
+       {HbmGeometry::test_tiny(), HbmGeometry::simulation_default()}) {
+    const FaultModel model(g, FaultModelConfig{});
+    WeakCellConfig config;
+    config.stuck_at_one_share = model.config().stuck_at_one_share;
+    // Every PC of the tiny board; on the default one the PCs whose
+    // prefixes last longest and shortest (890 and 880 mV).
+    std::vector<unsigned> pcs = {0u, 4u, 18u, 27u};
+    if (g.bits_per_pc == HbmGeometry::test_tiny().bits_per_pc) {
+      pcs.resize(g.total_pcs());
+      for (unsigned pc = 0; pc < pcs.size(); ++pc) pcs[pc] = pc;
+    }
+    std::vector<std::unique_ptr<WeakCellOrder>> full(g.total_pcs());
+    std::vector<std::uint64_t> prefix[2];
+    for (const unsigned pc : pcs) {
+      full[pc] = std::make_unique<WeakCellOrder>(g, model.pc_seed(pc), config);
+      prefix[0].push_back(full[pc]->reach(StuckPolarity::kStuckAt0));
+      prefix[1].push_back(full[pc]->reach(StuckPolarity::kStuckAt1));
+      full[pc]->grow();
+    }
+    FaultInjector injector(model);
+    std::vector<bool> outgrown(g.total_pcs(), false);
+    const auto check = [&](const std::string& step) {
+      for (std::size_t i = 0; i < pcs.size(); ++i) {
+        const unsigned pc = pcs[i];
+        const std::uint64_t k0 =
+            model.stuck_count(pc, StuckPolarity::kStuckAt0,
+                              injector.voltage()) +
+            injector.burst_extra(pc, StuckPolarity::kStuckAt0);
+        const std::uint64_t k1 =
+            model.stuck_count(pc, StuckPolarity::kStuckAt1,
+                              injector.voltage()) +
+            injector.burst_extra(pc, StuckPolarity::kStuckAt1);
+        const std::string where = "bits " + std::to_string(g.bits_per_pc) +
+                                  " pc " + std::to_string(pc) + " " + step;
+        const FaultOverlay& got = injector.overlay(pc);
+        expect_same_overlay(got, FaultOverlay::build(*full[pc], k0, k1),
+                            where);
+        if (k0 + k1 == 0) continue;  // the order is not even built
+        outgrown[pc] = outgrown[pc] ||
+                       std::min(k0, full[pc]->size(StuckPolarity::kStuckAt0)) >
+                           prefix[0][i] ||
+                       std::min(k1, full[pc]->size(StuckPolarity::kStuckAt1)) >
+                           prefix[1][i];
+        EXPECT_EQ(injector.order(pc).grown(), outgrown[pc]) << where;
+      }
+    };
+    for (int mv = 1200; mv >= 810; mv -= 10) {
+      injector.set_voltage(Millivolts{mv});
+      check("descend " + std::to_string(mv));
+    }
+    for (const unsigned pc : pcs) injector.add_burst(pc, 40, 60);
+    check("burst");
+    injector.set_voltage(Millivolts{950});
+    check("raise to 950");
+    for (const unsigned pc : pcs) EXPECT_TRUE(outgrown[pc]) << pc;
+
+    // A burst alone also grows an order: at 950 mV every count fits the
+    // prefix until a burst of prefix + 1 cells lands.
+    FaultInjector fresh(model);
+    fresh.set_voltage(Millivolts{950});
+    for (std::size_t i = 0; i < pcs.size(); ++i) {
+      const unsigned pc = pcs[i];
+      const FaultOverlay& before = fresh.overlay(pc);
+      if (!before.empty()) {
+        EXPECT_FALSE(fresh.order(pc).grown()) << pc;
+      }
+      fresh.add_burst(pc, 0, prefix[1][i] + 1);
+      const FaultOverlay& after = fresh.overlay(pc);
+      EXPECT_TRUE(fresh.order(pc).grown()) << pc;
+      expect_same_overlay(
+          after,
+          FaultOverlay::build(
+              *full[pc],
+              model.stuck_count(pc, StuckPolarity::kStuckAt0,
+                                Millivolts{950}),
+              model.stuck_count(pc, StuckPolarity::kStuckAt1,
+                                Millivolts{950}) +
+                  prefix[1][i] + 1),
+          "burst at 950 pc " + std::to_string(pc));
+    }
+  }
+}
+
 // -------------------------------------------------------------- FaultMap
 
 TEST(FaultMapTest, RecordAndQuery) {
@@ -1019,7 +1214,8 @@ TEST(FaultMapTest, MissingVoltageGivesEmptyRecord) {
 
 TEST(ClusteringTest, ClusteredFaultsConcentrateInFewRows) {
   const auto g = HbmGeometry::test_tiny();
-  const WeakCellOrder clustered(g, 42, WeakCellConfig{});
+  WeakCellOrder clustered(g, 42, WeakCellConfig{});
+  clustered.grow();
   const auto overlay = FaultOverlay::build(clustered, 100, 120);
   const auto stats = analyze_clustering(g, overlay);
   EXPECT_EQ(stats.faults, 220u);
@@ -1033,7 +1229,8 @@ TEST(ClusteringTest, UniformFaultsSpreadAcrossRows) {
   const auto g = HbmGeometry::test_tiny();
   WeakCellConfig config;
   config.cluster_count = 0;
-  const WeakCellOrder uniform(g, 42, config);
+  WeakCellOrder uniform(g, 42, config);
+  uniform.grow();
   const auto overlay = FaultOverlay::build(uniform, 100, 120);
   const auto stats = analyze_clustering(g, overlay);
   // ~5% of mass in the densest 5% of rows (with slack for small samples).

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "board/vcu128.hpp"
 #include "core/campaign.hpp"
 #include "core/report.hpp"
 #include "core/voltage_sweep.hpp"
@@ -403,6 +404,69 @@ TEST(ChromeTraceTest, CampaignTraceHasOneTrackPerWorker) {
   // Every span event is a complete ("X") event inside the array.
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
 
+  fs::remove_all(config.output_dir);
+}
+
+/// faults.order_scatter spans of one JSONL stream, per PC (span detail).
+std::map<std::int64_t, unsigned> order_scatters(const std::string& jsonl) {
+  std::map<std::int64_t, unsigned> per_pc;
+  std::istringstream lines(jsonl);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.find("\"name\":\"faults.order_scatter\"") == std::string::npos) {
+      continue;
+    }
+    const std::size_t at = line.find("\"detail\":");
+    if (at == std::string::npos) continue;
+    ++per_pc[std::stoll(line.substr(at + 9))];
+  }
+  return per_pc;
+}
+
+// A weak-cell order keeps only its weakest bucket until a stuck count
+// outgrows it.  At 950 mV every count of the default board fits, so a
+// serving board there grows no order; a default campaign descends to 810
+// mV and grows each PC's order once.
+TEST(OrderScatterTelemetryTest, NoneAt950mVOnePerPcPerCampaign) {
+  namespace fs = std::filesystem;
+  {
+    board::Vcu128Board board;
+    Telemetry telemetry({.enabled = true});
+    ScopedTelemetry scoped(telemetry);
+    ASSERT_TRUE(board.set_hbm_voltage(Millivolts{950}).is_ok());
+    for (unsigned s = 0; s < board.geometry().stacks; ++s) {
+      for (unsigned pc = 0; pc < board.geometry().pcs_per_stack(); ++pc) {
+        ASSERT_TRUE(board.stack(s).read_beat(pc, 0).is_ok());
+      }
+    }
+    std::uint64_t builds = 0;
+    std::uint64_t scatters = 0;
+    for (const SpanStat& stat : telemetry.span_stats()) {
+      if (stat.name == "faults.order_build") builds = stat.count;
+      if (stat.name == "faults.order_scatter") scatters = stat.count;
+    }
+    EXPECT_GT(builds, 0u);  // the faulty PCs did build their orders
+    EXPECT_EQ(scatters, 0u);
+  }
+
+  board::Vcu128Board board;
+  core::CampaignConfig config;
+  config.telemetry.enabled = true;
+  config.output_dir =
+      (fs::temp_directory_path() / "hbmvolt_order_scatter_test").string();
+  fs::remove_all(config.output_dir);
+  core::Campaign campaign(board, config);
+  auto result = campaign.run();
+  ASSERT_TRUE(result.is_ok()) << result.status().to_string();
+  std::ifstream in(fs::path(config.output_dir) / "telemetry.jsonl");
+  ASSERT_TRUE(in.good());
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const auto per_pc = order_scatters(buffer.str());
+  EXPECT_EQ(per_pc.size(), board.geometry().total_pcs());
+  for (const auto& [pc, count] : per_pc) {
+    EXPECT_EQ(count, 1u) << "pc " << pc;
+  }
   fs::remove_all(config.output_dir);
 }
 
